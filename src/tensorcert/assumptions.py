@@ -16,10 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .core import Coord, SamplingPattern, Shape, unfold_col, unfold_row
-from .geometry import RankSpec
+from .core import Coord, SamplingPattern, Shape
+from .geometry import RankSpec, factor_offsets, reaches_rank, unreduced_jacobian
 
 __all__ = [
     "HullSpec",
@@ -175,51 +173,13 @@ def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord
     when it is attained.
     """
     spec.check_shape(shape)
-    tail_dims = spec.tail_dims(shape)
-    num_slots = len(spec.ranks)
-    num_vars = sum(n * r for n, r in zip(tail_dims, spec.ranks))
-    target = num_vars - (num_slots - 1)
+    offsets = factor_offsets(shape, spec)
+    target = offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
     coords = [tuple(c) for c in entries]
     if len(coords) < target:
         return False
-    # variable layout: (slot, k, col) in slot-major order
-    offsets = []
-    off = 0
-    for r, n in zip(spec.ranks, tail_dims):
-        offsets.append(off)
-        off += r * n
-
-    R = spec.product
-    strides = []
-    s = 1
-    for r in spec.ranks:
-        strides.append(s)
-        s *= r
-    rank_tuples = list(itertools.product(*(range(r) for r in spec.ranks)))
-
-    best = 0
-    for seed in _PIN_PROBE_SEEDS:
-        rng = np.random.default_rng(seed)
-        core = rng.standard_normal((shape.head_size(spec.j), R))
-        factors = [rng.standard_normal((r, n)) for r, n in zip(spec.ranks, tail_dims)]
-        jac = np.zeros((len(coords), num_vars))
-        for row_i, x in enumerate(coords):
-            head_row = unfold_row(shape, spec.j, x) - 1
-            tail0 = [x[spec.j + s2] - 1 for s2 in range(num_slots)]
-            for k in rank_tuples:
-                flat = sum(ki * st for ki, st in zip(k, strides))
-                c = core[head_row, flat]
-                fs = [factors[s2][k[s2], tail0[s2]] for s2 in range(num_slots)]
-                for s2 in range(num_slots):
-                    coef = c * math.prod(fs[:s2] + fs[s2 + 1 :])
-                    var = offsets[s2] + tail0[s2] * spec.ranks[s2] + k[s2]
-                    jac[row_i, var] += coef
-        sv = np.linalg.svd(jac, compute_uv=False)
-        rank = int(np.sum(sv > _PIN_RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-        best = max(best, rank)
-        if best >= target:
-            return True
-    return False
+    factor_blocks = (unreduced_jacobian(shape, spec, coords, seed)[:, offsets[0] :] for seed in _PIN_PROBE_SEEDS)
+    return reaches_rank(factor_blocks, target, _PIN_RANK_TOL)
 
 
 def _validate_selection(

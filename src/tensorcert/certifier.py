@@ -18,15 +18,15 @@ negative verdict.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Coord, SamplingPattern, unfold_row
-from .geometry import RankSpec, core_dim
+from .core import Coord, SamplingPattern, Shape, unflatten_index
+from .geometry import RankSpec, core_dim, factor_offsets, reaches_rank, unreduced_jacobian
 from .assumptions import (
     AssumptionError,
     SelectionInfeasibleError,
@@ -218,7 +218,21 @@ def thm4_dependent(constraint: ConstraintMatrix, spec: RankSpec) -> tuple[bool, 
     return (not ok), witness
 
 
-def generic_rank_finite(pattern_coords: Sequence[Coord], shape, spec: RankSpec) -> bool:
+def _probe_rows(
+    coords: Sequence[Coord], shape: Shape, spec: RankSpec
+) -> Callable[[int, Sequence[Coord]], np.ndarray]:
+    """``rows(seed, subset)``: the unreduced Jacobian of a subset of
+    ``coords`` at a rank-probe seed, as a row selection of the Jacobian of
+    all of ``coords``, built once per seed on first use.  One certificate
+    shares it across all of its rank confirmations."""
+    row_of = {c: i for i, c in enumerate(coords)}
+    at_seed = functools.cache(lambda seed: unreduced_jacobian(shape, spec, coords, seed))
+    return lambda seed, subset: at_seed(seed)[[row_of[c] for c in subset]]
+
+
+def generic_rank_finite(
+    pattern_coords: Sequence[Coord], shape, spec: RankSpec, jacobian_rows: Optional[Callable] = None
+) -> bool:
     """True when the given observed entries determine the tensor up to
     finitely many completions, decided at a random generic point.
 
@@ -226,56 +240,27 @@ def generic_rank_finite(pattern_coords: Sequence[Coord], shape, spec: RankSpec) 
     factor entry is a variable — whose fiber over a generic tensor of the
     given trailing ranks is the basis-change group of dimension sum r_i^2.
     The entries pin the tensor finitely exactly when their Jacobian reaches
-    rank (num core entries) + (num factor entries) - sum r_i^2.
+    rank (num core entries) + (num factor entries) - sum r_i^2.  The rows
+    come from ``jacobian_rows`` (a :func:`_probe_rows` covering every entry)
+    when given, else from a Jacobian of just these entries.
     """
     spec.check_shape(shape)
-    tail_dims = spec.tail_dims(shape)
-    num_slots = len(spec.ranks)
-    R = spec.product
-    nj = shape.head_size(spec.j)
-    num_core = nj * R
-    num_factor = sum(n * r for n, r in zip(tail_dims, spec.ranks))
-    target = num_core + num_factor - spec.sum_sq
+    target = factor_offsets(shape, spec)[-1] - spec.sum_sq
     coords = [tuple(c) for c in pattern_coords]
     if len(coords) < target:
         return False
+    rows = jacobian_rows or _probe_rows(coords, shape, spec)
+    return reaches_rank((rows(seed, coords) for seed in _RANK_PROBE_SEEDS), target, _RANK_TOL)
 
-    offsets = []
-    off = num_core
-    for r, n in zip(spec.ranks, tail_dims):
-        offsets.append(off)
-        off += r * n
-    strides = []
-    s = 1
-    for r in spec.ranks:
-        strides.append(s)
-        s *= r
-    rank_tuples = list(itertools.product(*(range(r) for r in spec.ranks)))
 
-    best = 0
-    for seed in _RANK_PROBE_SEEDS:
-        rng = np.random.default_rng(seed)
-        core = rng.standard_normal((nj, R))
-        factors = [rng.standard_normal((r, n)) for r, n in zip(spec.ranks, tail_dims)]
-        jac = np.zeros((len(coords), num_core + num_factor))
-        for row_i, x in enumerate(coords):
-            head_row = unfold_row(shape, spec.j, x) - 1
-            tail0 = [x[spec.j + s2] - 1 for s2 in range(num_slots)]
-            for k in rank_tuples:
-                flat = sum(ki * st for ki, st in zip(k, strides))
-                fs = [factors[s2][k[s2], tail0[s2]] for s2 in range(num_slots)]
-                jac[row_i, head_row * R + flat] = math.prod(fs)
-                c = core[head_row, flat]
-                for s2 in range(num_slots):
-                    coef = c * math.prod(fs[:s2] + fs[s2 + 1 :])
-                    var = offsets[s2] + tail0[s2] * spec.ranks[s2] + k[s2]
-                    jac[row_i, var] += coef
-        sv = np.linalg.svd(jac, compute_uv=False)
-        rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-        best = max(best, rank)
-        if best >= target:
-            return True
-    return False
+def _witness_entries(constraint: ConstraintMatrix, selection: TSelection, witness: Iterable[int]) -> list[Coord]:
+    """The designated entries plus each witness column's free entry, sorted:
+    a finitely-determining subpattern when the witness is confirmed."""
+    entries = set(selection.entries)
+    for idx in witness:
+        col = constraint.columns[idx]
+        entries.add(unflatten_index(constraint.head_dims, col.free_row) + col.base)
+    return sorted(entries)
 
 
 class _IncrementalCounts:
@@ -359,7 +344,7 @@ def _finite_search(constraint: ConstraintMatrix, spec: RankSpec, n: int) -> Iter
 
 
 def _certify_finite_once(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, jacobian_rows: Callable
 ) -> FiniteCertificate:
     constraint = build_constraint(pattern, spec, selection)
     n = core_dim(pattern.shape, spec)
@@ -383,21 +368,10 @@ def _certify_finite_once(
             reason=f"only {constraint.num_columns} constraint columns but {n} needed",
         )
 
-    def confirmed(witness: tuple[int, ...]) -> bool:
-        # a confirmed witness plus the designated entries is a minimal
-        # finitely-determining subpattern
-        entries = set(selection.entries)
-        for idx in witness:
-            col = constraint.columns[idx]
-            for coord in pattern.observed:
-                if coord[spec.j:] == col.base and unfold_row(pattern.shape, spec.j, coord) == col.free_row:
-                    entries.add(coord)
-                    break
-        return generic_rank_finite(sorted(entries), pattern.shape, spec)
-
     try:
         for tried, witness in enumerate(_finite_search(constraint, spec, n)):
-            if confirmed(witness):
+            entries = _witness_entries(constraint, selection, witness)
+            if generic_rank_finite(entries, pattern.shape, spec, jacobian_rows):
                 return cert("finite", witness=witness)
             if tried + 1 >= WITNESS_CONFIRM_TRIES:
                 return cert("undecided-search-exhausted", reason="no candidate witness confirmed")
@@ -420,6 +394,7 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
         raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
     first: Optional[FiniteCertificate] = None
     tried_entries: set[tuple] = set()
+    jacobian_rows = _probe_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
         try:
             selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt)
@@ -430,13 +405,13 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
         if selection.entries in tried_entries:
             continue
         tried_entries.add(selection.entries)
-        result = _certify_finite_once(pattern, spec, selection)
+        result = _certify_finite_once(pattern, spec, selection, jacobian_rows)
         if result.verdict == "finite":
             return result
         if first is None:
             first = result
     assert first is not None
-    if generic_rank_finite(sorted(pattern.observed), pattern.shape, spec):
+    if generic_rank_finite(pattern.observed, pattern.shape, spec, jacobian_rows):
         return FiniteCertificate(
             verdict="finite",
             num_free_core=first.num_free_core,
@@ -502,6 +477,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
 
     undecided = False
     tried_entries: set[tuple] = set()
+    jacobian_rows = _probe_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
         try:
             selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt)
@@ -518,7 +494,6 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
         width = max((m.bit_length() for m in masks), default=0)
 
         try:
-            caps_fin = _caps_worst(width, spec)
             caps_uni = _caps_unique(width, spec, n0)
             finite_witnesses: Iterator[tuple[int, ...]]
             if n == 0:
@@ -526,9 +501,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
             elif constraint.num_columns < n:
                 finite_witnesses = iter([])
             else:
-                counts = _IncrementalCounts(width, caps_fin)
-                order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
-                finite_witnesses = _witness_solutions(masks, order, n, counts, [SEARCH_NODE_GUARD])
+                finite_witnesses = _finite_search(constraint, spec, n)
 
             tried = 0
             for witness in finite_witnesses:
@@ -547,14 +520,8 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
                         undecided = True
                         witness0 = None
                     if witness0 is not None:
-                        entries = set(selection.entries)
-                        for idx in witness:
-                            col = constraint.columns[idx]
-                            for coord in pattern.observed:
-                                if coord[spec.j:] == col.base and unfold_row(pattern.shape, spec.j, coord) == col.free_row:
-                                    entries.add(coord)
-                                    break
-                        if not generic_rank_finite(sorted(entries), pattern.shape, spec):
+                        entries = _witness_entries(constraint, selection, witness)
+                        if not generic_rank_finite(entries, pattern.shape, spec, jacobian_rows):
                             continue
                         finite_part = FiniteCertificate(
                             verdict="finite",

@@ -49,24 +49,8 @@ def _manifest(args: argparse.Namespace) -> dict:
     }
 
 
-def _write_artifact(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".artifact-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_text(text: str, out: Optional[str]) -> None:
+    """Write to stdout, or atomically replace ``out``."""
     if out is None:
         sys.stdout.write(text)
         return
@@ -80,6 +64,10 @@ def _write_text(text: str, out: Optional[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_artifact(payload: dict, out: Optional[str]) -> None:
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _parse_ranks(text: str) -> tuple[int, ...]:

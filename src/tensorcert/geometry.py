@@ -6,16 +6,26 @@ rank components ``r_{j+1}..r_d`` are prescribed.  The core's ``j``-unfolding has
 ``N_j = n_1 * ... * n_j`` rows and ``R = prod r_i`` columns; fixing the gauge
 pins an identity block per trailing dimension inside that unfolding, which is
 what :func:`canonical_structure` lays out and what :meth:`RankSpec.g` counts.
+
+The observed entries are polynomials in the core and factor entries;
+:func:`tucker_terms` evaluates them and their derivatives for every caller.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .core import Shape
+import numpy as np
 
-__all__ = ["RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure"]
+from .core import Coord, CoordinateBoundsError, Shape
+
+__all__ = [
+    "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
+    "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "probe_point",
+    "unreduced_jacobian", "reaches_rank",
+]
 
 
 @dataclass(frozen=True)
@@ -169,3 +179,107 @@ def canonical_structure(shape: Shape, spec: RankSpec) -> ProperStructure:
         blocks.append(StructureBlock(dim=spec.j + 1 + slot, rows=rows, cols=tuple(cols)))
         offset += r
     return ProperStructure(shape=shape, spec=spec, blocks=tuple(blocks))
+
+
+# --- The observation map and its Jacobian. ---
+
+
+def rank_strides(ranks: Sequence[int]) -> tuple[int, ...]:
+    """Strides of the flat core column over rank tuples (first slot fastest)."""
+    strides = []
+    s = 1
+    for r in ranks:
+        strides.append(s)
+        s *= r
+    return tuple(strides)
+
+
+def factor_offsets(shape: Shape, spec: RankSpec) -> tuple[int, ...]:
+    """Column boundaries of the unreduced layout, which lists all ``N_j * R``
+    core entries row by row and then every factor entry, slot by slot, with
+    T_s(a, b) at column ``offsets[s] + b * r_s + a``.  The last boundary is
+    the total column count."""
+    offsets = [shape.head_size(spec.j) * spec.product]
+    for r, n in zip(spec.ranks, spec.tail_dims(shape)):
+        offsets.append(offsets[-1] + r * n)
+    return tuple(offsets)
+
+
+def unfolding_indices(shape: Shape, j: int, coords: Sequence[Coord]) -> tuple[np.ndarray, np.ndarray]:
+    """0-based j-unfolding rows and trailing indices of 1-based coordinates."""
+    x = np.array(coords, dtype=np.intp).reshape(-1, shape.order) - 1
+    if ((x < 0) | (x >= np.array(shape.dims))).any():
+        raise CoordinateBoundsError(f"coordinates out of bounds for {shape.dims}")
+    head_strides = np.cumprod((1,) + shape.dims[: j - 1])
+    return x[:, :j] @ head_strides, x[:, j:]
+
+
+def tucker_terms(
+    core: np.ndarray, factors: Sequence[np.ndarray], rows: np.ndarray, tails: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Values of the entries at unfolding ``rows`` and trailing indices
+    ``tails`` (0-based), with all their nonzero partial derivatives.
+
+    ``w[e, col]`` is the derivative of entry ``e`` in ``core[rows[e], col]``
+    and ``d_fac[s][a, e]`` its derivative in ``T_s(a, tails[e, s])``.
+    Products and sums run in the same order for every entry: factors left
+    to right by slot, rank tuples in ``itertools.product`` order.
+    """
+    ranks = tuple(T.shape[0] for T in factors)
+    strides = rank_strides(ranks)
+    m = len(rows)
+    core_at = core[rows]  # (entries, R): each entry's unfolding row
+    fac_at = [T[:, tails[:, s]] for s, T in enumerate(factors)]  # (r_s, entries)
+    values = np.zeros(m)
+    w = np.empty((m, core.shape[1]))
+    d_fac = [np.zeros((r, m)) for r in ranks]
+    for k in itertools.product(*(range(r) for r in ranks)):
+        col = sum(ki * s for ki, s in zip(k, strides))
+        fs = [f[ks] for f, ks in zip(fac_at, k)]
+        prod_all = functools.reduce(np.multiply, fs)
+        w[:, col] = prod_all
+        c = core_at[:, col]
+        values += c * prod_all
+        for s in range(len(fs)):
+            others = fs[:s] + fs[s + 1 :]
+            d_fac[s][k[s]] += (c * functools.reduce(np.multiply, others)) if others else c
+    return values, w, d_fac
+
+
+def probe_point(shape: Shape, spec: RankSpec, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), all
+    entries standard normal, drawn in that order from ``seed``."""
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal((shape.head_size(spec.j), spec.product))
+    factors = [rng.standard_normal((r, n)) for r, n in zip(spec.ranks, spec.tail_dims(shape))]
+    return core, factors
+
+
+def unreduced_jacobian(shape: Shape, spec: RankSpec, coords: Sequence[Coord], seed: int) -> np.ndarray:
+    """Jacobian of the entries at ``coords`` in every core and every factor
+    entry (columns as in :func:`factor_offsets`) at the generic point
+    :func:`probe_point` draws from ``seed``.  Row ``e`` depends only on
+    ``coords[e]``, so the Jacobian of a subset of the entries is a row
+    selection of this matrix."""
+    offsets = factor_offsets(shape, spec)
+    rows, tails = unfolding_indices(shape, spec.j, coords)
+    _, w, d_fac = tucker_terms(*probe_point(shape, spec, seed), rows, tails)
+    R = spec.product
+    entry = np.arange(len(rows))[:, None]
+    jac = np.zeros((len(rows), offsets[-1]))
+    jac[entry, rows[:, None] * R + np.arange(R)] = w
+    for s, (r, d) in enumerate(zip(spec.ranks, d_fac)):
+        jac[entry, offsets[s] + tails[:, s, None] * r + np.arange(r)] = d.T
+    return jac
+
+
+def reaches_rank(jacobians: Iterable[np.ndarray], target: int, tol: float) -> bool:
+    """True when some matrix has numerical rank >= target: singular values
+    above ``tol`` times the largest.  Later matrices are not drawn once one
+    reaches it."""
+    for jac in jacobians:
+        sv = np.linalg.svd(jac, compute_uv=False)
+        rank = int(np.sum(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
+        if rank >= target:
+            return True
+    return False

@@ -16,8 +16,6 @@ each mode the unknown count matches the dimension the rank test needs:
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import Coord, CoordinateBoundsError, SamplingPattern, Shape
-from .geometry import RankSpec, canonical_structure, core_dim
+from .core import Coord, SamplingPattern, Shape
+from .geometry import RankSpec, canonical_structure, rank_strides, tucker_terms, unfolding_indices
 from .assumptions import check_Bj
 
 __all__ = [
@@ -101,15 +99,6 @@ class CompletionSet:
         return len(self.completions)
 
 
-def _rank_strides(ranks: Sequence[int]) -> tuple[int, ...]:
-    strides = []
-    s = 1
-    for r in ranks:
-        strides.append(s)
-        s *= r
-    return tuple(strides)
-
-
 def realize(
     shape: Shape, spec: RankSpec, core_mat: np.ndarray, factors: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -133,7 +122,7 @@ def generate_instance(shape: Shape, spec: RankSpec, seed: int = 0) -> GenericIns
     rng = np.random.default_rng(seed)
     nj = shape.head_size(spec.j)
     core_mat = rng.standard_normal((nj, spec.product))
-    strides = _rank_strides(spec.ranks)
+    strides = rank_strides(spec.ranks)
     structure = canonical_structure(shape, spec)
     for block in structure.blocks:
         for a, row in enumerate(block.rows):
@@ -170,8 +159,8 @@ class _ParamMap:
     slot in (a, b) order.  ``factor_cols[s][a, b]`` is the theta index of
     T_s(a, b), or -1 where that entry is pinned or not free in this mode.
     :meth:`index_entries` turns a coordinate list into :class:`_Entries`
-    once, so :meth:`values_and_jacobian` gathers and scatters with those
-    arrays and loops in Python only over rank tuples and trailing slots.
+    once, so :meth:`values_and_jacobian` scatters the terms of
+    :func:`~tensorcert.geometry.tucker_terms` with those arrays.
     """
 
     def __init__(self, instance: GenericInstance, mode: str):
@@ -181,7 +170,7 @@ class _ParamMap:
         self.mode = mode
         shape, spec = instance.shape, instance.spec
         self.shape, self.spec = shape, spec
-        self.strides = _rank_strides(spec.ranks)
+        strides = rank_strides(spec.ranks)
         structure = canonical_structure(shape, spec)
 
         core_free = mode in ("coreAndFactors", "coreOnly")
@@ -193,7 +182,7 @@ class _ParamMap:
                 for b, col in enumerate(block.cols):
                     if slot >= 1 and a == 0 and b == 0:
                         continue  # freed diagonal entry compensating T pin
-                    flat = sum((c - 1) * s for c, s in zip(col, self.strides))
+                    flat = sum((c - 1) * s for c, s in zip(col, strides))
                     free_core[row - 1, flat] = False
         self.core_rows, self.core_cols = np.nonzero(free_core)
 
@@ -210,10 +199,6 @@ class _ParamMap:
                 num_params += count
             self.factor_cols.append(cols)
         self.num_params = num_params
-        self.rank_tuples = [
-            (k, sum(ki * s for ki, s in zip(k, self.strides)))
-            for k in itertools.product(*(range(r) for r in spec.ranks))
-        ]
 
     def pack(self) -> np.ndarray:
         theta = np.empty(self.num_params)
@@ -233,13 +218,7 @@ class _ParamMap:
         return core, factors
 
     def index_entries(self, coords: Sequence[Coord]) -> _Entries:
-        shape, j = self.shape, self.spec.j
-        x = np.array(coords, dtype=np.intp).reshape(-1, shape.order) - 1
-        if ((x < 0) | (x >= np.array(shape.dims))).any():
-            raise CoordinateBoundsError(f"coordinates out of bounds for {shape.dims}")
-        head_strides = np.cumprod((1,) + shape.dims[: j - 1])
-        rows = x[:, :j] @ head_strides
-        tails = x[:, j:]
+        rows, tails = unfolding_indices(self.shape, self.spec.j, coords)
         entry, param = np.nonzero(rows[:, None] == self.core_rows[None, :])
         factor_hits = []
         for s, cols in enumerate(self.factor_cols):
@@ -251,28 +230,9 @@ class _ParamMap:
     def values_and_jacobian(
         self, theta: np.ndarray, entries: _Entries
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Observed values and their Jacobian in theta.
-
-        Products and sums run in the same order for every entry: factors
-        left to right by slot, rank tuples in ``itertools.product`` order.
-        """
-        core, factors = self.materialize(theta)
-        m = len(entries.rows)
-        core_at = core[entries.rows]  # (entries, R): each entry's unfolding row
-        fac_at = [T[:, entries.tails[:, s]] for s, T in enumerate(factors)]  # (r_s, entries)
-        values = np.zeros(m)
-        w = np.empty((m, self.spec.product))
-        d_fac = [np.zeros((r, m)) for r in self.spec.ranks]
-        for k, col in self.rank_tuples:
-            fs = [f[ks] for f, ks in zip(fac_at, k)]
-            prod_all = functools.reduce(np.multiply, fs)
-            w[:, col] = prod_all
-            c = core_at[:, col]
-            values += c * prod_all
-            for s in range(len(fs)):
-                others = fs[:s] + fs[s + 1 :]
-                d_fac[s][k[s]] += (c * functools.reduce(np.multiply, others)) if others else c
-        jac = np.zeros((m, self.num_params))
+        """Observed values and their Jacobian in theta."""
+        values, w, d_fac = tucker_terms(*self.materialize(theta), entries.rows, entries.tails)
+        jac = np.zeros((len(entries.rows), self.num_params))
         entry, param, col = entries.core_hits
         jac[entry, param] = w[entry, col]
         for d, (entry, a, param) in zip(d_fac, entries.factor_hits):

@@ -125,6 +125,34 @@ class TestHullCondition:
             assert not selection_pins_factors(shape, spec, entries)
 
 
+class TestSelectionPinsFactors:
+    @pytest.mark.parametrize(
+        "dims,spec,entries,pins",
+        [
+            ((5, 4), RankSpec(j=1, ranks=(2,)),
+             [(1, 3), (1, 4), (2, 1), (3, 1), (4, 2), (4, 4), (5, 2), (5, 3)], True),
+            ((5, 4), RankSpec(j=1, ranks=(2,)),
+             [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4)], False),
+            ((4, 3, 3), RankSpec(j=1, ranks=(2, 2)),
+             [(1, 2, 1), (1, 2, 2), (1, 3, 2), (1, 3, 3), (2, 1, 1), (2, 1, 3),
+              (2, 2, 2), (2, 3, 1), (3, 1, 3), (3, 2, 2), (4, 1, 1), (4, 3, 1)], True),
+            ((4, 3, 3), RankSpec(j=1, ranks=(2, 2)),
+             [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2), (3, 2, 3),
+              (3, 3, 3), (4, 1, 1), (4, 2, 1), (4, 2, 2), (4, 3, 1), (4, 3, 3)], False),
+            ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2)),
+             [(1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 2, 1), (1, 3, 1, 1), (2, 1, 2, 3), (2, 1, 3, 1),
+              (2, 1, 3, 2), (2, 2, 1, 1), (2, 3, 1, 1), (3, 2, 2, 2), (3, 2, 2, 3), (3, 2, 3, 2)], True),
+            ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2)),
+             [(1, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2), (2, 1, 1, 2),
+              (1, 1, 2, 1), (2, 1, 2, 1), (1, 1, 3, 3), (2, 1, 3, 3), (1, 1, 2, 2), (1, 1, 3, 1)], False),
+        ],
+    )
+    def test_fixed_verdicts_agree_with_oracle(self, dims, spec, entries, pins):
+        shape = Shape(dims=dims)
+        assert selection_pins_factors(shape, spec, entries) == pins
+        assert oracle_pins(shape, spec, entries) == pins
+
+
 class TestCheckAj:
     def test_agrees_with_factors_only_oracle(self):
         """Sampled version of the full equivalence: the admissibility verdict

@@ -2,11 +2,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
 from tensorcert.certifier import (
     FiniteCertificate,
+    _probe_rows,
     certify_finite,
     certify_unique,
     generic_rank_finite,
@@ -171,6 +173,45 @@ class TestGenericRankFinite:
             mine = generic_rank_finite(pattern.observed, shape, spec)
             report = jacobian_rank(instance, pattern, mode="coreAndFactors")
             assert mine == (report.verdict == "finite")
+
+
+class TestProbeRows:
+    """Rank confirmations on row selections of one per-certificate Jacobian
+    see the same matrices as a Jacobian built for the subset alone."""
+
+    @pytest.mark.parametrize(
+        "dims,spec",
+        [
+            ((5, 4), RankSpec(j=1, ranks=(2,))),
+            ((4, 3, 3), RankSpec(j=1, ranks=(2, 2))),
+            ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2))),
+        ],
+    )
+    def test_row_subsets_match_fresh_evaluation(self, dims, spec, monkeypatch):
+        shape = Shape(dims=dims)
+        pattern = sample_pattern(shape, 0.9, seed=7, trial=0)
+        jacobian_rows = _probe_rows(pattern.observed, shape, spec)
+        seen: list[bytes] = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(np.ascontiguousarray(a).tobytes())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rng = random.Random(3)
+        verdicts = set()
+        for _ in range(12):
+            size = rng.randint(len(pattern.observed) // 2, len(pattern.observed))
+            subset = sorted(rng.sample(pattern.observed, size))
+            shared = generic_rank_finite(subset, shape, spec, jacobian_rows)
+            shared_inputs, seen[:] = list(seen), []
+            fresh = generic_rank_finite(subset, shape, spec)
+            assert shared == fresh
+            assert shared_inputs == seen
+            seen.clear()
+            verdicts.add(fresh)
+        assert verdicts == {True, False}
 
 
 class TestCertifyFinite:

@@ -1,11 +1,24 @@
-"""Rank bookkeeping: dimension counts, the g-function, gauge block layout."""
+"""Rank bookkeeping: dimension counts, the g-function, gauge block layout,
+and the observation-Jacobian kernel."""
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tensorcert.core import Shape
-from tensorcert.geometry import RankSpec, canonical_structure, core_dim, manifold_dim
+from tensorcert.core import SamplingPattern, Shape, unfold_row
+from tensorcert.geometry import (
+    RankSpec,
+    canonical_structure,
+    core_dim,
+    factor_offsets,
+    manifold_dim,
+    probe_point,
+    unreduced_jacobian,
+)
+from tensorcert.montecarlo import sample_pattern
+from tensorcert.oracle import realize
 
 ranks_st = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(tuple)
 
@@ -128,3 +141,71 @@ class TestCanonicalStructure:
         shape = Shape(dims=(2, 3, 3))
         with pytest.raises(ValueError):
             canonical_structure(shape, RankSpec(j=1, ranks=(2, 2)))
+
+
+def unreduced_jacobian_loop(shape: Shape, spec: RankSpec, coords, seed: int) -> np.ndarray:
+    """Reference: the unreduced Jacobian built one entry and one rank tuple
+    at a time, in the kernel's order of products and sums."""
+    core, factors = probe_point(shape, spec, seed)
+    offsets = factor_offsets(shape, spec)
+    R = spec.product
+    strides = [math.prod(spec.ranks[:s]) for s in range(len(spec.ranks))]
+    jac = np.zeros((len(coords), offsets[-1]))
+    for e, x in enumerate(coords):
+        head_row = unfold_row(shape, spec.j, x) - 1
+        tail = [v - 1 for v in x[spec.j:]]
+        for k in itertools.product(*(range(r) for r in spec.ranks)):
+            flat = sum(ki * st for ki, st in zip(k, strides))
+            fs = [T[ks, b] for T, ks, b in zip(factors, k, tail)]
+            jac[e, head_row * R + flat] = math.prod(fs)
+            c = core[head_row, flat]
+            for s, r in enumerate(spec.ranks):
+                jac[e, offsets[s] + tail[s] * r + k[s]] += c * math.prod(fs[:s] + fs[s + 1 :])
+    return jac
+
+
+KERNEL_CASES = [
+    ((5, 4), RankSpec(j=1, ranks=(2,))),
+    ((4, 3, 3), RankSpec(j=1, ranks=(2, 2))),
+    ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2))),
+    ((3, 3, 3, 3), RankSpec(j=1, ranks=(1, 1, 1))),
+]
+
+
+class TestUnreducedJacobian:
+    @pytest.mark.parametrize("dims,spec", KERNEL_CASES)
+    def test_bit_identical_to_reference_loop(self, dims, spec):
+        shape = Shape(dims=dims)
+        for pattern in (SamplingPattern.full(dims), sample_pattern(shape, 0.6, seed=4, trial=1)):
+            coords = list(pattern.observed)
+            for seed in (0, 0x7A57E):
+                kernel = unreduced_jacobian(shape, spec, coords, seed)
+                assert kernel.tobytes() == unreduced_jacobian_loop(shape, spec, coords, seed).tobytes()
+
+    @pytest.mark.parametrize("dims,spec", KERNEL_CASES)
+    def test_columns_match_differences_of_realize(self, dims, spec):
+        shape = Shape(dims=dims)
+        coords = list(sample_pattern(shape, 0.7, seed=8, trial=0).observed)
+        jac = unreduced_jacobian(shape, spec, coords, seed=21)
+        offsets = factor_offsets(shape, spec)
+        assert jac.shape == (len(coords), offsets[-1])
+        at = tuple(np.array(coords).T - 1)
+
+        def observed(core, factors):
+            return realize(shape, spec, core, factors)[at]
+
+        # each value is affine in every single parameter, so central
+        # differences are exact up to rounding
+        h = 1e-3
+        for p in range(offsets[-1]):
+            sides = []
+            for sign in (1, -1):
+                core, factors = probe_point(shape, spec, seed=21)
+                if p < offsets[0]:
+                    core.flat[p] += sign * h
+                else:
+                    s = max(i for i in range(len(spec.ranks)) if offsets[i] <= p)
+                    b, a = divmod(p - offsets[s], spec.ranks[s])
+                    factors[s][a, b] += sign * h
+                sides.append(observed(core, factors))
+            assert np.allclose(jac[:, p], (sides[0] - sides[1]) / (2 * h), rtol=1e-9, atol=1e-9)
