@@ -68,12 +68,13 @@ def _next_int_above(x: float) -> int:
     return math.floor(x) + 1
 
 
-def tucker_finite_threshold_l(shape: Shape, spec: RankSpec, eps: float) -> Optional[int]:
-    """Smallest per-column observation count l strictly exceeding
-    6 ln N_j + 2 max{ln(2 sum_sq/eps), ln((2R - 2 sum_sq)/eps)} + 4.
+def _per_column_p(bound: float, nj: int) -> float:
+    return bound / nj + nj ** -0.25
 
-    None when sum_sq >= R (the second log argument vanishes).
-    """
+
+def _finite_bound(shape: Shape, spec: RankSpec, eps: float) -> Optional[tuple[float, int]]:
+    """(6 ln N_j + 2 max{ln(2 sum_sq/eps), ln((2R - 2 sum_sq)/eps)} + 4, N_j),
+    or None when sum_sq >= R (the second log argument vanishes)."""
     _check_eps(eps)
     spec.check_shape(shape)
     R, s2 = spec.product, spec.sum_sq
@@ -85,29 +86,12 @@ def tucker_finite_threshold_l(shape: Shape, spec: RankSpec, eps: float) -> Optio
         + 2 * max(math.log(2 * s2 / eps), math.log((2 * R - 2 * s2) / eps))
         + 4
     )
-    return _next_int_above(bound)
+    return bound, nj
 
 
-def tucker_finite_bound_p(shape: Shape, spec: RankSpec, eps: float) -> Optional[float]:
-    """Sampling-probability threshold for finitely many completions:
-    (6 ln N_j + 2 ln max{2 sum_sq/eps, (2R - 2 sum_sq)/eps} + 4)/N_j + N_j^(-1/4)."""
-    _check_eps(eps)
-    spec.check_shape(shape)
-    R, s2 = spec.product, spec.sum_sq
-    if s2 >= R:
-        return None
-    nj = shape.head_size(spec.j)
-    inner = (
-        6 * math.log(nj)
-        + 2 * math.log(max(2 * s2 / eps, (2 * R - 2 * s2) / eps))
-        + 4
-    )
-    return inner / nj + nj ** -0.25
-
-
-def tucker_unique_threshold_l(shape: Shape, spec: RankSpec, eps: float) -> Optional[int]:
-    """Per-column count for the uniqueness bound:
-    l > 6 ln N_j + 2 max{ln(sum_sq/eps), ln((R - sum_sq)/eps), ln(N_j/eps)} + 8."""
+def _unique_bound(shape: Shape, spec: RankSpec, eps: float) -> Optional[tuple[float, int]]:
+    """(6 ln N_j + 2 max{ln(sum_sq/eps), ln((R - sum_sq)/eps), ln(N_j/eps)} + 8, N_j),
+    or None when sum_sq >= R."""
     _check_eps(eps)
     spec.check_shape(shape)
     R, s2 = spec.product, spec.sum_sq
@@ -123,27 +107,37 @@ def tucker_unique_threshold_l(shape: Shape, spec: RankSpec, eps: float) -> Optio
         )
         + 8
     )
-    return _next_int_above(bound)
+    return bound, nj
+
+
+def tucker_finite_threshold_l(shape: Shape, spec: RankSpec, eps: float) -> Optional[int]:
+    """Smallest per-column observation count l strictly exceeding
+    6 ln N_j + 2 max{ln(2 sum_sq/eps), ln((2R - 2 sum_sq)/eps)} + 4.
+
+    None when sum_sq >= R (the second log argument vanishes).
+    """
+    found = _finite_bound(shape, spec, eps)
+    return None if found is None else _next_int_above(found[0])
+
+
+def tucker_finite_bound_p(shape: Shape, spec: RankSpec, eps: float) -> Optional[float]:
+    """Sampling-probability threshold for finitely many completions:
+    (6 ln N_j + 2 ln max{2 sum_sq/eps, (2R - 2 sum_sq)/eps} + 4)/N_j + N_j^(-1/4)."""
+    found = _finite_bound(shape, spec, eps)
+    return None if found is None else _per_column_p(*found)
+
+
+def tucker_unique_threshold_l(shape: Shape, spec: RankSpec, eps: float) -> Optional[int]:
+    """Per-column count for the uniqueness bound:
+    l > 6 ln N_j + 2 max{ln(sum_sq/eps), ln((R - sum_sq)/eps), ln(N_j/eps)} + 8."""
+    found = _unique_bound(shape, spec, eps)
+    return None if found is None else _next_int_above(found[0])
 
 
 def tucker_unique_bound_p(shape: Shape, spec: RankSpec, eps: float) -> Optional[float]:
     """Sampling-probability threshold for a unique completion."""
-    _check_eps(eps)
-    spec.check_shape(shape)
-    R, s2 = spec.product, spec.sum_sq
-    if s2 >= R:
-        return None
-    nj = shape.head_size(spec.j)
-    inner = (
-        6 * math.log(nj)
-        + 2 * max(
-            math.log(s2 / eps),
-            math.log((R - s2) / eps),
-            math.log(nj / eps),
-        )
-        + 8
-    )
-    return inner / nj + nj ** -0.25
+    found = _unique_bound(shape, spec, eps)
+    return None if found is None else _per_column_p(*found)
 
 
 def azuma_tail(n: int, c: float) -> float:

@@ -188,13 +188,14 @@ class SamplingPattern:
             seen.add(c)
             checked.append(c)
         object.__setattr__(self, "observed", tuple(sorted(checked)))
+        object.__setattr__(self, "_observed_set", frozenset(seen))
 
     @property
     def num_observed(self) -> int:
         return len(self.observed)
 
     def __contains__(self, coord: Sequence[int]) -> bool:
-        return tuple(coord) in set(self.observed)
+        return tuple(coord) in self._observed_set
 
     @classmethod
     def from_coords(cls, dims: Sequence[int], coords: Iterable[Sequence[int]]) -> "SamplingPattern":

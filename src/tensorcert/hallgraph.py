@@ -8,12 +8,20 @@ holds.  The recursive splitting strategy (peel off a tight set, or remove one
 vertex) leaves the retained-edge choice for the removed vertex underdetermined,
 so every construction is verified against the postconditions and falls back to
 a complete backtracking search when the quick choice breaks the margin.
+
+Matchings come from scipy's compiled Hopcroft-Karp.  The defect test reuses
+that one base matching and extends it only by iterative alternating searches,
+so no matching or defect test recurses on the size of the graph.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 __all__ = [
     "BipartiteGraph",
@@ -52,7 +60,7 @@ class BipartiteGraph:
             raise ValueError("need one neighbor list per T1 node")
         cleaned = []
         for nbrs in self.adj:
-            ns = tuple(sorted(set(int(v) for v in nbrs)))
+            ns = tuple(sorted(set(map(int, nbrs))))
             if ns and not (1 <= ns[0] and ns[-1] <= self.size_t2):
                 raise ValueError("neighbor index out of range")
             cleaned.append(ns)
@@ -80,32 +88,61 @@ def _from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _mask_width(masks: Sequence[int]) -> int:
+    return max(1, max((m.bit_length() for m in masks), default=0))
+
+
 # ---------------------------------------------------------------------------
 # Matching
 
 
-def _augment(adj: Sequence[Sequence[int]], match_t2: dict[int, int], u: int, visited: set[int]) -> bool:
-    for v in adj[u]:
-        if v in visited:
-            continue
-        visited.add(v)
-        w = match_t2.get(v)
-        if w is None or _augment(adj, match_t2, w, visited):
-            match_t2[v] = u
-            return True
-    return False
+def _hopcroft_karp(adj: Sequence[Sequence[int]], size_t2: int) -> list[int]:
+    """Maximum matching (Hopcroft-Karp, compiled in scipy) of the graph with
+    T1 adjacency ``adj``: per T1 node its matched T2 label, or 0 when unmatched."""
+    indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), dtype=np.int32, count=len(adj) + 1)
+    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32, count=indptr[-1]) - 1
+    graph = csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(len(adj), size_t2))
+    return (maximum_bipartite_matching(graph, perm_type="column") + 1).tolist()
+
+
+def _alternating_search(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> Optional[tuple[int, ...]]:
+    """Breadth-first search for an alternating path from T1 node ``root`` to a
+    free T2 node; on success the path is flipped into ``mate`` (T2 label ->
+    T1 node, -1 when free) and None is returned.  ``root`` may already hold
+    several T2 nodes: clones of one vertex share its id.
+
+    On failure returns the Hall witness: root plus the mates of every T2 node
+    reached, whose neighbourhood is exactly the reached T2 nodes.
+    """
+    reached_from: dict[int, int] = {}  # T2 label -> T1 node that reached it
+    via = {root: 0}  # T1 node -> T2 label it was entered through (0 for root)
+    queue = [root]
+    for w in queue:
+        for v in adj[w]:
+            if v in reached_from:
+                continue
+            reached_from[v] = w
+            m = mate[v]
+            if m < 0:
+                while v:
+                    w = reached_from[v]
+                    mate[v] = w
+                    v = via[w]
+                return None
+            if m not in via:
+                via[m] = v
+                queue.append(m)
+    return tuple(sorted(w + 1 for w in via))
 
 
 def max_matching(g: BipartiteGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Maximum-cardinality matching via augmenting paths (deterministic order).
+    """Maximum-cardinality matching (Hopcroft-Karp).
 
     Returns (size, pairs) with pairs as (t1, t2), sorted by t1.
     """
-    match_t2: dict[int, int] = {}
-    for u in range(g.size_t1):
-        _augment(g.adj, match_t2, u, set())
-    pairs = sorted((u + 1, v) for v, u in match_t2.items())
-    return len(pairs), tuple(pairs)
+    matched = _hopcroft_karp(g.adj, g.size_t2)
+    pairs = tuple((u + 1, v) for u, v in enumerate(matched) if v)
+    return len(pairs), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -139,46 +176,74 @@ def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
     return _defect_brute(g.masks())
 
 
-def _masks_defect_at_least(masks: Sequence[int], r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+def _clone_fits(adj: Sequence[Sequence[int]], matched: Sequence[int], mate: Sequence[int]) -> list[bool]:
+    """Per T1 node u of a T1-saturating matching: can a clone of u (same
+    neighbours) be matched too?  It can iff some neighbour of u reaches a free
+    T2 node along an alternating path, so one reverse search from the free T2
+    nodes decides every u at once."""
+    users: list[list[int]] = [[] for _ in mate]  # T2 label -> its T1 neighbours
+    for w, nbrs in enumerate(adj):
+        for v in nbrs:
+            users[v].append(w)
+    x = len(matched)
+    fits = [False] * x
+    left = x
+    good = [v for v in range(1, len(mate)) if mate[v] < 0]
+    reached = set(good)
+    for v in good:
+        for w in users[v]:
+            if fits[w]:
+                continue
+            fits[w] = True
+            left -= 1
+            if not left:
+                return fits
+            m = matched[w]
+            if m not in reached:
+                reached.add(m)
+                good.append(m)
+    return fits
+
+
+def _defect_at_least(adj: Sequence[Sequence[int]], size_t2: int, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Matching-based exact test of |N(S)| >= |S| + r for all nonempty S.
 
-    The base graph must admit a T1-saturating matching; then node u survives r
-    clones of itself being matched iff no subset containing u is tighter than
-    r.  Scales well past the brute-force guard.
+    Given a T1-saturating matching, node u survives r clones of itself being
+    matched iff no subset containing u is tighter than r.  One compiled base
+    matching decides r = 0 and one reverse alternating search decides r = 1
+    for every node at once; only for r >= 2 does each node augment its r
+    clones one by one on a copy of the base matching.
     """
     if r < 0:
         raise ValueError("defect threshold must be nonnegative")
-    adj = [_from_mask(m) for m in masks]
-    x = len(adj)
-    match_t2: dict[int, int] = {}
-    for u in range(x):
-        if not _augment(adj, match_t2, u, set()):
-            return False, _hall_witness(adj, match_t2, u)
+    if not adj:
+        return True, None
+    matched = _hopcroft_karp(adj, size_t2)
+    mate = [-1] * (size_t2 + 1)
+    for w, v in enumerate(matched):
+        if v:
+            mate[v] = w
+    if 0 in matched:
+        return False, _alternating_search(adj, mate, matched.index(0))
     if r == 0:
         return True, None
-    for u in range(x):
-        trial = dict(match_t2)
+    fits = _clone_fits(adj, matched, mate)
+    if False in fits:
+        return False, _alternating_search(adj, mate, fits.index(False))
+    if r == 1:
+        return True, None
+    for u in range(len(adj)):
+        trial = list(mate)
         for _ in range(r):
-            if not _augment(adj, trial, u, set()):
-                return False, _hall_witness(adj, trial, u)
+            witness = _alternating_search(adj, trial, u)
+            if witness is not None:
+                return False, witness
     return True, None
 
 
-def _hall_witness(adj: Sequence[Sequence[int]], match_t2: dict[int, int], u: int) -> tuple[int, ...]:
-    """After a failed augment from u, the alternating-reachable T1 nodes form a
-    set whose neighborhood is exactly the visited T2 nodes."""
-    visited: set[int] = set()
-    _augment(adj, dict(match_t2), u, visited)  # re-run on a copy to collect reachable T2
-    nodes = {u}
-    changed = True
-    while changed:
-        changed = False
-        for v in visited:
-            w = match_t2.get(v)
-            if w is not None and w not in nodes:
-                nodes.add(w)
-                changed = True
-    return tuple(sorted(n + 1 for n in nodes))
+def _masks_defect_at_least(masks: Sequence[int], r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """:func:`_defect_at_least` on neighbourhood bitmasks (thinning code)."""
+    return _defect_at_least([_from_mask(m) for m in masks], _mask_width(masks), r)
 
 
 def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -187,7 +252,7 @@ def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int
     Cross-checked against the brute-force enumeration in tests; preferred for
     graphs beyond the brute-force guard.
     """
-    return _masks_defect_at_least(g.masks(), r)
+    return _defect_at_least(g.adj, g.size_t2, r)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +266,9 @@ class _ConstructFailed(Exception):
 def _perfect_matching_into(adj_masks: Sequence[int], allowed_mask: int) -> Optional[list[int]]:
     """Match every T1 node to a distinct T2 node within allowed_mask; returns
     per-node matched T2 label (1-based) or None."""
-    adj = [_from_mask(m & allowed_mask) for m in adj_masks]
-    match_t2: dict[int, int] = {}
-    for u in range(len(adj)):
-        if not _augment(adj, match_t2, u, set()):
-            return None
-    out = [0] * len(adj)
-    for v, u in match_t2.items():
-        out[u] = v
-    return out
+    allowed = [m & allowed_mask for m in adj_masks]
+    matched = _hopcroft_karp([_from_mask(m) for m in allowed], _mask_width(allowed))
+    return None if 0 in matched else matched
 
 
 def _lowest_bits(mask: int, k: int) -> int:

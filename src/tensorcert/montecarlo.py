@@ -2,10 +2,13 @@
 
 Per-trial randomness comes from a counter-based generator keyed on
 (seed, trial), so trials are independent, order-insensitive, and exactly
-reproducible.  Property evaluators are exact (subset scans / matching-based
-defect tests / certifier / Jacobian oracle); trials where a size guard or an
-assumption precondition fires are reported as "undecided", never silently
-counted either way.
+reproducible.  Property evaluators are exact (subset scans / certifier /
+Jacobian oracle); proper1 and proper2 sample a column graph and run
+``hallgraph.defect_at_least`` at r = 1 and r = 0, which takes one compiled
+Hopcroft-Karp matching and, for r = 1, one reverse alternating search that
+decides whether a clone of every column can be matched too.  Trials where a
+size guard or an assumption precondition fires are reported as "undecided",
+never silently counted either way.
 """
 from __future__ import annotations
 
@@ -111,7 +114,7 @@ def sample_column_graph(
         raise ValueError("cannot place more observations in a column than it has rows")
     rng = _trial_rng(seed, trial)
     adj = tuple(
-        tuple(int(v) + 1 for v in rng.choice(n_rows, size=per_column, replace=False))
+        tuple((rng.choice(n_rows, size=per_column, replace=False) + 1).tolist())
         for _ in range(n_cols)
     )
     return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=adj)

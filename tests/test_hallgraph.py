@@ -42,6 +42,39 @@ def brute_defect(g: BipartiteGraph) -> int:
     return best
 
 
+def kuhn_matching_size(adj: list[tuple[int, ...]]) -> int:
+    """Maximum matching by plain augmenting paths, independent of the package."""
+    match_t2: dict[int, int] = {}
+
+    def augment(u: int, visited: set[int]) -> bool:
+        for v in adj[u]:
+            if v not in visited:
+                visited.add(v)
+                if v not in match_t2 or augment(match_t2[v], visited):
+                    match_t2[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(len(adj)))
+
+
+def clone_reference(g: BipartiteGraph, r: int) -> bool:
+    """defect >= r iff, for every T1 node u, adding r copies of u (same
+    neighbours) still leaves a matching that saturates T1."""
+    for u in range(g.size_t1):
+        adj = list(g.adj) + [g.adj[u]] * r
+        if kuhn_matching_size(adj) < len(adj):
+            return False
+    return True
+
+
+def witness_margin(g: BipartiteGraph, witness: tuple[int, ...]) -> int:
+    nbrs = set()
+    for u in witness:
+        nbrs.update(g.adj[u - 1])
+    return len(nbrs) - len(witness)
+
+
 def random_graph(rng: random.Random, max_t1: int = 5, max_t2: int = 6) -> BipartiteGraph:
     n1 = rng.randint(1, max_t1)
     n2 = rng.randint(1, max_t2)
@@ -117,10 +150,39 @@ class TestExpansionDefect:
                 ok, witness = defect_at_least(g, r)
                 assert ok == (exact >= r)
                 if not ok:
-                    nbrs = set()
-                    for u in witness:
-                        nbrs.update(g.adj[u - 1])
-                    assert len(nbrs) - len(witness) < r
+                    assert witness_margin(g, witness) < r
+        # Beyond the brute-force range: the per-vertex clone reference.
+        verdicts = set()
+        for _ in range(120):
+            n1 = rng.randint(1, 40)
+            n2 = n1 + rng.randint(0, 5)
+            low = rng.randint(1, 6)  # smallest column degree; sets the likely defect
+            adj = tuple(
+                tuple(rng.sample(range(1, n2 + 1), min(n2, rng.randint(low, low + 3))))
+                for _ in range(n1)
+            )
+            g = BipartiteGraph(size_t1=n1, size_t2=n2, adj=adj)
+            for r in range(0, 4):
+                ok, witness = defect_at_least(g, r)
+                assert ok == clone_reference(g, r), (adj, r)
+                verdicts.add((r, ok))
+                if not ok:
+                    assert witness_margin(g, witness) < r
+        assert verdicts == {(r, ok) for r in range(4) for ok in (True, False)}
+
+    def test_large_staircase_needs_no_recursion(self):
+        # T1 node i sees T2 nodes i+1 and i+2, so the defect is exactly 1.
+        n = 5000
+        g = BipartiteGraph(size_t1=n, size_t2=n + 2, adj=tuple((i + 1, i + 2) for i in range(1, n + 1)))
+        size, pairs = max_matching(g)
+        assert size == n
+        assert all(v in g.adj[u - 1] for u, v in pairs)
+        assert len({v for _u, v in pairs}) == n
+        assert defect_at_least(g, 0) == (True, None)
+        assert defect_at_least(g, 1) == (True, None)
+        ok, witness = defect_at_least(g, 2)
+        assert not ok
+        assert witness_margin(g, witness) < 2
 
 
 class TestGeneralizedHallSubgraph:
