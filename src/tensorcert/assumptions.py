@@ -3,10 +3,18 @@
 Each observed entry, viewed as a polynomial in the factor matrices, involves
 exactly the factor columns indexed by its own trailing coordinates.  A family
 of row sets ``S_{j+1}..S_d`` ("hull") therefore offers a variable budget of
-``sum |S_i| * r_i``, and the entries it has to pay for are those whose *every*
-trailing coordinate falls inside the corresponding ``S_i``.  The designated
-selection is admissible when no hull is overdrawn; this is what makes the
-factor matrices finitely determined once a generic core is fixed.
+``sum |S_i| * w_i`` (``w_i = r_i``, or ``r_i + 1`` for the strengthened
+screen), and the entries it has to pay for are those whose *every* trailing
+coordinate falls inside the corresponding ``S_i``.  The designated selection
+is admissible when no hull is overdrawn; this is what makes the factor
+matrices finitely determined once a generic core is fixed.
+
+No hull is overdrawn exactly when a bipartite graph passes Hall's condition:
+each entry is a T1 node, each trailing coordinate ``(i, x)`` offers ``w_i``
+T2 slots, and an entry is adjacent to every slot of each of its trailing
+coordinates.  A set of entries then sees exactly the slots of its smallest
+hull, so the screen is decided by one matching that saturates every entry,
+and a Hall witness, when there is none, spans an overdrawn hull.
 """
 from __future__ import annotations
 
@@ -18,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Coord, SamplingPattern, Shape
 from .geometry import RankSpec, factor_offsets, reaches_rank, unreduced_jacobian
+from .hallgraph import _alternating_search
 
 __all__ = [
     "HullSpec",
@@ -25,7 +34,6 @@ __all__ = [
     "AssumptionError",
     "SelectionInfeasibleError",
     "SelectionNotFoundError",
-    "HullGuardError",
     "minimal_hull",
     "hull_condition",
     "selection_pins_factors",
@@ -36,9 +44,10 @@ __all__ = [
     "find_T_selection",
 ]
 
-# Brute-force hull enumeration walks all subset combinations of the trailing
-# dimensions; reject instances where that blows up.
-HULL_SIZE_GUARD = 18
+# Randomized candidates tried by select_T_entries, and the number of entry
+# combinations find_T_selection may scan when those run out.
+SELECTION_ATTEMPTS = 40
+EXHAUSTIVE_LIMIT = 200_000
 
 
 class AssumptionError(ValueError):
@@ -51,10 +60,6 @@ class SelectionInfeasibleError(AssumptionError):
 
 class SelectionNotFoundError(AssumptionError):
     """Search for an admissible designated selection was exhausted."""
-
-
-class HullGuardError(AssumptionError):
-    """Instance too large for exhaustive hull enumeration."""
 
 
 @dataclass(frozen=True)
@@ -106,53 +111,48 @@ def _per_dim_weights(spec: RankSpec, plus: bool) -> tuple[int, ...]:
     return tuple(r + 1 for r in spec.ranks) if plus else spec.ranks
 
 
-def _check_selection(
-    shape: Shape,
-    spec: RankSpec,
-    entries: Sequence[Coord],
-    plus: bool,
-) -> tuple[bool, Optional[HullSpec]]:
-    """Enumerate every hull and verify its entry count stays within budget."""
-    tail_dims = spec.tail_dims(shape)
-    if sum(tail_dims) > HULL_SIZE_GUARD:
-        raise HullGuardError(
-            f"hull enumeration over trailing dims {tail_dims} exceeds the size guard"
-        )
+def _slot_graph(
+    shape: Shape, spec: RankSpec, entries: Sequence[Coord], plus: bool
+) -> tuple[list[list[int]], list[int]]:
+    """Per entry, the T2 slot labels (from 1) of its trailing coordinates, and
+    an empty matching over those slots (slot label -> entry, -1 when free)."""
     weights = _per_dim_weights(spec, plus)
-    # Tail coordinate multiset is all that matters for the counts.
-    tails = [tuple(c)[spec.j:] for c in entries]
-
-    def subsets_of(n: int, allow_empty: bool):
-        values = range(1, n + 1)
-        low = 0 if allow_empty else 1
-        for k in range(low, n + 1):
-            for combo in itertools.combinations(values, k):
-                yield frozenset(combo)
-
-    per_dim = [list(subsets_of(n, plus)) for n in tail_dims]
-    for chosen in itertools.product(*per_dim):
-        budget = sum(len(s) * w for s, w in zip(chosen, weights))
-        count = 0
-        for tail in tails:
-            if all(x in s for x, s in zip(tail, chosen)):
-                count += 1
-                if count > budget:
-                    break
-        if count > budget:
-            return False, HullSpec(j=spec.j, subsets=tuple(chosen))
-    return True, None
+    sizes = (n * w for n, w in zip(spec.tail_dims(shape), weights))
+    starts = list(itertools.accumulate(sizes, initial=1))
+    adj = [
+        [
+            slot
+            for x, w, start in zip(c[spec.j:], weights, starts)
+            for slot in range(start + (x - 1) * w, start + x * w)
+        ]
+        for c in entries
+    ]
+    return adj, [-1] * starts[-1]
 
 
 def hull_condition(
     shape: Shape, spec: RankSpec, entries: Sequence[Coord], plus: bool = False
 ) -> tuple[bool, Optional[HullSpec]]:
     """Pure counting screen: no hull may contain more of the given entries than
-    its variable budget.  Necessary for the selection to pin the factors, and
-    cheap, but not sufficient: it ignores that scaling one factor up and
-    another down in compensation leaves every entry unchanged, and that a
-    factor column reached through few distinct co-coordinates contributes
-    fewer effective variables than its full height."""
-    return _check_selection(shape, spec, entries, plus)
+    its variable budget; returns (ok, an overdrawn hull when not ok).
+
+    Decided by matching every entry into the slots of its trailing
+    coordinates, one alternating search per entry.  An entry that cannot be
+    matched yields a Hall witness: a set of entries whose slots are fewer than
+    its members, so its smallest hull holds more entries than its budget.
+
+    Necessary for the selection to pin the factors, and cheap, but not
+    sufficient: it ignores that scaling one factor up and another down in
+    compensation leaves every entry unchanged, and that a factor column
+    reached through few distinct co-coordinates contributes fewer effective
+    variables than its full height."""
+    entries = [shape.check_coord(c) for c in entries]
+    adj, mate = _slot_graph(shape, spec, entries, plus)
+    for u in range(len(entries)):
+        witness = _alternating_search(adj, mate, u)
+        if witness is not None:
+            return False, minimal_hull(spec.j, [entries[w - 1] for w in witness])
+    return True, None
 
 
 # Pinning is ultimately a generic-rank question, so the screen above is
@@ -198,22 +198,27 @@ def _validate_selection(
         raise AssumptionError("selection must be a subset of the observed entries")
 
 
+def _check_admissible(
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, plus: bool
+) -> tuple[bool, Optional[HullSpec]]:
+    """The counting screen first, supplying the overdrawn-hull witness when it
+    fails; when it passes, the generic-rank confirmation decides (in which
+    case a False verdict carries no hull witness)."""
+    _validate_selection(pattern, spec, selection, plus)
+    ok, witness = hull_condition(pattern.shape, spec, selection.entries, plus)
+    if not ok:
+        return False, witness
+    return selection_pins_factors(pattern.shape, spec, selection.entries), None
+
+
 def check_Aj(
     pattern: SamplingPattern, spec: RankSpec, selection: TSelection
 ) -> tuple[bool, Optional[HullSpec]]:
     """Admissibility of a designated selection of size ``sum n_i r_i``: the
     selection must pin the factor matrices to finitely many tuples for a
-    generic core.
-
-    The counting screen runs first and supplies the overdrawn-hull witness
-    when it fails; when it passes, the generic-rank confirmation decides
-    (in which case a False verdict carries no hull witness).
-    """
-    _validate_selection(pattern, spec, selection, plus=False)
-    ok, witness = _check_selection(pattern.shape, spec, selection.entries, plus=False)
-    if not ok:
-        return False, witness
-    return selection_pins_factors(pattern.shape, spec, selection.entries), None
+    generic core.  Returns (ok, overdrawn hull when the counting screen
+    fails)."""
+    return _check_admissible(pattern, spec, selection, plus=False)
 
 
 def check_Aj_plus(
@@ -221,13 +226,8 @@ def check_Aj_plus(
 ) -> tuple[bool, Optional[HullSpec]]:
     """Strengthened admissibility with per-dimension weight r_i + 1 (used for
     uniqueness): the larger selection must satisfy the weighted counting
-    screen (row sets may also be empty, which is vacuously within budget) and
-    still pin the factors in the generic-rank sense."""
-    _validate_selection(pattern, spec, selection, plus=True)
-    ok, witness = _check_selection(pattern.shape, spec, selection.entries, plus=True)
-    if not ok:
-        return False, witness
-    return selection_pins_factors(pattern.shape, spec, selection.entries), None
+    screen and still pin the factors in the generic-rank sense."""
+    return _check_admissible(pattern, spec, selection, plus=True)
 
 
 def check_Bj(shape: Shape, spec: RankSpec) -> bool:
@@ -267,16 +267,19 @@ def _greedy_candidate(
     """Greedy accumulation in (jittered) lexicographic order, keeping an entry
     whenever the counting screen still passes.  The order naturally packs
     several designated entries into the same trailing column, which downstream
-    witness searches often need."""
-    shape = pattern.shape
-    needed = _selection_size(shape, spec, plus)
+    witness searches often need.
+
+    The kept entries stay matched into their slots, so an entry passes the
+    screen together with them exactly when one alternating search from it
+    succeeds (a failed search leaves the matching as it was)."""
+    needed = _selection_size(pattern.shape, spec, plus)
     entries = sorted(pattern.observed)
     if rng is not None:
         rng.shuffle(entries)
+    adj, mate = _slot_graph(pattern.shape, spec, entries, plus)
     chosen: list[Coord] = []
-    for coord in entries:
-        ok, _ = _check_selection(shape, spec, chosen + [coord], plus)
-        if ok:
+    for u, coord in enumerate(entries):
+        if _alternating_search(adj, mate, u) is None:
             chosen.append(coord)
             if len(chosen) == needed:
                 return tuple(chosen)
@@ -289,7 +292,6 @@ def select_T_entries(
     mode: str = "A",
     seed: int = 0,
     hint: Optional[TSelection] = None,
-    max_attempts: int = 40,
 ) -> TSelection:
     """Pick an admissible designated selection.
 
@@ -317,7 +319,7 @@ def select_T_entries(
         )
 
     tried: set[tuple[Coord, ...]] = set()
-    for attempt in range(max_attempts):
+    for attempt in range(SELECTION_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         if attempt == 0 and seed == 0:
             candidate = _greedy_candidate(pattern, spec, plus, rng=None)
@@ -336,7 +338,7 @@ def select_T_entries(
         if ok:
             return selection
     raise SelectionNotFoundError(
-        f"no admissible selection found in {max_attempts} randomized attempts"
+        f"no admissible selection found in {SELECTION_ATTEMPTS} randomized attempts"
     )
 
 
@@ -345,13 +347,12 @@ def find_T_selection(
     spec: RankSpec,
     mode: str = "A",
     seed: int = 0,
-    exhaustive_limit: int = 200_000,
 ) -> TSelection:
     """Randomized selection search with an exhaustive desk-scale fallback.
 
     When the randomized strategies run out of retries, fall back to scanning
     combinations of observed entries directly, provided the combination count
-    stays under `exhaustive_limit`.
+    stays under `EXHAUSTIVE_LIMIT`.
     """
     try:
         return select_T_entries(pattern, spec, mode=mode, seed=seed)
@@ -363,7 +364,7 @@ def find_T_selection(
     plus = mode == "A+"
     checker = check_Aj_plus if plus else check_Aj
     needed = _selection_size(pattern.shape, spec, plus)
-    if math.comb(pattern.num_observed, needed) > exhaustive_limit:
+    if math.comb(pattern.num_observed, needed) > EXHAUSTIVE_LIMIT:
         raise SelectionNotFoundError(
             "exhaustive selection search exceeds the desk-scale guard"
         )

@@ -19,7 +19,6 @@ negative verdict.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -52,7 +51,6 @@ __all__ = [
 ]
 
 ROW_SCAN_GUARD = 16
-COLUMN_ENUM_GUARD = 14
 SEARCH_NODE_GUARD = 500_000
 SELECTION_RETRIES = 5
 WITNESS_CONFIRM_TRIES = 40
@@ -169,25 +167,10 @@ def _row_scan_violation(masks: Sequence[int], caps: Sequence[int]) -> Optional[l
     return None
 
 
-def _subset_condition_by_columns(masks: Sequence[int], caps: Sequence[int]) -> Optional[list[int]]:
-    """Reference implementation: enumerate column subsets directly."""
-    if len(masks) > COLUMN_ENUM_GUARD:
-        raise CertifierGuardError("column-subset enumeration exceeds the guard")
-    for t in range(1, len(masks) + 1):
-        for combo in itertools.combinations(range(len(masks)), t):
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            if caps[union] < t:
-                return list(combo)
-    return None
-
-
 def subset_condition_holds(
     constraint: ConstraintMatrix,
     column_set: Sequence[int],
     spec: RankSpec,
-    method: str = "auto",
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check that every subset of the given columns stays within its row
     capacity; returns (ok, violating column indices)."""
@@ -196,16 +179,7 @@ def subset_condition_holds(
         return True, None
     masks, _labels = _support_masks(constraint, columns)
     width = max(m.bit_length() for m in masks)
-    caps = _caps_worst(width, spec)
-    if method == "rows":
-        bad = _row_scan_violation(masks, caps)
-    elif method == "columns":
-        bad = _subset_condition_by_columns(masks, caps)
-    else:
-        try:
-            bad = _row_scan_violation(masks, caps)
-        except CertifierGuardError:
-            bad = _subset_condition_by_columns(masks, caps)
+    bad = _row_scan_violation(masks, _caps_worst(width, spec))
     if bad is None:
         return True, None
     return False, tuple(columns[i] for i in bad)

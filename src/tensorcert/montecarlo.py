@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import SamplingPattern, Shape
 from .geometry import RankSpec
-from .assumptions import AssumptionError, HullGuardError
+from .assumptions import AssumptionError
 from .certifier import CertifierGuardError, certify_finite
 from .hallgraph import BipartiteGraph, defect_at_least
 from .oracle import generate_instance, jacobian_rank
@@ -163,7 +163,7 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
     if config.prop == "finiteByCertifier":
         try:
             cert = certify_finite(pattern, config.spec, seed=config.seed)
-        except (AssumptionError, HullGuardError, CertifierGuardError):
+        except (AssumptionError, CertifierGuardError):
             return None
         if cert.verdict == "finite":
             return True

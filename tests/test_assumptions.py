@@ -6,11 +6,11 @@ import pytest
 
 from tensorcert.assumptions import (
     AssumptionError,
-    HullGuardError,
     HullSpec,
     SelectionInfeasibleError,
     SelectionNotFoundError,
     TSelection,
+    _greedy_candidate,
     check_Aj,
     check_Aj_plus,
     check_Bj,
@@ -20,14 +20,60 @@ from tensorcert.assumptions import (
     select_T_entries,
     selection_pins_factors,
 )
+from tensorcert.certifier import certify_finite
 from tensorcert.core import SamplingPattern, Shape
 from tensorcert.geometry import RankSpec
+from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import generate_instance, jacobian_rank
 
 
+def hull_weights(spec: RankSpec, plus: bool) -> tuple[int, ...]:
+    return tuple(r + 1 for r in spec.ranks) if plus else spec.ranks
+
+
 def selection_size(shape: Shape, spec: RankSpec, plus: bool = False) -> int:
-    weights = [r + 1 for r in spec.ranks] if plus else spec.ranks
-    return sum(n * w for n, w in zip(spec.tail_dims(shape), weights))
+    return sum(n * w for n, w in zip(spec.tail_dims(shape), hull_weights(spec, plus)))
+
+
+def brute_force_hull(shape: Shape, spec: RankSpec, entries, plus: bool):
+    """Reference screen: walk every product S_{j+1} x ... x S_d of row subsets
+    (empty ones too under `plus`, where they hold nothing) and return the
+    first overdrawn hull."""
+    weights = hull_weights(spec, plus)
+    per_dim = [
+        [frozenset(c) for k in range(0 if plus else 1, n + 1) for c in itertools.combinations(range(1, n + 1), k)]
+        for n in spec.tail_dims(shape)
+    ]
+    for subsets in itertools.product(*per_dim):
+        hull = HullSpec(j=spec.j, subsets=subsets)
+        if hull.count(entries) > hull.budget(weights):
+            return False, hull
+    return True, None
+
+
+def reference_greedy(pattern: SamplingPattern, spec: RankSpec, plus: bool, rng):
+    """The selection greedy re-checking every grown prefix by brute force."""
+    needed = selection_size(pattern.shape, spec, plus)
+    entries = sorted(pattern.observed)
+    if rng is not None:
+        rng.shuffle(entries)
+    chosen = []
+    for coord in entries:
+        if brute_force_hull(pattern.shape, spec, chosen + [coord], plus)[0]:
+            chosen.append(coord)
+            if len(chosen) == needed:
+                return tuple(chosen)
+    return None
+
+
+HULL_CASES = [
+    ((3, 3, 3), RankSpec(j=1, ranks=(1, 1))),
+    ((3, 3, 3), RankSpec(j=1, ranks=(1, 2))),
+    ((4, 4, 4), RankSpec(j=1, ranks=(1, 2))),
+    ((3, 3, 3, 3), RankSpec(j=1, ranks=(1, 1, 1))),
+    ((3, 3, 3, 3), RankSpec(j=2, ranks=(1, 2))),
+    ((2, 4, 3, 2), RankSpec(j=1, ranks=(1, 1, 1))),
+]
 
 
 def oracle_pins(shape: Shape, spec: RankSpec, entries, seeds=(3, 17)) -> bool:
@@ -102,11 +148,52 @@ class TestHullCondition:
         ok, witness = hull_condition(shape, spec, entries)
         assert ok and witness is None
 
-    def test_guard_on_large_trailing_dims(self):
-        shape = Shape(dims=(2, 10, 10))
+    @pytest.mark.parametrize("dims,spec", HULL_CASES)
+    @pytest.mark.parametrize("plus", [False, True])
+    def test_agrees_with_brute_force(self, dims, spec, plus):
+        shape = Shape(dims=dims)
+        coords = list(shape.coords())
+        size = selection_size(shape, spec, plus)
+        rng = random.Random(str((dims, spec.j, plus)))
+        verdicts = set()
+        for _ in range(60):
+            entries = rng.sample(coords, rng.randint(1, size + 2))
+            ok, witness = hull_condition(shape, spec, entries, plus)
+            assert ok == brute_force_hull(shape, spec, entries, plus)[0]
+            assert (witness is None) == ok
+            if witness is not None:
+                assert witness.count(entries) > witness.budget(hull_weights(spec, plus))
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("dims,spec", HULL_CASES)
+    def test_greedy_matches_prefix_rechecks(self, dims, spec):
+        shape = Shape(dims=dims)
+        found = 0
+        for trial, plus in itertools.product(range(2), (False, True)):
+            pattern = sample_pattern(shape, 0.5, seed=23, trial=trial)
+            for order_seed in (None, trial):
+                ours, ref = (
+                    greedy(pattern, spec, plus, None if order_seed is None else random.Random(order_seed))
+                    for greedy in (_greedy_candidate, reference_greedy)
+                )
+                assert ours == ref
+                found += ours is not None
+        assert found
+
+    @pytest.mark.parametrize("dims,p", [((2, 10, 10), 0.3), ((10, 10, 10), 0.07)])
+    def test_large_trailing_dims_decided(self, dims, p):
+        """Trailing dimensions far past what hull enumeration could walk: the
+        certifier decides and agrees with the generic-rank oracle."""
+        shape = Shape(dims=dims)
         spec = RankSpec(j=1, ranks=(1, 1))
-        with pytest.raises(HullGuardError):
-            hull_condition(shape, spec, [(1, 1, 1)])
+        instance = generate_instance(shape, spec, seed=11)
+        for trial in range(4):
+            pattern = sample_pattern(shape, p, seed=11, trial=trial)
+            verdict = certify_finite(pattern, spec).verdict
+            oracle = jacobian_rank(instance, pattern, mode="coreAndFactors").verdict
+            assert verdict in ("finite", "not-finite")
+            assert (verdict == "finite") == (oracle == "finite")
 
     def test_necessary_for_pinning(self):
         """Any selection that fails the counting screen also fails the

@@ -8,7 +8,9 @@ import pytest
 from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
 from tensorcert.certifier import (
     FiniteCertificate,
+    _caps_worst,
     _probe_rows,
+    _support_masks,
     certify_finite,
     certify_unique,
     generic_rank_finite,
@@ -76,6 +78,25 @@ class TestThm3UpperBound:
         pytest.fail("no column subset touching exactly 4 rows")
 
 
+COLUMN_ENUM_GUARD = 14
+
+
+def subset_condition_by_columns(cm, columns, spec):
+    """Reference for the row scan: enumerate column subsets directly and
+    return the first whose touched rows lack the capacity for it."""
+    masks, _labels = _support_masks(cm, columns)
+    assert len(masks) <= COLUMN_ENUM_GUARD
+    caps = _caps_worst(max(m.bit_length() for m in masks), spec)
+    for t in range(1, len(masks) + 1):
+        for combo in itertools.combinations(range(len(masks)), t):
+            union = 0
+            for i in combo:
+                union |= masks[i]
+            if caps[union] < t:
+                return False, tuple(columns[i] for i in combo)
+    return True, None
+
+
 class TestSubsetCondition:
     def test_single_column_threshold(self):
         # need R*s - g(s) >= 1; for ranks (1, 1) that first happens at s = 3.
@@ -110,8 +131,8 @@ class TestSubsetCondition:
                 continue
             k = min(cm.num_columns, 6)
             columns = rng.sample(range(cm.num_columns), k)
-            by_rows = subset_condition_holds(cm, columns, spec, method="rows")
-            by_cols = subset_condition_holds(cm, columns, spec, method="columns")
+            by_rows = subset_condition_holds(cm, columns, spec)
+            by_cols = subset_condition_by_columns(cm, columns, spec)
             assert by_rows[0] == by_cols[0]
 
     def test_empty_column_set_holds(self):
