@@ -271,7 +271,9 @@ def _greedy_candidate(
 
     The kept entries stay matched into their slots, so an entry passes the
     screen together with them exactly when one alternating search from it
-    succeeds (a failed search leaves the matching as it was)."""
+    succeeds (a failed search leaves the matching as it was).  This is the
+    greedy of a transversal matroid, so it returns None, in any entry order,
+    exactly when no `needed` entries pass the screen together."""
     needed = _selection_size(pattern.shape, spec, plus)
     entries = sorted(pattern.observed)
     if rng is not None:
@@ -299,7 +301,8 @@ def select_T_entries(
     (concentrating entries in few trailing columns) and randomized spread
     (one entry per column) — and each is kept only when the full admissibility
     check passes.  A `hint` selection is verified and returned verbatim when
-    it passes.
+    it passes.  When the greedy falls short, no selection of the needed size
+    passes the hull screen, and the search stops there.
     """
     plus = mode == "A+"
     shape = pattern.shape
@@ -321,14 +324,16 @@ def select_T_entries(
     tried: set[tuple[Coord, ...]] = set()
     for attempt in range(SELECTION_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
-        if attempt == 0 and seed == 0:
-            candidate = _greedy_candidate(pattern, spec, plus, rng=None)
-        elif attempt % 2 == 0:
-            candidate = _greedy_candidate(pattern, spec, plus, rng)
+        if attempt % 2 == 0:
+            candidate = _greedy_candidate(pattern, spec, plus, None if attempt == 0 and seed == 0 else rng)
+            if candidate is None:
+                raise SelectionNotFoundError(
+                    f"no {needed} observed entries pass the hull screen together"
+                )
         else:
             candidate = _spread_candidate(pattern, spec, plus, rng)
-        if candidate is None:
-            continue
+            if candidate is None:
+                continue
         key = tuple(sorted(candidate))
         if key in tried:
             continue
@@ -352,14 +357,18 @@ def find_T_selection(
 
     When the randomized strategies run out of retries, fall back to scanning
     combinations of observed entries directly, provided the combination count
-    stays under `EXHAUSTIVE_LIMIT`.
+    stays under `EXHAUSTIVE_LIMIT`.  A search that proved no selection passes
+    the hull screen is refused at once, with no scan.
     """
     try:
         return select_T_entries(pattern, spec, mode=mode, seed=seed)
     except SelectionInfeasibleError:
         raise
     except SelectionNotFoundError:
-        pass
+        # A greedy shortfall proves that no selection passes the hull screen,
+        # so no scan could succeed.
+        if _greedy_candidate(pattern, spec, mode == "A+", rng=None) is None:
+            raise
 
     plus = mode == "A+"
     checker = check_Aj_plus if plus else check_Aj

@@ -493,10 +493,9 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
                     except CertifierGuardError:
                         undecided = True
                         witness0 = None
-                    if witness0 is not None:
-                        entries = _witness_entries(constraint, selection, witness)
-                        if not generic_rank_finite(entries, pattern.shape, spec, jacobian_rows):
-                            continue
+                    if witness0 is not None and generic_rank_finite(
+                        _witness_entries(constraint, selection, witness), pattern.shape, spec, jacobian_rows
+                    ):
                         finite_part = FiniteCertificate(
                             verdict="finite",
                             num_free_core=n,

@@ -47,7 +47,12 @@ class HallPreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2)."""
+    """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2).
+
+    ``adj`` is stored as sorted, duplicate-free tuples.  Neighbour lists may
+    be given in any order and with repeats; a 2-D integer array (one row per
+    T1 node, all of one degree) is checked in one pass instead and must not
+    repeat a neighbour within a row."""
 
     size_t1: int
     size_t2: int
@@ -58,6 +63,14 @@ class BipartiteGraph:
             raise ValueError("both node sets must be nonempty")
         if len(self.adj) != self.size_t1:
             raise ValueError("need one neighbor list per T1 node")
+        if isinstance(self.adj, np.ndarray) and self.adj.ndim == 2 and self.adj.dtype.kind in "iu":
+            rows = np.sort(self.adj, axis=1)
+            if rows.size and not (rows[:, 0].min() >= 1 and rows[:, -1].max() <= self.size_t2):
+                raise ValueError("neighbor index out of range")
+            if (rows[:, 1:] == rows[:, :-1]).any():
+                raise ValueError("repeated neighbor in an array row")
+            object.__setattr__(self, "adj", tuple(map(tuple, rows.tolist())))
+            return
         cleaned = []
         for nbrs in self.adj:
             ns = tuple(sorted(set(map(int, nbrs))))

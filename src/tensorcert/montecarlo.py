@@ -3,8 +3,9 @@
 Per-trial randomness comes from a counter-based generator keyed on
 (seed, trial), so trials are independent, order-insensitive, and exactly
 reproducible.  Property evaluators are exact (subset scans / certifier /
-Jacobian oracle); proper1 and proper2 sample a column graph and run
-``hallgraph.defect_at_least`` at r = 1 and r = 0, which takes one compiled
+Jacobian oracle); proper1 and proper2 sample a column graph in one draw (a
+block of uniform keys, each column taking the rows of its smallest keys) and
+run ``hallgraph.defect_at_least`` at r = 1 and r = 0, which takes one compiled
 Hopcroft-Karp matching and, for r = 1, one reverse alternating search that
 decides whether a clone of every column can be matched too.  Trials where a
 size guard or an assumption precondition fires are reported as "undecided",
@@ -59,6 +60,8 @@ class TrialConfig:
             raise ValueError("need at least one trial")
         if self.p is not None and not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")
+        if self.per_column_l is not None and self.per_column_l < 0:
+            raise ValueError("per_column_l must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -109,15 +112,18 @@ def sample_column_graph(
     n_rows: int, n_cols: int, per_column: int, seed: int, trial: int = 0
 ) -> BipartiteGraph:
     """Columns as T1, rows as T2; each column observes exactly `per_column`
-    distinct rows chosen uniformly."""
+    distinct rows chosen uniformly, independently of the other columns.
+
+    One draw per trial: every (column, row) pair gets a uniform key, and each
+    column observes the rows of its `per_column` smallest keys, a uniform
+    subset because the keys are exchangeable."""
+    if per_column < 0:
+        raise ValueError("per-column count must be nonnegative")
     if per_column > n_rows:
         raise ValueError("cannot place more observations in a column than it has rows")
-    rng = _trial_rng(seed, trial)
-    adj = tuple(
-        tuple((rng.choice(n_rows, size=per_column, replace=False) + 1).tolist())
-        for _ in range(n_cols)
-    )
-    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=adj)
+    keys = _trial_rng(seed, trial).random((n_cols, n_rows))
+    smallest = np.argpartition(keys, min(per_column, n_rows - 1), axis=1)[:, :per_column]
+    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=smallest + 1)
 
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z_99) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 """Designated-selection admissibility checks and selection search."""
 import itertools
 import random
+import time
 
 import pytest
 
+from tensorcert import assumptions
 from tensorcert.assumptions import (
     AssumptionError,
     HullSpec,
@@ -356,14 +358,51 @@ class TestFindTSelection:
 
     def test_exhaustive_fallback_proves_nonexistence(self):
         # all nine observed entries lie in the hull ({1,2,3}, {1}) of budget
-        # 3 + 1 = 4, so every 6-entry selection overdraws it; the exhaustive
-        # fallback confirms that no admissible selection exists.
+        # 3 + 1 = 4, so every 6-entry selection overdraws it; the greedy
+        # falls short and proves that no admissible selection exists.
         pattern = SamplingPattern.from_coords(
             (3, 3, 3), [(x, y, 1) for x in (1, 2, 3) for y in (1, 2, 3)]
         )
         spec = RankSpec(j=1, ranks=(1, 1))
         with pytest.raises(SelectionNotFoundError):
             find_T_selection(pattern, spec)
+
+    @pytest.mark.parametrize("trial", [2, 17])
+    def test_hull_shortfall_refused_at_once(self, monkeypatch, trial):
+        """The greedy's shortfall proves that no selection passes the hull
+        screen, so the search refuses without checking any candidate."""
+        pattern = sample_pattern(Shape(dims=(2, 10, 10)), 0.15, seed=11, trial=trial)
+        checked = []
+        monkeypatch.setattr(assumptions, "check_Aj", lambda *args: checked.append(args))
+        start = time.perf_counter()
+        with pytest.raises(SelectionNotFoundError, match="20 observed entries pass the hull screen"):
+            find_T_selection(pattern, RankSpec(j=1, ranks=(1, 1)))
+        assert time.perf_counter() - start < 1.0
+        assert checked == []
+
+    def test_hull_shortfall_agrees_with_brute_force(self):
+        """On small patterns, a hull-screen refusal happens exactly when no
+        `needed`-subset of the observed entries passes the brute-force screen."""
+        shape = Shape(dims=(2, 4, 4))
+        spec = RankSpec(j=1, ranks=(1, 1))
+        needed = selection_size(shape, spec)
+        refused = 0
+        for trial in range(12):
+            pattern = sample_pattern(shape, 0.35, seed=11, trial=trial)
+            if pattern.num_observed < needed:
+                continue
+            try:
+                find_T_selection(pattern, spec)
+            except SelectionNotFoundError as exc:
+                if "hull screen" in str(exc):
+                    refused += 1
+                    assert not any(
+                        brute_force_hull(shape, spec, combo, False)[0]
+                        for combo in itertools.combinations(pattern.observed, needed)
+                    )
+                    continue
+            assert _greedy_candidate(pattern, spec, False, None) is not None
+        assert refused == 3
 
     def test_infeasible_propagates(self):
         pattern = SamplingPattern.from_coords((3, 3, 3), [(1, 1, 1)])

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from tensorcert import certifier
 from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
 from tensorcert.certifier import (
     FiniteCertificate,
@@ -352,6 +353,24 @@ class TestCertifyUnique:
         assert cert.verdict == "unique"
         assert cert.finite.verdict == "finite"
         assert verify_finite_witness(pattern, spec, cert.finite)
+
+    def test_witness_cap_counts_rejected_witnesses(self, monkeypatch):
+        """Every finite witness counts towards the cap of 50, also one whose
+        rank confirmation fails after a second witness was found."""
+        searched = []
+        real_search = certifier._finite_search
+
+        def counting_search(*args):
+            searched.append(0)
+            for witness in real_search(*args):
+                searched[-1] += 1
+                yield witness
+
+        monkeypatch.setattr(certifier, "_finite_search", counting_search)
+        monkeypatch.setattr(certifier, "generic_rank_finite", lambda *args: False)
+        cert = certify_unique(SamplingPattern.full((5, 5, 5)), RankSpec(j=1, ranks=(1, 1)))
+        assert cert.verdict == "undecided-search-exhausted"
+        assert max(searched) == 50
 
     def test_n0_formula(self):
         pattern = SamplingPattern.full((3, 3, 3))

@@ -120,6 +120,26 @@ class TestSimulate:
         counts = payload["result"]["counts"]
         assert counts["pass"] + counts["fail"] + counts["undecided"] == 20
 
+    def test_negative_per_column_refused(self, capsys, tmp_path):
+        out = tmp_path / "sim.json"
+        code = main([
+            "simulate", "--dims", "8,4", "--property", "proper1",
+            "--trials", "5", "--per-column-l", "-1", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        assert "per_column_l must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_per_column_fails_every_proper1_trial(self, tmp_path):
+        out = tmp_path / "sim.json"
+        code = main([
+            "simulate", "--dims", "8,4", "--property", "proper1",
+            "--trials", "5", "--per-column-l", "0", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        counts = json.loads(out.read_text())["result"]["counts"]
+        assert counts == {"pass": 0, "fail": 5, "undecided": 0}
+
     def test_rank_requires_j(self, capsys):
         code = main([
             "simulate", "--dims", "3,3,3", "--property", "finiteByCertifier",

@@ -2,6 +2,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from tensorcert.hallgraph import (
@@ -96,6 +97,30 @@ class TestBipartiteGraph:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             BipartiteGraph(size_t1=2, size_t2=2, adj=((1,),))
+
+    def test_array_rows_equal_tuple_graph(self):
+        rng = np.random.default_rng(5)
+        for n1, n2, degree in [(1, 1, 1), (6, 9, 4), (5, 3, 3), (4, 7, 0)]:
+            rows = np.stack([rng.permutation(n2)[:degree] + 1 for _ in range(n1)])
+            from_array = BipartiteGraph(size_t1=n1, size_t2=n2, adj=rows)
+            from_tuples = BipartiteGraph(size_t1=n1, size_t2=n2, adj=tuple(map(tuple, rows.tolist())))
+            assert from_array == from_tuples
+            assert hash(from_array) == hash(from_tuples)
+            assert all(type(v) is int for nbrs in from_array.adj for v in nbrs)
+
+    @pytest.mark.parametrize("bad", [[[1, 4]], [[0, 2]], [[3, -1]]])
+    def test_array_rejects_out_of_range_neighbor(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            BipartiteGraph(size_t1=1, size_t2=3, adj=np.array(bad))
+
+    @pytest.mark.parametrize("bad", [[[2, 2]], [[3, 1, 3]], [[1, 2, 3], [2, 3, 2]]])
+    def test_array_rejects_repeated_neighbor(self, bad):
+        with pytest.raises(ValueError, match="repeated neighbor"):
+            BipartiteGraph(size_t1=len(bad), size_t2=3, adj=np.array(bad))
+
+    def test_array_rejects_size_mismatch(self):
+        with pytest.raises(ValueError):
+            BipartiteGraph(size_t1=3, size_t2=3, adj=np.array([[1, 2], [2, 3]]))
 
 
 class TestMaxMatching:

@@ -1,6 +1,8 @@
 """Seeded Monte Carlo harness: reproducibility, interval math, properties."""
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,9 +57,45 @@ class TestSampleColumnGraph:
         assert g.size_t1 == 6 and g.size_t2 == 10
         assert all(len(nbrs) == 4 for nbrs in g.adj)
 
+    @pytest.mark.parametrize("per_column", [0, 1, 4, 9, 10])
+    def test_rows_sorted_distinct_in_range(self, per_column):
+        for trial in range(5):
+            g = sample_column_graph(10, 30, per_column, seed=4, trial=trial)
+            assert len(g.adj) == 30
+            for nbrs in g.adj:
+                assert len(nbrs) == per_column
+                assert list(nbrs) == sorted(set(nbrs))
+                assert all(type(v) is int and 1 <= v <= 10 for v in nbrs)
+
+    @pytest.mark.parametrize("n_rows,n_cols,per_column", [(12, 9, 5), (1024, 400, 300)])
+    def test_columns_take_their_smallest_keys(self, n_rows, n_cols, per_column):
+        """Each column observes the rows of its smallest uniform keys, drawn
+        as one block from the trial's Philox stream.  The long rows are past
+        the lengths that numpy's vectorized selection leaves fully sorted, so
+        a wrong partition index shows there."""
+        g = sample_column_graph(n_rows, n_cols, per_column, seed=8, trial=3)
+        keys = np.random.Generator(np.random.Philox(key=[8, 3])).random((n_cols, n_rows))
+        expected = tuple(tuple(sorted(int(v) + 1 for v in np.argsort(row)[:per_column])) for row in keys)
+        assert g.adj == expected
+
+    def test_two_subsets_equally_likely(self):
+        """All 6 two-subsets of 4 rows occur equally often: Pearson's
+        statistic over 3000 seeded draws stays below the 0.999 quantile of
+        chi-square with 5 degrees of freedom."""
+        counts: dict[tuple[int, ...], int] = {}
+        for trial in range(10):
+            for nbrs in sample_column_graph(4, 300, 2, seed=21, trial=trial).adj:
+                counts[nbrs] = counts.get(nbrs, 0) + 1
+        assert set(counts) == set(itertools.combinations(range(1, 5), 2))
+        expected = 3000 / 6
+        stat = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert stat < 20.52
+
     def test_per_column_validated(self):
         with pytest.raises(ValueError):
             sample_column_graph(3, 2, 4, seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_column_graph(3, 2, -1, seed=0)
 
     def test_reproducible(self):
         assert sample_column_graph(10, 6, 4, seed=2, trial=5) == sample_column_graph(
