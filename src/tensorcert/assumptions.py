@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import Coord, SamplingPattern, Shape
-from .geometry import RankSpec, factor_offsets, reaches_rank, unreduced_jacobian
+from .geometry import RANK_PRIME, RankSpec, factor_offsets, reaches_rank_mod_p, unreduced_jacobian
 from .hallgraph import _alternating_search
 
 __all__ = [
@@ -156,10 +156,9 @@ def hull_condition(
 
 
 # Pinning is ultimately a generic-rank question, so the screen above is
-# confirmed numerically on random instances; two draws guard against an
-# unlucky non-generic point.
-_PIN_PROBE_SEEDS = (0x5EED, 0xA11CE)
-_PIN_RANK_TOL = 1e-8
+# confirmed by an exact rank over GF(p) at a random point.  Full rank there
+# proves pinning; a shortfall is retried once at a second point.
+_PIN_POINT_SEEDS = (0x5EED, 0xA11CE)
 
 
 def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord]) -> bool:
@@ -168,7 +167,7 @@ def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord
     inherent compensating-scaling family of dimension d - j - 1).
 
     Decided by the rank of the entries' Jacobian with respect to all factor
-    entries at a random generic point: the maximum attainable rank is
+    entries at a random point of GF(p): the maximum attainable rank is
     ``sum n_i r_i - (d - j - 1)``, and the selection pins the factors exactly
     when it is attained.
     """
@@ -178,8 +177,10 @@ def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord
     coords = [tuple(c) for c in entries]
     if len(coords) < target:
         return False
-    factor_blocks = (unreduced_jacobian(shape, spec, coords, seed)[:, offsets[0] :] for seed in _PIN_PROBE_SEEDS)
-    return reaches_rank(factor_blocks, target, _PIN_RANK_TOL)
+    return any(
+        reaches_rank_mod_p(unreduced_jacobian(shape, spec, coords, seed, RANK_PRIME)[:, offsets[0] :], target)
+        for seed in _PIN_POINT_SEEDS
+    )
 
 
 def _validate_selection(

@@ -8,24 +8,49 @@ number of columns supported inside W must not exceed the capacity of W —
 which is equivalent because dropping a row from W removes at least as much
 capacity as it can remove columns.
 
+Counting is necessary but not sufficient for algebraic independence
+(coefficient vectors of same-subtensor constraints lie on a low-dimensional
+product variety the counts cannot see), so the witness search also keeps
+the rank.  A witness's entries — the designated ones plus one free entry per
+column — must have a Jacobian of rank ``target`` (the unknowns minus the
+basis-change group, as in :func:`generic_rank_finite`).  The rank is taken
+over GF(p), p = ``RANK_PRIME``, at the point drawn from ``RANK_POINT_SEED``:
+full rank there proves independence, and a deficit that is not generic shows
+with probability at most deg/p.  The search pushes the designated rows into
+one :class:`~tensorcert.geometry.ModEchelon`, then the free-entry row of
+every column it includes, and prunes a branch as soon as more rows are
+dependent than ``slack = |entries| - target`` allows (0 for an ``A``
+selection, sum n_i for an ``A+`` one).  Independence is inherited by
+subsets, so the pruning loses no witness, and every witness it yields is
+rank-confirmed.  Each selection's search has ``WITNESS_NODE_BUDGET`` nodes.
+
 Whether a witness exists depends on which observed entries were designated
 to pin the factor matrices: column supports include the designated rows of
 the column's own subtensor, so selections that concentrate several entries
 in one trailing column produce the tall supports that positive capacity
 requires.  The designated selection is existentially quantified, so the
-certifier retries a handful of alternative selections before accepting a
-negative verdict.
+certifier retries a handful of alternative selections; when none yields a
+witness, the rank of the full pattern at the same point decides.  So
+:func:`certify_finite` always decides, and "undecided" comes only from
+:func:`certify_unique`: a node budget or the witness cap ran out.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import Coord, SamplingPattern, Shape, unflatten_index
-from .geometry import RankSpec, core_dim, factor_offsets, reaches_rank, unreduced_jacobian
+from .geometry import (
+    RANK_PRIME,
+    ModEchelon,
+    RankSpec,
+    core_dim,
+    factor_offsets,
+    reaches_rank_mod_p,
+    unreduced_jacobian,
+)
 from .assumptions import (
     AssumptionError,
     SelectionInfeasibleError,
@@ -51,17 +76,11 @@ __all__ = [
 ]
 
 ROW_SCAN_GUARD = 16
-SEARCH_NODE_GUARD = 500_000
+SEARCH_NODE_GUARD = 500_000  # second-witness search of certify_unique
+WITNESS_NODE_BUDGET = 500  # rank-pruned finite-witness search, per selection
 SELECTION_RETRIES = 5
-WITNESS_CONFIRM_TRIES = 40
-
-# Counting arguments over column supports are necessary but not sufficient
-# for algebraic independence (coefficient vectors of same-subtensor
-# constraints lie on a low-dimensional product variety the counts cannot
-# see), so candidate witnesses are confirmed by a generic-rank evaluation
-# and verdicts without a confirmed witness fall back to it.
-_RANK_PROBE_SEEDS = (0x7A57E, 0xB0B)
-_RANK_TOL = 1e-8
+UNIQUE_WITNESS_CAP = 50  # finite witnesses certify_unique tries per selection
+RANK_POINT_SEED = 0x7A57E  # the GF(RANK_PRIME) point of every rank taken here
 
 
 class CertifierGuardError(RuntimeError):
@@ -192,49 +211,54 @@ def thm4_dependent(constraint: ConstraintMatrix, spec: RankSpec) -> tuple[bool, 
     return (not ok), witness
 
 
-def _probe_rows(
-    coords: Sequence[Coord], shape: Shape, spec: RankSpec
-) -> Callable[[int, Sequence[Coord]], np.ndarray]:
-    """``rows(seed, subset)``: the unreduced Jacobian of a subset of
-    ``coords`` at a rank-probe seed, as a row selection of the Jacobian of
-    all of ``coords``, built once per seed on first use.  One certificate
-    shares it across all of its rank confirmations."""
+def _rank_target(shape: Shape, spec: RankSpec) -> int:
+    """Rank at which observed entries pin the tensor finitely: all core and
+    factor entries minus the basis-change group's dimension sum r_i^2."""
+    return factor_offsets(shape, spec)[-1] - spec.sum_sq
+
+
+def _gf_rows(coords: Sequence[Coord], shape: Shape, spec: RankSpec) -> Callable[[Sequence[Coord]], np.ndarray]:
+    """``rows(subset)``: the unreduced Jacobian over GF(RANK_PRIME) of a
+    subset of ``coords`` at the point of ``RANK_POINT_SEED``, as a row
+    selection of the Jacobian of all of ``coords``, built once.  One
+    certificate shares it across all of its rank decisions."""
     row_of = {c: i for i, c in enumerate(coords)}
-    at_seed = functools.cache(lambda seed: unreduced_jacobian(shape, spec, coords, seed))
-    return lambda seed, subset: at_seed(seed)[[row_of[c] for c in subset]]
+    jac = unreduced_jacobian(shape, spec, coords, RANK_POINT_SEED, RANK_PRIME)
+    return lambda subset: jac[[row_of[c] for c in subset]]
 
 
 def generic_rank_finite(
     pattern_coords: Sequence[Coord], shape, spec: RankSpec, jacobian_rows: Optional[Callable] = None
 ) -> bool:
     """True when the given observed entries determine the tensor up to
-    finitely many completions, decided at a random generic point.
+    finitely many completions, decided at a random point of GF(p).
 
     Works with the unreduced parametrization — every core entry and every
     factor entry is a variable — whose fiber over a generic tensor of the
     given trailing ranks is the basis-change group of dimension sum r_i^2.
     The entries pin the tensor finitely exactly when their Jacobian reaches
     rank (num core entries) + (num factor entries) - sum r_i^2.  The rows
-    come from ``jacobian_rows`` (a :func:`_probe_rows` covering every entry)
+    come from ``jacobian_rows`` (a :func:`_gf_rows` covering every entry)
     when given, else from a Jacobian of just these entries.
     """
     spec.check_shape(shape)
-    target = factor_offsets(shape, spec)[-1] - spec.sum_sq
+    target = _rank_target(shape, spec)
     coords = [tuple(c) for c in pattern_coords]
     if len(coords) < target:
         return False
-    rows = jacobian_rows or _probe_rows(coords, shape, spec)
-    return reaches_rank((rows(seed, coords) for seed in _RANK_PROBE_SEEDS), target, _RANK_TOL)
+    rows = jacobian_rows or _gf_rows(coords, shape, spec)
+    return reaches_rank_mod_p(rows(coords), target)
+
+
+def _free_entry(constraint: ConstraintMatrix, idx: int) -> Coord:
+    col = constraint.columns[idx]
+    return unflatten_index(constraint.head_dims, col.free_row) + col.base
 
 
 def _witness_entries(constraint: ConstraintMatrix, selection: TSelection, witness: Iterable[int]) -> list[Coord]:
     """The designated entries plus each witness column's free entry, sorted:
     a finitely-determining subpattern when the witness is confirmed."""
-    entries = set(selection.entries)
-    for idx in witness:
-        col = constraint.columns[idx]
-        entries.add(unflatten_index(constraint.head_dims, col.free_row) + col.base)
-    return sorted(entries)
+    return sorted(set(selection.entries).union(_free_entry(constraint, idx) for idx in witness))
 
 
 class _IncrementalCounts:
@@ -279,11 +303,26 @@ def _witness_solutions(
     target: int,
     counts: _IncrementalCounts,
     node_budget: list[int],
+    rank: Optional[tuple[ModEchelon, np.ndarray, int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield qualifying column sets of the target size (indices into `masks`),
     include-first depth-first so the first solution matches a greedy descent.
+    With ``rank = (echelon, rows, slack)``, a column is included only when
+    pushing ``rows[idx]`` leaves at most ``slack`` dependent rows.
     Decrements node_budget[0]; raises when it hits zero."""
     chosen: list[int] = []
+
+    def admit(idx: int) -> bool:
+        if not counts.can_add(masks[idx]):
+            return False
+        if rank is None:
+            return True
+        echelon, rows, slack = rank
+        echelon.push(rows[idx])
+        if echelon.dependent <= slack:
+            return True
+        echelon.pop()
+        return False
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == target:
@@ -295,30 +334,48 @@ def _witness_solutions(
         if node_budget[0] <= 0:
             raise CertifierGuardError("witness search exceeded its node budget")
         idx = order[i]
-        if counts.can_add(masks[idx]):
+        if admit(idx):
             counts.add(masks[idx])
             chosen.append(idx)
             yield from rec(i + 1)
             chosen.pop()
             counts.remove(masks[idx])
+            if rank is not None:
+                rank[0].pop()
         yield from rec(i + 1)
 
     yield from rec(0)
 
 
-def _finite_search(constraint: ConstraintMatrix, spec: RankSpec, n: int) -> Iterator[tuple[int, ...]]:
+def _finite_search(
+    shape: Shape,
+    spec: RankSpec,
+    constraint: ConstraintMatrix,
+    selection: TSelection,
+    rows: Callable[[Sequence[Coord]], np.ndarray],
+) -> Iterator[tuple[int, ...]]:
+    """Witnesses of ``core_dim`` columns, in search order, each confirmed:
+    with the designated entries, their free entries reach rank
+    :func:`_rank_target` over GF(p).  ``rows`` is a :func:`_gf_rows`."""
+    n = core_dim(shape, spec)
     columns = list(range(constraint.num_columns))
     masks, _labels = _support_masks(constraint, columns)
     width = max((m.bit_length() for m in masks), default=0)
-    caps = _caps_worst(width, spec)
-    counts = _IncrementalCounts(width, caps)
+    counts = _IncrementalCounts(width, _caps_worst(width, spec))
     order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
-    budget = [SEARCH_NODE_GUARD]
-    yield from _witness_solutions(masks, order, n, counts, budget)
+    slack = len(selection.entries) + n - _rank_target(shape, spec)
+    designated = rows(selection.entries)
+    echelon = ModEchelon(designated.shape[1])
+    for row in designated:
+        echelon.push(row)
+    if echelon.dependent > slack:
+        return
+    free = rows([_free_entry(constraint, i) for i in columns])
+    yield from _witness_solutions(masks, order, n, counts, [WITNESS_NODE_BUDGET], (echelon, free, slack))
 
 
 def _certify_finite_once(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, jacobian_rows: Callable
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: Callable
 ) -> FiniteCertificate:
     constraint = build_constraint(pattern, spec, selection)
     n = core_dim(pattern.shape, spec)
@@ -334,23 +391,17 @@ def _certify_finite_once(
             reason=reason,
         )
 
-    if n == 0:
-        return cert("finite", witness=())
     if constraint.num_columns < n:
         return cert(
             "not-finite",
             reason=f"only {constraint.num_columns} constraint columns but {n} needed",
         )
-
     try:
-        for tried, witness in enumerate(_finite_search(constraint, spec, n)):
-            entries = _witness_entries(constraint, selection, witness)
-            if generic_rank_finite(entries, pattern.shape, spec, jacobian_rows):
-                return cert("finite", witness=witness)
-            if tried + 1 >= WITNESS_CONFIRM_TRIES:
-                return cert("undecided-search-exhausted", reason="no candidate witness confirmed")
+        witness = next(_finite_search(pattern.shape, spec, constraint, selection, rows), None)
     except CertifierGuardError as exc:
         return cert("undecided-search-exhausted", reason=str(exc))
+    if witness is not None:
+        return cert("finite", witness=witness)
     _, violating = thm4_dependent(constraint, spec)
     return cert("not-finite", violating=violating)
 
@@ -359,16 +410,18 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     """Decide finite completability for the pattern under the given trailing
     ranks.
 
-    Combinatorial witness search runs first over a handful of designated
-    selections and supplies the witness columns when one is confirmed.  When
-    it produces nothing conclusive, the verdict comes from the generic-rank
-    evaluation of the full observed pattern (without witness columns)."""
+    The rank-pruned witness search runs over a handful of designated
+    selections and supplies the witness columns when it finds one.  When the
+    first selection yields none, the rank of the full observed pattern at the
+    same GF(p) point decides: short of the target, the verdict is
+    "not-finite" at once; at the target, the other selections are searched,
+    and "finite" comes without witness columns if none yields one."""
     spec.check_shape(pattern.shape)
     if not check_Bj(pattern.shape, spec):
         raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
     first: Optional[FiniteCertificate] = None
     tried_entries: set[tuple] = set()
-    jacobian_rows = _probe_rows(pattern.observed, pattern.shape, spec)
+    rows = _gf_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
         try:
             selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt)
@@ -379,40 +432,36 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
         if selection.entries in tried_entries:
             continue
         tried_entries.add(selection.entries)
-        result = _certify_finite_once(pattern, spec, selection, jacobian_rows)
+        result = _certify_finite_once(pattern, spec, selection, rows)
         if result.verdict == "finite":
             return result
         if first is None:
             first = result
+            # A witness's rows reach the target rank, so when all observed
+            # rows fall short no other selection can yield one.
+            if not generic_rank_finite(pattern.observed, pattern.shape, spec, rows):
+                if first.verdict == "not-finite":
+                    return first
+                return replace(first, verdict="not-finite", reason="generic rank stays below the number of unknowns")
     assert first is not None
-    if generic_rank_finite(pattern.observed, pattern.shape, spec, jacobian_rows):
-        return FiniteCertificate(
-            verdict="finite",
-            num_free_core=first.num_free_core,
-            witness_columns=None,
-            violating_subset=None,
-            selection=first.selection,
-            num_columns=first.num_columns,
-            reason="decided by generic-rank evaluation; no combinatorial witness found",
-        )
-    if first.verdict == "not-finite":
-        return first
     return FiniteCertificate(
-        verdict="not-finite",
+        verdict="finite",
         num_free_core=first.num_free_core,
         witness_columns=None,
-        violating_subset=first.violating_subset,
+        violating_subset=None,
         selection=first.selection,
         num_columns=first.num_columns,
-        reason="generic rank stays below the number of unknowns",
+        reason="decided by generic-rank evaluation; no combinatorial witness found",
     )
 
 
 def verify_finite_witness(
     pattern: SamplingPattern, spec: RankSpec, certificate: FiniteCertificate
 ) -> bool:
-    """Independent replay: rebuild the constraint matrix and re-check every
-    subset inequality for the claimed witness."""
+    """Independent replay: rebuild the constraint matrix, re-check every
+    subset inequality for the claimed witness, and re-take the rank of the
+    witness entries over GF(p) at this module's prime and point (at most
+    ``|entries| - target`` of their rows may be dependent)."""
     if certificate.verdict != "finite":
         return False
     constraint = build_constraint(pattern, spec, certificate.selection)
@@ -420,7 +469,9 @@ def verify_finite_witness(
     if len(witness) != certificate.num_free_core:
         return False
     ok, _ = subset_condition_holds(constraint, witness, spec)
-    return ok
+    return ok and generic_rank_finite(
+        _witness_entries(constraint, certificate.selection, witness), pattern.shape, spec
+    )
 
 
 def _caps_unique(width: int, spec: RankSpec, n0: int) -> list[int]:
@@ -451,7 +502,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
 
     undecided = False
     tried_entries: set[tuple] = set()
-    jacobian_rows = _probe_rows(pattern.observed, pattern.shape, spec)
+    rows = _gf_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
         try:
             selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt)
@@ -469,17 +520,8 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
 
         try:
             caps_uni = _caps_unique(width, spec, n0)
-            finite_witnesses: Iterator[tuple[int, ...]]
-            if n == 0:
-                finite_witnesses = iter([()])
-            elif constraint.num_columns < n:
-                finite_witnesses = iter([])
-            else:
-                finite_witnesses = _finite_search(constraint, spec, n)
-
-            tried = 0
-            for witness in finite_witnesses:
-                tried += 1
+            finite_witnesses = _finite_search(pattern.shape, spec, constraint, selection, rows)
+            for tried, witness in enumerate(finite_witnesses, start=1):
                 used = set(witness)
                 remaining = [i for i in columns if i not in used]
                 if len(remaining) >= n0:
@@ -493,9 +535,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
                     except CertifierGuardError:
                         undecided = True
                         witness0 = None
-                    if witness0 is not None and generic_rank_finite(
-                        _witness_entries(constraint, selection, witness), pattern.shape, spec, jacobian_rows
-                    ):
+                    if witness0 is not None:
                         finite_part = FiniteCertificate(
                             verdict="finite",
                             num_free_core=n,
@@ -510,7 +550,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
                             witness_columns0=witness0,
                             n0=n0,
                         )
-                if tried >= 50:
+                if tried >= UNIQUE_WITNESS_CAP:
                     undecided = True
                     break
         except CertifierGuardError:

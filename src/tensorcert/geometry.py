@@ -8,14 +8,18 @@ pins an identity block per trailing dimension inside that unfolding, which is
 what :func:`canonical_structure` lays out and what :meth:`RankSpec.g` counts.
 
 The observed entries are polynomials in the core and factor entries;
-:func:`tucker_terms` evaluates them and their derivatives for every caller.
+:func:`tucker_terms` evaluates them and their derivatives for every caller,
+in floating point or over GF(p).  Exact ranks are taken over GF(p) by
+:class:`ModEchelon`: full rank mod p implies full rank over Q, and a random
+point of GF(p) shows a deficit that is not generic with probability at most
+deg/p (Schwartz-Zippel).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +28,13 @@ from .core import Coord, CoordinateBoundsError, Shape
 __all__ = [
     "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
     "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "probe_point",
-    "unreduced_jacobian", "reaches_rank",
+    "unreduced_jacobian", "RANK_PRIME", "ModEchelon", "reaches_rank_mod_p",
 ]
+
+# The largest prime below 2**28.  Residues multiply within int64, and 128
+# products of them, plus one residue, still sum below 2**63.
+RANK_PRIME = 268_435_399
+_DOT_CHUNK = (2**63 - RANK_PRIME) // (RANK_PRIME - 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -215,7 +224,11 @@ def unfolding_indices(shape: Shape, j: int, coords: Sequence[Coord]) -> tuple[np
 
 
 def tucker_terms(
-    core: np.ndarray, factors: Sequence[np.ndarray], rows: np.ndarray, tails: np.ndarray
+    core: np.ndarray,
+    factors: Sequence[np.ndarray],
+    rows: np.ndarray,
+    tails: np.ndarray,
+    modulus: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Values of the entries at unfolding ``rows`` and trailing indices
     ``tails`` (0-based), with all their nonzero partial derivatives.
@@ -223,63 +236,150 @@ def tucker_terms(
     ``w[e, col]`` is the derivative of entry ``e`` in ``core[rows[e], col]``
     and ``d_fac[s][a, e]`` its derivative in ``T_s(a, tails[e, s])``.
     Products and sums run in the same order for every entry: factors left
-    to right by slot, rank tuples in ``itertools.product`` order.
+    to right by slot, rank tuples in ``itertools.product`` order.  With a
+    ``modulus``, the inputs are int64 residues and every product and every
+    sum is reduced mod it, so nothing leaves int64.
     """
+    if modulus is None:
+        mul, add = np.multiply, np.add
+    else:
+        def mul(a, b):
+            return a * b % modulus
+
+        def add(a, b):
+            return (a + b) % modulus
+
     ranks = tuple(T.shape[0] for T in factors)
     strides = rank_strides(ranks)
     m = len(rows)
     core_at = core[rows]  # (entries, R): each entry's unfolding row
     fac_at = [T[:, tails[:, s]] for s, T in enumerate(factors)]  # (r_s, entries)
-    values = np.zeros(m)
-    w = np.empty((m, core.shape[1]))
-    d_fac = [np.zeros((r, m)) for r in ranks]
+    values = np.zeros(m, core.dtype)
+    w = np.empty((m, core.shape[1]), core.dtype)
+    d_fac = [np.zeros((r, m), core.dtype) for r in ranks]
     for k in itertools.product(*(range(r) for r in ranks)):
         col = sum(ki * s for ki, s in zip(k, strides))
         fs = [f[ks] for f, ks in zip(fac_at, k)]
-        prod_all = functools.reduce(np.multiply, fs)
+        prod_all = functools.reduce(mul, fs)
         w[:, col] = prod_all
         c = core_at[:, col]
-        values += c * prod_all
+        values = add(values, mul(c, prod_all))
         for s in range(len(fs)):
             others = fs[:s] + fs[s + 1 :]
-            d_fac[s][k[s]] += (c * functools.reduce(np.multiply, others)) if others else c
+            d_fac[s][k[s]] = add(d_fac[s][k[s]], mul(c, functools.reduce(mul, others)) if others else c)
     return values, w, d_fac
 
 
-def probe_point(shape: Shape, spec: RankSpec, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), all
-    entries standard normal, drawn in that order from ``seed``."""
+def probe_point(
+    shape: Shape, spec: RankSpec, seed: int, modulus: Optional[int] = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), drawn in
+    that order from ``seed``: standard normal entries, or uniform residues
+    mod ``modulus`` when one is given."""
     rng = np.random.default_rng(seed)
-    core = rng.standard_normal((shape.head_size(spec.j), spec.product))
-    factors = [rng.standard_normal((r, n)) for r, n in zip(spec.ranks, spec.tail_dims(shape))]
+    shapes = [(shape.head_size(spec.j), spec.product), *zip(spec.ranks, spec.tail_dims(shape))]
+    if modulus is None:
+        core, *factors = [rng.standard_normal(size) for size in shapes]
+    else:
+        flat = rng.integers(modulus, size=sum(a * b for a, b in shapes))
+        ends = itertools.accumulate(a * b for a, b in shapes)
+        core, *factors = [flat[end - a * b : end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
     return core, factors
 
 
-def unreduced_jacobian(shape: Shape, spec: RankSpec, coords: Sequence[Coord], seed: int) -> np.ndarray:
+def unreduced_jacobian(
+    shape: Shape, spec: RankSpec, coords: Sequence[Coord], seed: int, modulus: Optional[int] = None
+) -> np.ndarray:
     """Jacobian of the entries at ``coords`` in every core and every factor
     entry (columns as in :func:`factor_offsets`) at the generic point
-    :func:`probe_point` draws from ``seed``.  Row ``e`` depends only on
-    ``coords[e]``, so the Jacobian of a subset of the entries is a row
-    selection of this matrix."""
+    :func:`probe_point` draws from ``seed``, over GF(``modulus``) when one is
+    given.  Row ``e`` depends only on ``coords[e]``, so the Jacobian of a
+    subset of the entries is a row selection of this matrix."""
     offsets = factor_offsets(shape, spec)
     rows, tails = unfolding_indices(shape, spec.j, coords)
-    _, w, d_fac = tucker_terms(*probe_point(shape, spec, seed), rows, tails)
+    _, w, d_fac = tucker_terms(*probe_point(shape, spec, seed, modulus), rows, tails, modulus)
     R = spec.product
     entry = np.arange(len(rows))[:, None]
-    jac = np.zeros((len(rows), offsets[-1]))
+    jac = np.zeros((len(rows), offsets[-1]), w.dtype)
     jac[entry, rows[:, None] * R + np.arange(R)] = w
     for s, (r, d) in enumerate(zip(spec.ranks, d_fac)):
         jac[entry, offsets[s] + tails[:, s, None] * r + np.arange(r)] = d.T
     return jac
 
 
-def reaches_rank(jacobians: Iterable[np.ndarray], target: int, tol: float) -> bool:
-    """True when some matrix has numerical rank >= target: singular values
-    above ``tol`` times the largest.  Later matrices are not drawn once one
-    reaches it."""
-    for jac in jacobians:
-        sv = np.linalg.svd(jac, compute_uv=False)
-        rank = int(np.sum(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
-        if rank >= target:
-            return True
-    return False
+def _dot_mod(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``coef @ rows``, reduced mod RANK_PRIME only as often as int64 needs:
+    each chunk's sum, plus a residue, stays below 2**63."""
+    total = coef[:_DOT_CHUNK] @ rows[:_DOT_CHUNK]
+    for at in range(_DOT_CHUNK, len(coef), _DOT_CHUNK):
+        total = total % RANK_PRIME + coef[at : at + _DOT_CHUNK] @ rows[at : at + _DOT_CHUNK]
+    return total
+
+
+class ModEchelon:
+    """Rows of residues mod RANK_PRIME, pushed one at a time; the independent
+    ones are kept in reduced row echelon form.
+
+    Every kept row is 1 at its own pivot column and 0 at the pivots of the
+    others, so a new row is reduced in one step: subtract its values at the
+    pivots times the kept rows.  An independent row then clears its pivot
+    column from the earlier rows; the cleared column is saved, and ``pop``
+    adds it back.  Memory stays at two width x width arrays however deep
+    the pushes go."""
+
+    def __init__(self, width: int):
+        self.rank = 0
+        self._rows = np.zeros((width, width), np.int64)
+        self._pivots = np.zeros(width, np.intp)
+        self._cleared = np.zeros((width, width), np.int64)  # row k: what push k cleared
+        self._pushed: list[bool] = []  # per push, whether it was independent
+
+    @property
+    def dependent(self) -> int:
+        """Pushed rows that were dependent on the rows before them."""
+        return len(self._pushed) - self.rank
+
+    def push(self, row: np.ndarray) -> bool:
+        """Add a row; True when it is independent of the rows pushed before."""
+        k = self.rank
+        if k:
+            row = (row - _dot_mod(row[self._pivots[:k]], self._rows[:k])) % RANK_PRIME
+        nonzero = row.nonzero()[0]
+        independent = bool(nonzero.size)
+        self._pushed.append(independent)
+        if independent:
+            pivot = nonzero[0]
+            row = row * pow(int(row[pivot]), -1, RANK_PRIME) % RANK_PRIME
+            if k:
+                cleared = self._cleared[k, :k]
+                cleared[:] = self._rows[:k, pivot]
+                self._rows[:k] -= np.multiply.outer(cleared, row)
+                self._rows[:k] %= RANK_PRIME
+            self._rows[k] = row
+            self._pivots[k] = pivot
+            self.rank = k + 1
+        return independent
+
+    def pop(self) -> None:
+        """Undo the last push."""
+        if self._pushed.pop():
+            k = self.rank - 1
+            self._rows[:k] += np.multiply.outer(self._cleared[k, :k], self._rows[k])
+            self._rows[:k] %= RANK_PRIME
+            self.rank = k
+
+
+def reaches_rank_mod_p(rows: np.ndarray, target: int) -> bool:
+    """True when the rows (residues mod RANK_PRIME) have rank >= target over
+    GF(p).  Stops as soon as the answer is known."""
+    slack = len(rows) - target
+    if slack < 0:
+        return False
+    echelon = ModEchelon(rows.shape[1])
+    for row in rows:
+        if echelon.rank >= target:
+            break
+        echelon.push(row)
+        if echelon.dependent > slack:
+            return False
+    return echelon.rank >= target

@@ -62,6 +62,10 @@ class TrialConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.per_column_l is not None and self.per_column_l < 0:
             raise ValueError("per_column_l must be nonnegative")
+        if self.prop == "proper1" and self.shape.dims[0] < 2:
+            raise ValueError(
+                f"proper1 samples n1 - 1 columns, so it needs a first dimension of at least 2 (dims {self.shape.dims})"
+            )
 
     def to_dict(self) -> dict:
         return {

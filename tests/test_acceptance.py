@@ -18,7 +18,7 @@ import pytest
 
 from tensorcert.assumptions import AssumptionError, TSelection, check_Aj
 from tensorcert.bounds import CurveConfig, emit_curves
-from tensorcert.certifier import certify_finite, subpro_consistency
+from tensorcert.certifier import certify_finite, subpro_consistency, verify_finite_witness
 from tensorcert.cli import EXIT_OK, main
 from tensorcert.core import SamplingPattern, Shape, write_pattern
 from tensorcert.geometry import RankSpec, canonical_structure
@@ -168,6 +168,38 @@ def test_certifier_oracle_equivalence_sweep():
         assert total >= 200
         assert undecided / total < 0.05
         assert agreed == total - undecided, "certifier disagrees with the oracle"
+
+
+# Per sweep config, over all 40 draws: "finite" verdicts (with a witness,
+# without one).  The witness-less ones are decided by the full pattern's rank.
+SWEEP_WITNESS_COVERAGE = [(35, 4), (23, 13), (23, 16), (0, 0), (0, 0), (40, 0), (40, 0), (38, 0)]
+
+
+def test_sweep_witness_coverage_and_replay():
+    """Every witness of the sweep's "finite" verdicts replays, and the count
+    of witnessed and witness-less "finite" verdicts per config is pinned, so
+    a change that loses a witness fails here."""
+    with Budget(60.0):
+        coverage = []
+        for dims, j, ranks, p in SWEEP_CONFIGS:
+            shape = Shape(dims=dims)
+            spec = RankSpec(j=j, ranks=ranks)
+            witnessed = witnessless = 0
+            for trial in range(40):
+                pattern = sample_pattern(shape, p, seed=5, trial=trial)
+                try:
+                    cert = certify_finite(pattern, spec, seed=3)
+                except AssumptionError:
+                    continue
+                if cert.verdict != "finite":
+                    continue
+                if cert.witness_columns is None:
+                    witnessless += 1
+                    continue
+                assert verify_finite_witness(pattern, spec, cert), (dims, j, ranks, trial)
+                witnessed += 1
+            coverage.append((witnessed, witnessless))
+        assert coverage == SWEEP_WITNESS_COVERAGE
 
 
 def test_selection_admissibility_matches_rank_oracle():

@@ -8,10 +8,16 @@ import pytest
 from tensorcert import certifier
 from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
 from tensorcert.certifier import (
+    RANK_POINT_SEED,
     FiniteCertificate,
     _caps_worst,
-    _probe_rows,
+    _finite_search,
+    _gf_rows,
+    _IncrementalCounts,
+    _rank_target,
     _support_masks,
+    _witness_entries,
+    _witness_solutions,
     certify_finite,
     certify_unique,
     generic_rank_finite,
@@ -23,7 +29,7 @@ from tensorcert.certifier import (
 )
 from tensorcert.constraint import build_constraint, m_count
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RankSpec, core_dim
+from tensorcert.geometry import RANK_PRIME, RankSpec, core_dim, unreduced_jacobian
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import (
     appendix_c_pattern,
@@ -31,6 +37,7 @@ from tensorcert.oracle import (
     jacobian_rank,
     section_iib_pattern,
 )
+from test_geometry import prefix_independence_reference
 
 
 def default_constraint(dims=(3, 3, 3), ranks=(1, 1), coords=None):
@@ -197,9 +204,9 @@ class TestGenericRankFinite:
             assert mine == (report.verdict == "finite")
 
 
-class TestProbeRows:
-    """Rank confirmations on row selections of one per-certificate Jacobian
-    see the same matrices as a Jacobian built for the subset alone."""
+class TestGfRows:
+    """Rank decisions on row selections of one per-certificate GF(p)
+    Jacobian see the same matrices as a Jacobian built for the subset alone."""
 
     @pytest.mark.parametrize(
         "dims,spec",
@@ -209,31 +216,106 @@ class TestProbeRows:
             ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2))),
         ],
     )
-    def test_row_subsets_match_fresh_evaluation(self, dims, spec, monkeypatch):
+    def test_row_subsets_match_fresh_evaluation(self, dims, spec):
         shape = Shape(dims=dims)
         pattern = sample_pattern(shape, 0.9, seed=7, trial=0)
-        jacobian_rows = _probe_rows(pattern.observed, shape, spec)
-        seen: list[bytes] = []
-        svd = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            seen.append(np.ascontiguousarray(a).tobytes())
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rows = _gf_rows(pattern.observed, shape, spec)
         rng = random.Random(3)
         verdicts = set()
         for _ in range(12):
             size = rng.randint(len(pattern.observed) // 2, len(pattern.observed))
             subset = sorted(rng.sample(pattern.observed, size))
-            shared = generic_rank_finite(subset, shape, spec, jacobian_rows)
-            shared_inputs, seen[:] = list(seen), []
+            fresh_rows = unreduced_jacobian(shape, spec, subset, RANK_POINT_SEED, RANK_PRIME)
+            assert np.array_equal(rows(subset), fresh_rows)
             fresh = generic_rank_finite(subset, shape, spec)
-            assert shared == fresh
-            assert shared_inputs == seen
-            seen.clear()
+            assert generic_rank_finite(subset, shape, spec, rows) == fresh
+            assert fresh == (sum(prefix_independence_reference(fresh_rows)) >= _rank_target(shape, spec))
             verdicts.add(fresh)
         assert verdicts == {True, False}
+
+
+def witness_is_confirmed(pattern, spec, constraint, selection, witness) -> bool:
+    """Exact check: the witness entries' GF(p) rows at the certifier's point
+    reach the target rank."""
+    entries = _witness_entries(constraint, selection, witness)
+    jac = unreduced_jacobian(pattern.shape, spec, entries, RANK_POINT_SEED, RANK_PRIME)
+    return sum(prefix_independence_reference(jac)) >= _rank_target(pattern.shape, spec)
+
+
+def count_only_witnesses(constraint, spec, n):
+    """Reference: every n-set of columns that passes the subset inequalities,
+    in the search's include-first order, with no rank check and no cap."""
+    columns = range(constraint.num_columns)
+    masks, _labels = _support_masks(constraint, columns)
+    order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
+    for combo in itertools.combinations(order, n):
+        if subset_condition_holds(constraint, combo, spec)[0]:
+            yield tuple(sorted(combo))
+
+
+class TestRankPrunedSearch:
+    """The pruned generator yields exactly the count-feasible witnesses whose
+    rows reach the target rank, in the order the count-only search finds
+    them."""
+
+    @pytest.mark.parametrize(
+        "dims,spec,mode,trial",
+        [
+            ((2, 2, 2), RankSpec(j=1, ranks=(1, 1)), "A", None),
+            ((2, 2, 2), RankSpec(j=1, ranks=(1, 1)), "A+", None),
+            ((2, 2, 2), RankSpec(j=1, ranks=(1, 1)), "A", 4),
+            ((2, 2, 2), RankSpec(j=2, ranks=(1,)), "A", None),
+            ((2, 2, 2), RankSpec(j=2, ranks=(1,)), "A+", 1),
+            ((3, 3, 3), RankSpec(j=1, ranks=(1, 2)), "A", 1),
+            ((3, 3, 3), RankSpec(j=1, ranks=(1, 2)), "A+", None),
+            ((3, 3, 3), RankSpec(j=1, ranks=(1, 2)), "A+", 0),
+            ((3, 3, 3), RankSpec(j=1, ranks=(1, 1)), "A+", 0),
+            ((3, 3, 3), RankSpec(j=2, ranks=(2,)), "A", 0),
+            ((3, 3, 3), RankSpec(j=2, ranks=(2,)), "A+", 3),
+            ((3, 3, 3), RankSpec(j=2, ranks=(2,)), "A+", 5),
+        ],
+    )
+    def test_matches_count_only_enumeration_filtered_by_rank(self, dims, spec, mode, trial, monkeypatch):
+        monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 10**9)
+        shape = Shape(dims=dims)
+        pattern = SamplingPattern.full(dims) if trial is None else sample_pattern(shape, 0.85, seed=17, trial=trial)
+        selection = find_T_selection(pattern, spec, mode=mode)
+        constraint = build_constraint(pattern, spec, selection)
+        n = core_dim(shape, spec)
+        expected = [
+            w
+            for w in count_only_witnesses(constraint, spec, n)
+            if witness_is_confirmed(pattern, spec, constraint, selection, w)
+        ]
+        rows = _gf_rows(pattern.observed, shape, spec)
+        pruned = list(_finite_search(shape, spec, constraint, selection, rows))
+        assert pruned == expected
+
+    def test_replay_rejects_count_feasible_rank_dependent_witness(self):
+        pattern = sample_pattern(Shape(dims=(3, 3, 3, 3)), 0.85, seed=5, trial=0)
+        spec = RankSpec(j=2, ranks=(2, 2))
+        cert = certify_finite(pattern, spec, seed=3)
+        assert cert.verdict == "finite" and cert.witness_columns is not None
+        assert verify_finite_witness(pattern, spec, cert)
+        constraint = build_constraint(pattern, spec, cert.selection)
+        masks, _labels = _support_masks(constraint, range(constraint.num_columns))
+        width = max(m.bit_length() for m in masks)
+        order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+        counts = _IncrementalCounts(width, _caps_worst(width, spec))
+        candidates = _witness_solutions(masks, order, cert.num_free_core, counts, [10**6])
+        dependent = next(
+            w for w in candidates if not witness_is_confirmed(pattern, spec, constraint, cert.selection, w)
+        )
+        assert subset_condition_holds(constraint, dependent, spec)[0]
+        forged = FiniteCertificate(
+            verdict="finite",
+            num_free_core=cert.num_free_core,
+            witness_columns=dependent,
+            violating_subset=None,
+            selection=cert.selection,
+            num_columns=cert.num_columns,
+        )
+        assert not verify_finite_witness(pattern, spec, forged)
 
 
 class TestCertifyFinite:
@@ -355,22 +437,24 @@ class TestCertifyUnique:
         assert verify_finite_witness(pattern, spec, cert.finite)
 
     def test_witness_cap_counts_rejected_witnesses(self, monkeypatch):
-        """Every finite witness counts towards the cap of 50, also one whose
-        rank confirmation fails after a second witness was found."""
+        """Every finite witness counts towards the cap of 50, also one for
+        which no disjoint second witness is found."""
         searched = []
         real_search = certifier._finite_search
 
-        def counting_search(*args):
+        def counting_search(*args, **kwargs):
             searched.append(0)
-            for witness in real_search(*args):
+            for witness in real_search(*args, **kwargs):
                 searched[-1] += 1
                 yield witness
 
         monkeypatch.setattr(certifier, "_finite_search", counting_search)
-        monkeypatch.setattr(certifier, "generic_rank_finite", lambda *args: False)
-        cert = certify_unique(SamplingPattern.full((5, 5, 5)), RankSpec(j=1, ranks=(1, 1)))
+        # No row set may hold a second-witness column, so every finite
+        # witness is rejected.
+        monkeypatch.setattr(certifier, "_caps_unique", lambda width, spec, n0: [0] * (1 << width))
+        cert = certify_unique(SamplingPattern.full((4, 5, 5)), RankSpec(j=1, ranks=(1, 1)))
         assert cert.verdict == "undecided-search-exhausted"
-        assert max(searched) == 50
+        assert max(searched) == certifier.UNIQUE_WITNESS_CAP == 50
 
     def test_n0_formula(self):
         pattern = SamplingPattern.full((3, 3, 3))

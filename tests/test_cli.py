@@ -130,6 +130,17 @@ class TestSimulate:
         assert "per_column_l must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_proper1_with_one_row_refused(self, capsys, tmp_path):
+        out = tmp_path / "sim.json"
+        code = main([
+            "simulate", "--dims", "1,4", "--property", "proper1",
+            "--trials", "2", "--per-column-l", "1", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "first dimension of at least 2" in err and "(1, 4)" in err
+        assert not out.exists()
+
     def test_zero_per_column_fails_every_proper1_trial(self, tmp_path):
         out = tmp_path / "sim.json"
         code = main([

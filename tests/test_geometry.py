@@ -9,12 +9,15 @@ from hypothesis import given, strategies as st
 
 from tensorcert.core import SamplingPattern, Shape, unfold_row
 from tensorcert.geometry import (
+    RANK_PRIME,
+    ModEchelon,
     RankSpec,
     canonical_structure,
     core_dim,
     factor_offsets,
     manifold_dim,
     probe_point,
+    reaches_rank_mod_p,
     unreduced_jacobian,
 )
 from tensorcert.montecarlo import sample_pattern
@@ -209,3 +212,159 @@ class TestUnreducedJacobian:
                     factors[s][a, b] += sign * h
                 sides.append(observed(core, factors))
             assert np.allclose(jac[:, p], (sides[0] - sides[1]) / (2 * h), rtol=1e-9, atol=1e-9)
+
+
+def unreduced_jacobian_mod_p_reference(shape: Shape, spec: RankSpec, coords, seed: int) -> list[list[int]]:
+    """Reference: the unreduced Jacobian over GF(p) entry by entry in exact
+    Python integers, reduced mod p only at the end."""
+    core, factors = probe_point(shape, spec, seed, RANK_PRIME)
+    core, factors = core.tolist(), [T.tolist() for T in factors]
+    offsets = factor_offsets(shape, spec)
+    R = spec.product
+    strides = [math.prod(spec.ranks[:s]) for s in range(len(spec.ranks))]
+    jac = []
+    for x in coords:
+        row = [0] * offsets[-1]
+        head_row = unfold_row(shape, spec.j, x) - 1
+        tail = [v - 1 for v in x[spec.j:]]
+        for k in itertools.product(*(range(r) for r in spec.ranks)):
+            flat = sum(ki * st for ki, st in zip(k, strides))
+            fs = [T[ks][b] for T, ks, b in zip(factors, k, tail)]
+            row[head_row * R + flat] += math.prod(fs)
+            for s, r in enumerate(spec.ranks):
+                row[offsets[s] + tail[s] * r + k[s]] += core[head_row][flat] * math.prod(fs[:s] + fs[s + 1 :])
+        jac.append([v % RANK_PRIME for v in row])
+    return jac
+
+
+def prefix_independence_reference(rows) -> list[bool]:
+    """Reference: for each row, whether it is independent mod p of the rows
+    before it, by plain Gaussian elimination on Python integers."""
+    basis: dict[int, list[int]] = {}  # pivot column -> row, 1 at the pivot
+    flags = []
+    for row in rows:
+        row = [int(v) % RANK_PRIME for v in row]
+        for pivot, kept in basis.items():
+            if row[pivot]:
+                f = row[pivot]
+                row = [(a - f * b) % RANK_PRIME for a, b in zip(row, kept)]
+        pivot = next((c for c, v in enumerate(row) if v), None)
+        flags.append(pivot is not None)
+        if pivot is not None:
+            inv = pow(row[pivot], -1, RANK_PRIME)
+            basis[pivot] = [v * inv % RANK_PRIME for v in row]
+    return flags
+
+
+class TestModularJacobian:
+    @pytest.mark.parametrize(
+        "dims,spec",
+        [
+            ((5, 4), RankSpec(j=1, ranks=(2,))),
+            ((4, 3, 3), RankSpec(j=1, ranks=(2, 2))),
+            ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2))),
+        ],
+    )
+    def test_matches_python_int_reference(self, dims, spec):
+        shape = Shape(dims=dims)
+        for pattern in (SamplingPattern.full(dims), sample_pattern(shape, 0.6, seed=4, trial=1)):
+            coords = list(pattern.observed)
+            for seed in (0, 0x7A57E):
+                jac = unreduced_jacobian(shape, spec, coords, seed, RANK_PRIME)
+                assert jac.dtype == np.int64
+                assert jac.tolist() == unreduced_jacobian_mod_p_reference(shape, spec, coords, seed)
+
+    def test_float_point_unchanged_by_modular_option(self):
+        shape = Shape(dims=(4, 3, 3))
+        spec = RankSpec(j=1, ranks=(2, 2))
+        core, factors = probe_point(shape, spec, 5)
+        rng = np.random.default_rng(5)
+        assert core.tobytes() == rng.standard_normal(core.shape).tobytes()
+        for T in factors:
+            assert T.tobytes() == rng.standard_normal(T.shape).tobytes()
+
+
+def dependent_rich_rows(rng: np.random.Generator, count: int, width: int, spread: int = 6) -> np.ndarray:
+    """Random residues with zero rows, repeated rows and combinations of
+    earlier rows mixed in, each kind at rate 1/spread."""
+    rows = rng.integers(RANK_PRIME, size=(count, width))
+    for i in range(1, count):
+        kind = rng.integers(spread)
+        if kind == 0:
+            rows[i] = 0
+        elif kind == 1:
+            rows[i] = rows[rng.integers(i)]
+        elif kind == 2:
+            a, b = rng.integers(i, size=2)
+            x, y = (int(v) for v in rng.integers(RANK_PRIME, size=2))
+            rows[i] = [(x * int(u) + y * int(v)) % RANK_PRIME for u, v in zip(rows[a], rows[b])]
+    return rows
+
+
+class TestModEchelon:
+    @pytest.mark.parametrize("count,width,spread", [(12, 5, 6), (30, 9, 6), (40, 48, 6), (190, 150, 12)])
+    def test_push_matches_python_int_elimination(self, count, width, spread):
+        rows = dependent_rich_rows(np.random.default_rng(count), count, width, spread)
+        expected = prefix_independence_reference(rows)
+        assert True in expected and False in expected
+        echelon = ModEchelon(width)
+        assert [echelon.push(row) for row in rows] == expected
+        assert echelon.rank == sum(expected)
+        assert echelon.dependent == count - sum(expected)
+
+    def test_rank_beyond_one_int64_chunk(self):
+        rows = dependent_rich_rows(np.random.default_rng(190), 190, 150, 12)
+        rank = sum(prefix_independence_reference(rows))
+        assert rank > 128
+        assert reaches_rank_mod_p(rows, rank)
+        assert not reaches_rank_mod_p(rows, rank + 1)
+
+    def test_sums_stay_exact_past_one_int64_chunk(self):
+        """Rows e_i + (p - 1) in three tail columns, then their sum times
+        p - 1: one int64 sum of its 200 products at the pivots would wrap."""
+        k = 200
+        rows = np.zeros((k + 2, k + 3), np.int64)
+        rows[:k, :k] = np.eye(k, dtype=np.int64)
+        rows[:k, k:] = RANK_PRIME - 1
+        rows[k:, :k] = RANK_PRIME - 1
+        rows[k:, k:] = k * (RANK_PRIME - 1) ** 2 % RANK_PRIME
+        rows[k + 1, -1] += 1
+        expected = [True] * k + [False, True]
+        assert prefix_independence_reference(rows) == expected
+        echelon = ModEchelon(k + 3)
+        assert [echelon.push(row) for row in rows] == expected
+
+    @pytest.mark.parametrize("count,width,spread", [(30, 9, 6), (60, 48, 6), (190, 150, 12)])
+    def test_pop_restores_every_depth(self, count, width, spread):
+        rng = np.random.default_rng(width)
+        rows = dependent_rich_rows(rng, count, width, spread)
+        expected = prefix_independence_reference(rows)
+        echelon = ModEchelon(width)
+        for row in rows:
+            echelon.push(row)
+        for depth in sorted(rng.choice(count, size=4, replace=False), reverse=True):
+            while len(echelon._pushed) > depth:
+                echelon.pop()
+            assert echelon.rank == sum(expected[:depth])
+            assert [echelon.push(row) for row in rows[depth:]] == expected[depth:]
+
+    def test_random_push_pop_walk(self):
+        rng = np.random.default_rng(11)
+        pool = dependent_rich_rows(rng, 40, 12)
+        echelon = ModEchelon(12)
+        stack: list[np.ndarray] = []
+        for _ in range(300):
+            if stack and rng.random() < 0.45:
+                echelon.pop()
+                stack.pop()
+            else:
+                row = pool[rng.integers(len(pool))]
+                stack.append(row)
+                assert echelon.push(row) == prefix_independence_reference(stack)[-1]
+            assert echelon.rank == sum(prefix_independence_reference(stack))
+
+    def test_reaches_rank_on_short_and_empty_input(self):
+        rows = np.random.default_rng(3).integers(RANK_PRIME, size=(4, 6))
+        assert reaches_rank_mod_p(rows, 4)
+        assert not reaches_rank_mod_p(rows, 5)
+        assert reaches_rank_mod_p(rows[:0], 0)
