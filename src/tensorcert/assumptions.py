@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import Coord, SamplingPattern, Shape
-from .geometry import RANK_PRIME, RankSpec, factor_offsets, reaches_rank_mod_p, unreduced_jacobian
+from .geometry import (
+    RANK_PRIME,
+    JacobianRows,
+    RankSpec,
+    _gf_rows,
+    factor_offsets,
+    reaches_rank_mod_p,
+    unreduced_jacobian,
+)
 from .hallgraph import _alternating_search
 
 __all__ = [
@@ -156,12 +164,16 @@ def hull_condition(
 
 
 # Pinning is ultimately a generic-rank question, so the screen above is
-# confirmed by an exact rank over GF(p) at a random point.  Full rank there
-# proves pinning; a shortfall is retried once at a second point.
-_PIN_POINT_SEEDS = (0x5EED, 0xA11CE)
+# confirmed by an exact rank over GF(p).  The first point is RANK_POINT_SEED's,
+# the point of the certificate's Jacobian, whose rows serve here too; full rank
+# there proves pinning.  Only a shortfall is retried, on a fresh Jacobian of
+# the selection alone at this second point.
+_PIN_POINT_SEEDS = (0xA11CE,)
 
 
-def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord]) -> bool:
+def selection_pins_factors(
+    shape: Shape, spec: RankSpec, entries: Sequence[Coord], rows: Optional[JacobianRows] = None
+) -> bool:
     """True when, for a generic fixed core, the polynomials of the given
     observed entries leave only finitely many factor tuples (up to the
     inherent compensating-scaling family of dimension d - j - 1).
@@ -169,7 +181,9 @@ def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord
     Decided by the rank of the entries' Jacobian with respect to all factor
     entries at a random point of GF(p): the maximum attainable rank is
     ``sum n_i r_i - (d - j - 1)``, and the selection pins the factors exactly
-    when it is attained.
+    when it is attained.  The first point's rows come from ``rows`` (a
+    :func:`~tensorcert.geometry._gf_rows` covering every entry) when given,
+    else from a Jacobian of just these entries at the same point.
     """
     spec.check_shape(shape)
     offsets = factor_offsets(shape, spec)
@@ -177,7 +191,8 @@ def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord
     coords = [tuple(c) for c in entries]
     if len(coords) < target:
         return False
-    return any(
+    rows = rows or _gf_rows(coords, shape, spec)
+    return reaches_rank_mod_p(rows(coords)[:, offsets[0] :], target) or any(
         reaches_rank_mod_p(unreduced_jacobian(shape, spec, coords, seed, RANK_PRIME)[:, offsets[0] :], target)
         for seed in _PIN_POINT_SEEDS
     )
@@ -200,35 +215,36 @@ def _validate_selection(
 
 
 def _check_admissible(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, plus: bool
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, plus: bool, rows: Optional[JacobianRows] = None
 ) -> tuple[bool, Optional[HullSpec]]:
     """The counting screen first, supplying the overdrawn-hull witness when it
     fails; when it passes, the generic-rank confirmation decides (in which
-    case a False verdict carries no hull witness)."""
+    case a False verdict carries no hull witness).  ``rows`` is passed on to
+    :func:`selection_pins_factors`."""
     _validate_selection(pattern, spec, selection, plus)
     ok, witness = hull_condition(pattern.shape, spec, selection.entries, plus)
     if not ok:
         return False, witness
-    return selection_pins_factors(pattern.shape, spec, selection.entries), None
+    return selection_pins_factors(pattern.shape, spec, selection.entries, rows=rows), None
 
 
 def check_Aj(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: Optional[JacobianRows] = None
 ) -> tuple[bool, Optional[HullSpec]]:
     """Admissibility of a designated selection of size ``sum n_i r_i``: the
     selection must pin the factor matrices to finitely many tuples for a
     generic core.  Returns (ok, overdrawn hull when the counting screen
     fails)."""
-    return _check_admissible(pattern, spec, selection, plus=False)
+    return _check_admissible(pattern, spec, selection, plus=False, rows=rows)
 
 
 def check_Aj_plus(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: Optional[JacobianRows] = None
 ) -> tuple[bool, Optional[HullSpec]]:
     """Strengthened admissibility with per-dimension weight r_i + 1 (used for
     uniqueness): the larger selection must satisfy the weighted counting
     screen and still pin the factors in the generic-rank sense."""
-    return _check_admissible(pattern, spec, selection, plus=True)
+    return _check_admissible(pattern, spec, selection, plus=True, rows=rows)
 
 
 def check_Bj(shape: Shape, spec: RankSpec) -> bool:
@@ -295,6 +311,7 @@ def select_T_entries(
     mode: str = "A",
     seed: int = 0,
     hint: Optional[TSelection] = None,
+    rows: Optional[JacobianRows] = None,
 ) -> TSelection:
     """Pick an admissible designated selection.
 
@@ -303,7 +320,8 @@ def select_T_entries(
     (one entry per column) — and each is kept only when the full admissibility
     check passes.  A `hint` selection is verified and returned verbatim when
     it passes.  When the greedy falls short, no selection of the needed size
-    passes the hull screen, and the search stops there.
+    passes the hull screen, and the search stops there.  ``rows`` is passed on
+    to the admissibility check.
     """
     plus = mode == "A+"
     shape = pattern.shape
@@ -311,7 +329,7 @@ def select_T_entries(
     checker = check_Aj_plus if plus else check_Aj
 
     if hint is not None:
-        ok, _ = checker(pattern, spec, hint)
+        ok, _ = checker(pattern, spec, hint, rows=rows)
         if ok:
             return hint
         raise SelectionNotFoundError("hinted selection fails the admissibility check")
@@ -340,7 +358,7 @@ def select_T_entries(
             continue
         tried.add(key)
         selection = TSelection(entries=candidate, mode=mode)
-        ok, _ = checker(pattern, spec, selection)
+        ok, _ = checker(pattern, spec, selection, rows=rows)
         if ok:
             return selection
     raise SelectionNotFoundError(
@@ -353,16 +371,19 @@ def find_T_selection(
     spec: RankSpec,
     mode: str = "A",
     seed: int = 0,
+    rows: Optional[JacobianRows] = None,
 ) -> TSelection:
     """Randomized selection search with an exhaustive desk-scale fallback.
 
     When the randomized strategies run out of retries, fall back to scanning
     combinations of observed entries directly, provided the combination count
     stays under `EXHAUSTIVE_LIMIT`.  A search that proved no selection passes
-    the hull screen is refused at once, with no scan.
+    the hull screen is refused at once, with no scan.  ``rows`` (a
+    :func:`~tensorcert.geometry._gf_rows` covering the observed entries) is
+    passed on to every admissibility check.
     """
     try:
-        return select_T_entries(pattern, spec, mode=mode, seed=seed)
+        return select_T_entries(pattern, spec, mode=mode, seed=seed, rows=rows)
     except SelectionInfeasibleError:
         raise
     except SelectionNotFoundError:
@@ -380,7 +401,7 @@ def find_T_selection(
         )
     for combo in itertools.combinations(sorted(pattern.observed), needed):
         candidate = TSelection(entries=combo, mode=mode)
-        ok, _ = checker(pattern, spec, candidate)
+        ok, _ = checker(pattern, spec, candidate, rows=rows)
         if ok:
             return candidate
     raise SelectionNotFoundError("no admissible selection exists for this pattern")

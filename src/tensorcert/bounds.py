@@ -233,6 +233,8 @@ class CurveConfig:
     def __post_init__(self) -> None:
         if self.d < 2 or self.n < 1 or not (1 <= self.j < self.d):
             raise ValueError("invalid sweep configuration")
+        if self.r_min > self.r_max:
+            raise ValueError(f"invalid rank range {self.r_min}:{self.r_max}")
         _check_eps(self.eps)
 
 

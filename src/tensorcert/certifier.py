@@ -43,13 +43,13 @@ import numpy as np
 
 from .core import Coord, SamplingPattern, Shape, unflatten_index
 from .geometry import (
-    RANK_PRIME,
+    RANK_POINT_SEED,
     ModEchelon,
     RankSpec,
+    _gf_rows,
     core_dim,
     factor_offsets,
     reaches_rank_mod_p,
-    unreduced_jacobian,
 )
 from .assumptions import (
     AssumptionError,
@@ -80,7 +80,6 @@ SEARCH_NODE_GUARD = 500_000  # second-witness search of certify_unique
 WITNESS_NODE_BUDGET = 500  # rank-pruned finite-witness search, per selection
 SELECTION_RETRIES = 5
 UNIQUE_WITNESS_CAP = 50  # finite witnesses certify_unique tries per selection
-RANK_POINT_SEED = 0x7A57E  # the GF(RANK_PRIME) point of every rank taken here
 
 
 class CertifierGuardError(RuntimeError):
@@ -215,16 +214,6 @@ def _rank_target(shape: Shape, spec: RankSpec) -> int:
     """Rank at which observed entries pin the tensor finitely: all core and
     factor entries minus the basis-change group's dimension sum r_i^2."""
     return factor_offsets(shape, spec)[-1] - spec.sum_sq
-
-
-def _gf_rows(coords: Sequence[Coord], shape: Shape, spec: RankSpec) -> Callable[[Sequence[Coord]], np.ndarray]:
-    """``rows(subset)``: the unreduced Jacobian over GF(RANK_PRIME) of a
-    subset of ``coords`` at the point of ``RANK_POINT_SEED``, as a row
-    selection of the Jacobian of all of ``coords``, built once.  One
-    certificate shares it across all of its rank decisions."""
-    row_of = {c: i for i, c in enumerate(coords)}
-    jac = unreduced_jacobian(shape, spec, coords, RANK_POINT_SEED, RANK_PRIME)
-    return lambda subset: jac[[row_of[c] for c in subset]]
 
 
 def generic_rank_finite(
@@ -424,7 +413,7 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     rows = _gf_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
         try:
-            selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt)
+            selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt, rows=rows)
         except (SelectionInfeasibleError, SelectionNotFoundError):
             if attempt == 0:
                 raise
@@ -505,7 +494,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     rows = _gf_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
         try:
-            selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt)
+            selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt, rows=rows)
         except (SelectionInfeasibleError, SelectionNotFoundError):
             if attempt == 0:
                 raise

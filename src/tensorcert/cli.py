@@ -3,10 +3,15 @@
 Every artifact embeds a run manifest (command, full flag echo, seed, package
 version) sufficient to reproduce it byte-for-byte; all randomness flows from
 the --seed flag, which defaults to 0 and is never time-based.
+
+The argument parser is built once per process and reused by every
+:func:`main` call; each call parses into a fresh namespace, so no flag or
+default carries over from one call to the next.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,6 +234,7 @@ def _cmd_paper_examples(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorcert",
@@ -295,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

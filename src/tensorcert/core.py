@@ -217,6 +217,10 @@ def write_pattern(pattern: SamplingPattern, path) -> None:
         fh.write("\n")
 
 
+def _int_list(values) -> bool:
+    return isinstance(values, list) and all(type(v) is int for v in values)
+
+
 def read_pattern(path) -> SamplingPattern:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -225,8 +229,14 @@ def read_pattern(path) -> SamplingPattern:
         raise MalformedPatternError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict) or "dims" not in payload or "observed" not in payload:
         raise MalformedPatternError(f"{path} must contain 'dims' and 'observed'")
+    # JSON gives 1.5 and true as float and bool, which int() would truncate.
+    dims, observed = payload["dims"], payload["observed"]
+    if not (
+        _int_list(dims) and isinstance(observed, list) and all(_int_list(c) for c in observed)
+    ):
+        raise MalformedPatternError(f"{path}: 'dims' and every observed coordinate must be lists of integers")
     try:
-        return SamplingPattern.from_coords(payload["dims"], payload["observed"])
+        return SamplingPattern.from_coords(dims, observed)
     except (CoordinateBoundsError, DuplicateCoordinateError):
         raise
     except (TypeError, ValueError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,13 +28,14 @@ from .core import Coord, CoordinateBoundsError, Shape
 __all__ = [
     "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
     "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "probe_point",
-    "unreduced_jacobian", "RANK_PRIME", "ModEchelon", "reaches_rank_mod_p",
+    "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "ModEchelon", "reaches_rank_mod_p",
 ]
 
 # The largest prime below 2**28.  Residues multiply within int64, and 128
 # products of them, plus one residue, still sum below 2**63.
 RANK_PRIME = 268_435_399
 _DOT_CHUNK = (2**63 - RANK_PRIME) // (RANK_PRIME - 1) ** 2
+RANK_POINT_SEED = 0x7A57E  # the GF(RANK_PRIME) point of every certificate's ranks
 
 
 @dataclass(frozen=True)
@@ -305,6 +306,20 @@ def unreduced_jacobian(
     for s, (r, d) in enumerate(zip(spec.ranks, d_fac)):
         jac[entry, offsets[s] + tails[:, s, None] * r + np.arange(r)] = d.T
     return jac
+
+
+JacobianRows = Callable[[Sequence[Coord]], np.ndarray]
+
+
+def _gf_rows(coords: Sequence[Coord], shape: Shape, spec: RankSpec) -> JacobianRows:
+    """``rows(subset)``: the unreduced Jacobian over GF(RANK_PRIME) of a
+    subset of ``coords`` at the point of ``RANK_POINT_SEED``, as a row
+    selection of the Jacobian of all of ``coords``, built once.  One
+    certificate shares it across all of its rank decisions, the selection
+    check's included."""
+    row_of = {c: i for i, c in enumerate(coords)}
+    jac = unreduced_jacobian(shape, spec, coords, RANK_POINT_SEED, RANK_PRIME)
+    return lambda subset: jac[[row_of[c] for c in subset]]
 
 
 def _dot_mod(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:

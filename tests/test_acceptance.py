@@ -16,12 +16,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tensorcert.assumptions import AssumptionError, TSelection, check_Aj
+from tensorcert.assumptions import AssumptionError, TSelection, check_Aj, find_T_selection
 from tensorcert.bounds import CurveConfig, emit_curves
 from tensorcert.certifier import certify_finite, subpro_consistency, verify_finite_witness
 from tensorcert.cli import EXIT_OK, main
 from tensorcert.core import SamplingPattern, Shape, write_pattern
-from tensorcert.geometry import RankSpec, canonical_structure
+from tensorcert.geometry import RankSpec, _gf_rows, canonical_structure
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
@@ -235,6 +235,30 @@ def test_selection_admissibility_matches_rank_oracle():
             assert ok == pins
             checked += 1
     assert checked >= 200
+
+
+@pytest.mark.parametrize("mode", ["A", "A+"])
+def test_selection_search_same_with_shared_rows(mode):
+    """On the first five draws of each sweep config, the selection search
+    returns the same selection (or the same refusal) whether the selection
+    check takes its first point's rows from the pattern's shared Jacobian,
+    as the certificates do, or builds them for each candidate."""
+    compared = 0
+    for dims, j, ranks, p in SWEEP_CONFIGS:
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial in range(5):
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            rows = _gf_rows(pattern.observed, shape, spec)
+            outcomes = []
+            for given in (None, rows):
+                try:
+                    outcomes.append(find_T_selection(pattern, spec, mode=mode, seed=3, rows=given))
+                except AssumptionError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (dims, j, ranks, trial)
+            compared += isinstance(outcomes[0], TSelection)
+    assert compared >= 20
 
 
 def test_counting_function_exhaustive():

@@ -23,8 +23,9 @@ from tensorcert.assumptions import (
     selection_pins_factors,
 )
 from tensorcert.certifier import certify_finite
+from tensorcert import geometry
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RankSpec
+from tensorcert.geometry import RankSpec, _gf_rows, factor_offsets, reaches_rank_mod_p
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import generate_instance, jacobian_rank
 
@@ -214,10 +215,7 @@ class TestHullCondition:
             assert not selection_pins_factors(shape, spec, entries)
 
 
-class TestSelectionPinsFactors:
-    @pytest.mark.parametrize(
-        "dims,spec,entries,pins",
-        [
+PIN_CASES = [
             ((5, 4), RankSpec(j=1, ranks=(2,)),
              [(1, 3), (1, 4), (2, 1), (3, 1), (4, 2), (4, 4), (5, 2), (5, 3)], True),
             ((5, 4), RankSpec(j=1, ranks=(2,)),
@@ -234,12 +232,44 @@ class TestSelectionPinsFactors:
             ((3, 3, 3, 3), RankSpec(j=2, ranks=(2, 2)),
              [(1, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1, 1), (1, 2, 1, 1), (1, 1, 1, 2), (2, 1, 1, 2),
               (1, 1, 2, 1), (2, 1, 2, 1), (1, 1, 3, 3), (2, 1, 3, 3), (1, 1, 2, 2), (1, 1, 3, 1)], False),
-        ],
-    )
+]
+
+
+class TestSelectionPinsFactors:
+    @pytest.mark.parametrize("dims,spec,entries,pins", PIN_CASES)
     def test_fixed_verdicts_agree_with_oracle(self, dims, spec, entries, pins):
+        """The same verdict from the selection's own Jacobian, from rows of a
+        superset pattern's shared Jacobian, and from the float oracle."""
         shape = Shape(dims=dims)
+        superset = _gf_rows(list(shape.coords()), shape, spec)
         assert selection_pins_factors(shape, spec, entries) == pins
+        assert selection_pins_factors(shape, spec, entries, rows=superset) == pins
         assert oracle_pins(shape, spec, entries) == pins
+
+    @pytest.mark.parametrize("dims,spec,entries,pins", PIN_CASES)
+    def test_given_rows_build_a_jacobian_only_on_a_shortfall(self, dims, spec, entries, pins, monkeypatch):
+        """With the certificate's rows given, the first point costs no
+        Jacobian build; only a shortfall there builds one, at the retry
+        point.  Without rows, the first point builds one of its own."""
+        shape = Shape(dims=dims)
+        superset = _gf_rows(list(shape.coords()), shape, spec)
+        offsets = factor_offsets(shape, spec)
+        target = offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
+        shortfall = not reaches_rank_mod_p(superset(entries)[:, offsets[0] :], target)
+        assert shortfall == (not pins)
+        builds = []
+
+        def counting(*args, original=geometry.unreduced_jacobian):
+            builds.append(args[-2])
+            return original(*args)
+
+        monkeypatch.setattr(assumptions, "unreduced_jacobian", counting)
+        monkeypatch.setattr(geometry, "unreduced_jacobian", counting)
+        selection_pins_factors(shape, spec, entries, rows=superset)
+        assert builds == ([assumptions._PIN_POINT_SEEDS[0]] if shortfall else [])
+        builds.clear()
+        selection_pins_factors(shape, spec, entries)
+        assert builds == [geometry.RANK_POINT_SEED] + ([assumptions._PIN_POINT_SEEDS[0]] if shortfall else [])
 
 
 class TestCheckAj:

@@ -189,6 +189,8 @@ class TestEmitCurves:
             CurveConfig(d=3, n=4, j=3, r_min=1, r_max=2, eps=0.1)
         with pytest.raises(ValueError):
             CurveConfig(d=3, n=4, j=1, r_min=1, r_max=2, eps=1.5)
+        with pytest.raises(ValueError, match="invalid rank range 3:1"):
+            CurveConfig(d=3, n=4, j=1, r_min=3, r_max=1, eps=0.1)
 
     def test_deterministic(self):
         config = CurveConfig(d=4, n=30, j=1, r_min=1, r_max=8, eps=0.05)

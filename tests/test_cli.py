@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tensorcert.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, main
+from tensorcert.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, build_parser, main
 from tensorcert.core import SamplingPattern, write_pattern
 from tensorcert.oracle import section_iib_pattern, section_iib_values
 
@@ -64,6 +64,51 @@ class TestCheckFinite:
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dims": [3, 3, 3], "observed": [[1, 1, 1], [1, 1.5, 2]]},
+            {"dims": [3, 3, 3], "observed": [[1, 1, 1], [True, 1, 2]]},
+            {"dims": [3.7, 3, 3], "observed": [[1, 1, 1]]},
+        ],
+        ids=["float-coordinate", "bool-coordinate", "float-dims"],
+    )
+    def test_non_integer_pattern_values_refused(self, payload, tmp_path, capsys):
+        """A value JSON does not give as an integer is refused, naming the
+        file, instead of being truncated to one."""
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "cert.json"
+        code = main(["check-finite", str(path), "--rank", "1,2", "--j", "1", "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert str(path) in err and "integers" in err
+        assert not out.exists()
+
+
+class TestParser:
+    def test_calls_share_no_state(self, full_cube, tmp_path, capsys):
+        """The reused parser gives each call fresh defaults: a second call
+        without --seed and --out runs at seed 0 and writes to stdout."""
+        out = tmp_path / "cert.json"
+        argv = ["check-finite", full_cube, "--rank", "1,2", "--j", "1"]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["manifest"]["seed"] == 7
+        assert capsys.readouterr().out == ""
+        before = out.read_bytes()
+        assert main(argv) == EXIT_OK
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert manifest["seed"] == 0 and "out" not in manifest["config"]
+        assert out.read_bytes() == before
+
+    def test_parser_built_once(self, full_cube, tmp_path):
+        build_parser.cache_clear()
+        out = str(tmp_path / "cert.json")
+        for seed in ("1", "2", "3"):
+            assert main(["check-finite", full_cube, "--rank", "1,2", "--j", "1", "--seed", seed, "--out", out]) == EXIT_OK
+        assert build_parser.cache_info().misses == 1
+        assert build_parser.cache_info().hits == 2
+
 
 class TestCheckUnique:
     def test_fully_observed_unique(self, full_cube, tmp_path):
@@ -98,6 +143,14 @@ class TestBounds:
         code = main(["bounds", "--d", "3", "--n", "12", "--j", "1", "--rank-range", "14", "--eps", "0.1"])
         assert code == EXIT_ERROR
         assert "rank-range" in capsys.readouterr().err
+
+    def test_empty_rank_range_refused(self, capsys, tmp_path):
+        out = tmp_path / "curves.csv"
+        code = main(["bounds", "--d", "3", "--n", "12", "--j", "1", "--rank-range", "3:1", "--eps", "0.1",
+                     "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "invalid rank range 3:1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "curves.csv"
