@@ -37,13 +37,14 @@ witness, the rank of the full pattern at the same point decides.  So
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import Coord, SamplingPattern, Shape, unflatten_index
 from .geometry import (
     RANK_POINT_SEED,
+    JacobianRows,
     ModEchelon,
     RankSpec,
     _gf_rows,
@@ -217,7 +218,7 @@ def _rank_target(shape: Shape, spec: RankSpec) -> int:
 
 
 def generic_rank_finite(
-    pattern_coords: Sequence[Coord], shape, spec: RankSpec, jacobian_rows: Optional[Callable] = None
+    pattern_coords: Sequence[Coord], shape, spec: RankSpec, jacobian_rows: Optional[JacobianRows] = None
 ) -> bool:
     """True when the given observed entries determine the tensor up to
     finitely many completions, decided at a random point of GF(p).
@@ -341,7 +342,7 @@ def _finite_search(
     spec: RankSpec,
     constraint: ConstraintMatrix,
     selection: TSelection,
-    rows: Callable[[Sequence[Coord]], np.ndarray],
+    rows: JacobianRows,
 ) -> Iterator[tuple[int, ...]]:
     """Witnesses of ``core_dim`` columns, in search order, each confirmed:
     with the designated entries, their free entries reach rank
@@ -364,7 +365,7 @@ def _finite_search(
 
 
 def _certify_finite_once(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: Callable
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: JacobianRows
 ) -> FiniteCertificate:
     constraint = build_constraint(pattern, spec, selection)
     n = core_dim(pattern.shape, spec)
