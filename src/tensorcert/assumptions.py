@@ -14,12 +14,24 @@ each entry is a T1 node, each trailing coordinate ``(i, x)`` offers ``w_i``
 T2 slots, and an entry is adjacent to every slot of each of its trailing
 coordinates.  A set of entries then sees exactly the slots of its smallest
 hull, so the screen is decided by one matching that saturates every entry,
-and a Hall witness, when there is none, spans an overdrawn hull.
+and a Hall witness, when there is none, spans an overdrawn hull.  The sets
+that pass are the independent sets of a transversal matroid.
+
+Pinning also asks the factor block of the selection's Jacobian to reach rank
+``target = sum n_i r_i - (d - j - 1)``.  The factor row of an entry is
+supported on the ``r_i`` factor entries ``T_i(:, x_i)`` of its trailing
+coordinates, which are its slots (``w_i >= r_i``).  Independent rows have a
+nonzero minor, whose every nonzero term matches the rows into their support,
+so every set of independent rows passes the screen: the linear matroid is a
+weak-map image of the transversal one.  An admissible selection therefore
+exists exactly when ``needed`` observed entries pass the screen together and
+all observed factor rows reach ``target``: a basis of those rows passes the
+screen, and the matching greedy extends it to ``needed`` entries.
+:func:`find_T_selection` builds the selection that way.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -28,6 +40,7 @@ from .core import Coord, SamplingPattern, Shape
 from .geometry import (
     RANK_PRIME,
     JacobianRows,
+    ModEchelon,
     RankSpec,
     _gf_rows,
     factor_offsets,
@@ -51,11 +64,6 @@ __all__ = [
     "select_T_entries",
     "find_T_selection",
 ]
-
-# Randomized candidates tried by select_T_entries, and the number of entry
-# combinations find_T_selection may scan when those run out.
-SELECTION_ATTEMPTS = 40
-EXHAUSTIVE_LIMIT = 200_000
 
 
 class AssumptionError(ValueError):
@@ -171,6 +179,12 @@ def hull_condition(
 _PIN_POINT_SEEDS = (0xA11CE,)
 
 
+def _pin_target(offsets: Sequence[int], spec: RankSpec) -> int:
+    """Factor-block rank that pins the factors: every factor entry but the
+    d - j - 1 compensating scalings."""
+    return offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
+
+
 def selection_pins_factors(
     shape: Shape, spec: RankSpec, entries: Sequence[Coord], rows: Optional[JacobianRows] = None
 ) -> bool:
@@ -187,7 +201,7 @@ def selection_pins_factors(
     """
     spec.check_shape(shape)
     offsets = factor_offsets(shape, spec)
-    target = offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
+    target = _pin_target(offsets, spec)
     coords = [tuple(c) for c in entries]
     if len(coords) < target:
         return False
@@ -203,8 +217,7 @@ def _validate_selection(
 ) -> None:
     shape = pattern.shape
     spec.check_shape(shape)
-    weights = _per_dim_weights(spec, plus)
-    needed = sum(n * w for n, w in zip(spec.tail_dims(shape), weights))
+    needed = _selection_size(shape, spec, plus)
     if len(selection.entries) != needed:
         raise AssumptionError(
             f"selection has {len(selection.entries)} entries, expected {needed}"
@@ -258,46 +271,32 @@ def _selection_size(shape: Shape, spec: RankSpec, plus: bool) -> int:
     return sum(n * w for n, w in zip(spec.tail_dims(shape), weights))
 
 
-def _columns_by_tail(pattern: SamplingPattern, j: int) -> dict[tuple[int, ...], list[Coord]]:
-    by_tail: dict[tuple[int, ...], list[Coord]] = {}
-    for coord in pattern.observed:
-        by_tail.setdefault(coord[j:], []).append(coord)
-    return by_tail
-
-
-def _spread_candidate(
-    pattern: SamplingPattern, spec: RankSpec, plus: bool, rng: random.Random
-) -> Optional[tuple[Coord, ...]]:
-    """One observed entry in each of `needed` distinct trailing columns."""
-    shape = pattern.shape
-    needed = _selection_size(shape, spec, plus)
-    by_tail = _columns_by_tail(pattern, spec.j)
-    if needed > len(by_tail):
-        return None
-    chosen_tails = rng.sample(sorted(by_tail), needed)
-    return tuple(rng.choice(sorted(by_tail[t])) for t in chosen_tails)
+def _seed_order(pattern: SamplingPattern, seed: int) -> list[Coord]:
+    """The observed entries in lexicographic order, shuffled unless seed is 0."""
+    order = sorted(pattern.observed)
+    if seed:
+        random.Random(seed * 1_000_003).shuffle(order)
+    return order
 
 
 def _greedy_candidate(
-    pattern: SamplingPattern, spec: RankSpec, plus: bool, rng: Optional[random.Random]
+    shape: Shape, spec: RankSpec, plus: bool, order: Sequence[Coord]
 ) -> Optional[tuple[Coord, ...]]:
-    """Greedy accumulation in (jittered) lexicographic order, keeping an entry
-    whenever the counting screen still passes.  The order naturally packs
-    several designated entries into the same trailing column, which downstream
-    witness searches often need.
+    """Greedy accumulation over ``order``, keeping an entry whenever the
+    counting screen still passes.  Lexicographic order naturally packs
+    several designated entries into the same trailing column, which
+    downstream witness searches often need.
 
     The kept entries stay matched into their slots, so an entry passes the
     screen together with them exactly when one alternating search from it
     succeeds (a failed search leaves the matching as it was).  This is the
     greedy of a transversal matroid, so it returns None, in any entry order,
-    exactly when no `needed` entries pass the screen together."""
-    needed = _selection_size(pattern.shape, spec, plus)
-    entries = sorted(pattern.observed)
-    if rng is not None:
-        rng.shuffle(entries)
-    adj, mate = _slot_graph(pattern.shape, spec, entries, plus)
+    exactly when no `needed` entries pass the screen together, and it keeps
+    every entry of a prefix that passes."""
+    needed = _selection_size(shape, spec, plus)
+    adj, mate = _slot_graph(shape, spec, order, plus)
     chosen: list[Coord] = []
-    for u, coord in enumerate(entries):
+    for u, coord in enumerate(order):
         if _alternating_search(adj, mate, u) is None:
             chosen.append(coord)
             if len(chosen) == needed:
@@ -313,57 +312,16 @@ def select_T_entries(
     hint: Optional[TSelection] = None,
     rows: Optional[JacobianRows] = None,
 ) -> TSelection:
-    """Pick an admissible designated selection.
-
-    Candidates come from two generators — greedy lexicographic accumulation
-    (concentrating entries in few trailing columns) and randomized spread
-    (one entry per column) — and each is kept only when the full admissibility
-    check passes.  A `hint` selection is verified and returned verbatim when
-    it passes.  When the greedy falls short, no selection of the needed size
-    passes the hull screen, and the search stops there.  ``rows`` is passed on
-    to the admissibility check.
-    """
-    plus = mode == "A+"
-    shape = pattern.shape
-    spec.check_shape(shape)
-    checker = check_Aj_plus if plus else check_Aj
-
-    if hint is not None:
-        ok, _ = checker(pattern, spec, hint, rows=rows)
-        if ok:
-            return hint
-        raise SelectionNotFoundError("hinted selection fails the admissibility check")
-
-    needed = _selection_size(shape, spec, plus)
-    if needed > pattern.num_observed:
-        raise SelectionInfeasibleError(
-            f"selection needs {needed} entries but only {pattern.num_observed} are observed"
-        )
-
-    tried: set[tuple[Coord, ...]] = set()
-    for attempt in range(SELECTION_ATTEMPTS):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        if attempt % 2 == 0:
-            candidate = _greedy_candidate(pattern, spec, plus, None if attempt == 0 and seed == 0 else rng)
-            if candidate is None:
-                raise SelectionNotFoundError(
-                    f"no {needed} observed entries pass the hull screen together"
-                )
-        else:
-            candidate = _spread_candidate(pattern, spec, plus, rng)
-            if candidate is None:
-                continue
-        key = tuple(sorted(candidate))
-        if key in tried:
-            continue
-        tried.add(key)
-        selection = TSelection(entries=candidate, mode=mode)
-        ok, _ = checker(pattern, spec, selection, rows=rows)
-        if ok:
-            return selection
-    raise SelectionNotFoundError(
-        f"no admissible selection found in {SELECTION_ATTEMPTS} randomized attempts"
-    )
+    """Pick an admissible designated selection: a `hint` is verified by the
+    admissibility check (with ``rows``) and returned verbatim when it passes;
+    without one, :func:`find_T_selection` builds the selection."""
+    if hint is None:
+        return find_T_selection(pattern, spec, mode=mode, seed=seed, rows=rows)
+    checker = check_Aj_plus if mode == "A+" else check_Aj
+    ok, _ = checker(pattern, spec, hint, rows=rows)
+    if ok:
+        return hint
+    raise SelectionNotFoundError("hinted selection fails the admissibility check")
 
 
 def find_T_selection(
@@ -373,35 +331,51 @@ def find_T_selection(
     seed: int = 0,
     rows: Optional[JacobianRows] = None,
 ) -> TSelection:
-    """Randomized selection search with an exhaustive desk-scale fallback.
+    """Exact construction of an admissible designated selection, or a proof
+    that none exists at the GF(p) point of ``RANK_POINT_SEED``.
 
-    When the randomized strategies run out of retries, fall back to scanning
-    combinations of observed entries directly, provided the combination count
-    stays under `EXHAUSTIVE_LIMIT`.  A search that proved no selection passes
-    the hull screen is refused at once, with no scan.  ``rows`` (a
-    :func:`~tensorcert.geometry._gf_rows` covering the observed entries) is
-    passed on to every admissibility check.
+    1. The greedy over the seed's order of the observed entries picks ``X0``;
+       a shortfall proves that no `needed` entries pass the hull screen.
+    2. A greedy GF(p) basis ``Y`` of the factor rows of ``X0`` and then of
+       the other entries stops at the pinning rank; falling short of it
+       proves that no selection pins the factors.
+    3. The greedy over ``Y``, then ``X0``, then the rest keeps ``Y`` (it
+       passes the screen, see the module docstring) and grows it to
+       `needed` entries, so the selection pins the factors by construction.
+       When ``X0`` pins them already, ``Y`` lies inside it and the
+       selection is ``X0``.
+
+    ``rows`` is a :func:`~tensorcert.geometry._gf_rows` covering the
+    observed entries; without it, one is built at ``RANK_POINT_SEED``.
     """
-    try:
-        return select_T_entries(pattern, spec, mode=mode, seed=seed, rows=rows)
-    except SelectionInfeasibleError:
-        raise
-    except SelectionNotFoundError:
-        # A greedy shortfall proves that no selection passes the hull screen,
-        # so no scan could succeed.
-        if _greedy_candidate(pattern, spec, mode == "A+", rng=None) is None:
-            raise
-
     plus = mode == "A+"
-    checker = check_Aj_plus if plus else check_Aj
-    needed = _selection_size(pattern.shape, spec, plus)
-    if math.comb(pattern.num_observed, needed) > EXHAUSTIVE_LIMIT:
-        raise SelectionNotFoundError(
-            "exhaustive selection search exceeds the desk-scale guard"
+    shape = pattern.shape
+    spec.check_shape(shape)
+    needed = _selection_size(shape, spec, plus)
+    if needed > pattern.num_observed:
+        raise SelectionInfeasibleError(
+            f"selection needs {needed} entries but only {pattern.num_observed} are observed"
         )
-    for combo in itertools.combinations(sorted(pattern.observed), needed):
-        candidate = TSelection(entries=combo, mode=mode)
-        ok, _ = checker(pattern, spec, candidate, rows=rows)
-        if ok:
-            return candidate
-    raise SelectionNotFoundError("no admissible selection exists for this pattern")
+    order = _seed_order(pattern, seed)
+    first = _greedy_candidate(shape, spec, plus, order)
+    if first is None:
+        raise SelectionNotFoundError(f"no {needed} observed entries pass the hull screen together")
+    order = list(dict.fromkeys([*first, *order]))
+
+    offsets = factor_offsets(shape, spec)
+    target = _pin_target(offsets, spec)
+    rows = rows or _gf_rows(pattern.observed, shape, spec)
+    echelon = ModEchelon(offsets[-1] - offsets[0])
+    basis = []
+    for coord, row in zip(order, rows(order)[:, offsets[0] :]):
+        if echelon.rank == target:
+            break
+        if echelon.push(row):
+            basis.append(coord)
+    if echelon.rank < target:
+        raise SelectionNotFoundError(
+            f"the observed entries' factor block reaches rank {echelon.rank}, short of the {target} that pins the factors"
+        )
+    selection = _greedy_candidate(shape, spec, plus, list(dict.fromkeys(basis + order)))
+    assert selection is not None and set(basis) <= set(selection)
+    return TSelection(entries=selection, mode=mode)

@@ -54,8 +54,6 @@ from .geometry import (
 )
 from .assumptions import (
     AssumptionError,
-    SelectionInfeasibleError,
-    SelectionNotFoundError,
     TSelection,
     check_Bj,
     find_T_selection,
@@ -413,12 +411,7 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     tried_entries: set[tuple] = set()
     rows = _gf_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
-        try:
-            selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt, rows=rows)
-        except (SelectionInfeasibleError, SelectionNotFoundError):
-            if attempt == 0:
-                raise
-            continue
+        selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt, rows=rows)
         if selection.entries in tried_entries:
             continue
         tried_entries.add(selection.entries)
@@ -494,12 +487,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     tried_entries: set[tuple] = set()
     rows = _gf_rows(pattern.observed, pattern.shape, spec)
     for attempt in range(SELECTION_RETRIES + 1):
-        try:
-            selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt, rows=rows)
-        except (SelectionInfeasibleError, SelectionNotFoundError):
-            if attempt == 0:
-                raise
-            continue
+        selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt, rows=rows)
         if selection.entries in tried_entries:
             continue
         tried_entries.add(selection.entries)

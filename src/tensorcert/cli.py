@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import SamplingPattern, Shape, read_pattern
+from .core import SamplingPattern, Shape, _int_list, read_pattern
 from .geometry import RankSpec
 from .assumptions import AssumptionError
 from .bounds import CurveConfig, emit_curves
@@ -144,14 +144,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_values(path: str, pattern: SamplingPattern) -> dict:
+    """``{"entries": [{"coord": [1, 2, 1], "value": 0.5}, ...]}``, one entry
+    per observed coordinate; a JSON integer coordinate and a finite JSON
+    number value each, or a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path} must be an object with an 'entries' list")
     values = {}
-    for entry in payload["entries"]:
-        coord = tuple(int(x) for x in entry["coord"])
-        values[coord] = float(entry["value"])
-    if set(values) != set(pattern.observed):
-        raise SystemExit("error: value entries must cover exactly the observed pattern")
+    for entry in entries:
+        coord, value = (entry.get("coord"), entry.get("value")) if isinstance(entry, dict) else (None, None)
+        # JSON gives true as bool and "1e400" as str, which float() would take.
+        if not (
+            _int_list(coord) and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+        ):
+            raise ValueError(f"{path}: every entry needs integer 'coord' and a finite number 'value', got {entry!r}")
+        values[tuple(coord)] = float(value)
+    if len(values) != len(entries) or set(values) != set(pattern.observed):
+        raise ValueError(f"{path}: value entries must cover exactly the observed pattern, once each")
     return values
 
 

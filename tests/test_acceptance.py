@@ -6,6 +6,7 @@ verification of the counting function, the bipartite subgraph constructions,
 threshold-curve validity cuts, Monte Carlo bound sanity, and byte-level CLI
 determinism.  Stated wall-clock budgets are asserted directly.
 """
+import hashlib
 import itertools
 import json
 import math
@@ -16,7 +17,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tensorcert.assumptions import AssumptionError, TSelection, check_Aj, find_T_selection
+from tensorcert.assumptions import (
+    AssumptionError,
+    TSelection,
+    _greedy_candidate,
+    _seed_order,
+    check_Aj,
+    check_Aj_plus,
+    find_T_selection,
+)
 from tensorcert.bounds import CurveConfig, emit_curves
 from tensorcert.certifier import certify_finite, subpro_consistency, verify_finite_witness
 from tensorcert.cli import EXIT_OK, main
@@ -172,15 +181,20 @@ def test_certifier_oracle_equivalence_sweep():
 
 # Per sweep config, over all 40 draws: "finite" verdicts (with a witness,
 # without one).  The witness-less ones are decided by the full pattern's rank.
-SWEEP_WITNESS_COVERAGE = [(35, 4), (23, 13), (23, 16), (0, 0), (0, 0), (40, 0), (40, 0), (38, 0)]
+SWEEP_WITNESS_COVERAGE = [(36, 3), (25, 11), (23, 16), (0, 0), (0, 0), (40, 0), (40, 0), (38, 0)]
+# SHA-256 over the sweep's 320 certificates (sorted-key JSON of to_dict())
+# and refusals (class and text), one line each in sweep order.
+SWEEP_CERTIFICATE_DIGEST = "efe768eb163d11f31c520d84fa0a309a30cccd157d197c080c66f72f07462ed9"
 
 
 def test_sweep_witness_coverage_and_replay():
     """Every witness of the sweep's "finite" verdicts replays, and the count
     of witnessed and witness-less "finite" verdicts per config is pinned, so
-    a change that loses a witness fails here."""
+    a change that loses a witness fails here.  One digest of every
+    certificate and refusal pins them byte for byte."""
     with Budget(60.0):
         coverage = []
+        digest = hashlib.sha256()
         for dims, j, ranks, p in SWEEP_CONFIGS:
             shape = Shape(dims=dims)
             spec = RankSpec(j=j, ranks=ranks)
@@ -189,8 +203,10 @@ def test_sweep_witness_coverage_and_replay():
                 pattern = sample_pattern(shape, p, seed=5, trial=trial)
                 try:
                     cert = certify_finite(pattern, spec, seed=3)
-                except AssumptionError:
+                except AssumptionError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
                     continue
+                digest.update((json.dumps(cert.to_dict(), sort_keys=True) + "\n").encode())
                 if cert.verdict != "finite":
                     continue
                 if cert.witness_columns is None:
@@ -200,6 +216,7 @@ def test_sweep_witness_coverage_and_replay():
                 witnessed += 1
             coverage.append((witnessed, witnessless))
         assert coverage == SWEEP_WITNESS_COVERAGE
+        assert digest.hexdigest() == SWEEP_CERTIFICATE_DIGEST
 
 
 def test_selection_admissibility_matches_rank_oracle():
@@ -259,6 +276,31 @@ def test_selection_search_same_with_shared_rows(mode):
             assert outcomes[0] == outcomes[1], (dims, j, ranks, trial)
             compared += isinstance(outcomes[0], TSelection)
     assert compared >= 20
+
+
+@pytest.mark.parametrize("mode", ["A", "A+"])
+def test_pinning_greedy_candidate_kept(mode):
+    """On the first five draws of each sweep config, whenever the greedy
+    candidate in the seed's order passes the admissibility check, the
+    selection search returns exactly that candidate, so the certificates
+    built on it stay as they were."""
+    checker = check_Aj_plus if mode == "A+" else check_Aj
+    kept = repaired = 0
+    for dims, j, ranks, p in SWEEP_CONFIGS:
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial, seed in itertools.product(range(5), (0, 3)):
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            candidate = _greedy_candidate(shape, spec, mode == "A+", _seed_order(pattern, seed))
+            if candidate is None:
+                continue
+            selection = TSelection(entries=candidate, mode=mode)
+            if checker(pattern, spec, selection)[0]:
+                assert find_T_selection(pattern, spec, mode=mode, seed=seed) == selection, (dims, j, ranks, trial)
+                kept += 1
+            else:
+                repaired += 1
+    assert kept >= 50 and repaired
 
 
 def test_counting_function_exhaustive():

@@ -1,5 +1,6 @@
 """Designated-selection admissibility checks and selection search."""
 import itertools
+import math
 import random
 import time
 
@@ -54,15 +55,12 @@ def brute_force_hull(shape: Shape, spec: RankSpec, entries, plus: bool):
     return True, None
 
 
-def reference_greedy(pattern: SamplingPattern, spec: RankSpec, plus: bool, rng):
+def reference_greedy(shape: Shape, spec: RankSpec, plus: bool, order):
     """The selection greedy re-checking every grown prefix by brute force."""
-    needed = selection_size(pattern.shape, spec, plus)
-    entries = sorted(pattern.observed)
-    if rng is not None:
-        rng.shuffle(entries)
+    needed = selection_size(shape, spec, plus)
     chosen = []
-    for coord in entries:
-        if brute_force_hull(pattern.shape, spec, chosen + [coord], plus)[0]:
+    for coord in order:
+        if brute_force_hull(shape, spec, chosen + [coord], plus)[0]:
             chosen.append(coord)
             if len(chosen) == needed:
                 return tuple(chosen)
@@ -175,11 +173,10 @@ class TestHullCondition:
         found = 0
         for trial, plus in itertools.product(range(2), (False, True)):
             pattern = sample_pattern(shape, 0.5, seed=23, trial=trial)
-            for order_seed in (None, trial):
-                ours, ref = (
-                    greedy(pattern, spec, plus, None if order_seed is None else random.Random(order_seed))
-                    for greedy in (_greedy_candidate, reference_greedy)
-                )
+            shuffled = sorted(pattern.observed)
+            random.Random(trial).shuffle(shuffled)
+            for order in (sorted(pattern.observed), shuffled):
+                ours, ref = (greedy(shape, spec, plus, order) for greedy in (_greedy_candidate, reference_greedy))
                 assert ours == ref
                 found += ours is not None
         assert found
@@ -213,6 +210,15 @@ class TestHullCondition:
                 continue
             checked += 1
             assert not selection_pins_factors(shape, spec, entries)
+
+
+# Small shapes whose every `needed`-subset of a sparse pattern can be walked.
+EXACTNESS_CASES = [
+    ((3, 3, 3), RankSpec(j=1, ranks=(1, 2))),
+    ((3, 3, 3), RankSpec(j=1, ranks=(1, 1))),
+    ((2, 3, 3), RankSpec(j=1, ranks=(1, 1))),
+    ((3, 3, 3), RankSpec(j=2, ranks=(2,))),
+]
 
 
 PIN_CASES = [
@@ -379,14 +385,14 @@ class TestSelectTEntries:
 
 
 class TestFindTSelection:
-    def test_matches_randomized_search_when_it_succeeds(self):
+    def test_full_pattern_selection_admissible(self):
         pattern = SamplingPattern.full((3, 3, 3))
         spec = RankSpec(j=1, ranks=(1, 2))
         sel = find_T_selection(pattern, spec)
         ok, _ = check_Aj(pattern, spec, sel)
         assert ok
 
-    def test_exhaustive_fallback_proves_nonexistence(self):
+    def test_hull_shortfall_proves_nonexistence(self):
         # all nine observed entries lie in the hull ({1,2,3}, {1}) of budget
         # 3 + 1 = 4, so every 6-entry selection overdraws it; the greedy
         # falls short and proves that no admissible selection exists.
@@ -431,8 +437,42 @@ class TestFindTSelection:
                         for combo in itertools.combinations(pattern.observed, needed)
                     )
                     continue
-            assert _greedy_candidate(pattern, spec, False, None) is not None
+            assert _greedy_candidate(shape, spec, False, sorted(pattern.observed)) is not None
         assert refused == 3
+
+    def test_refuses_exactly_when_brute_force_finds_none(self):
+        """On small patterns, the search refuses exactly when no
+        `needed`-subset of the observed entries passes both the hull screen
+        and the factor-block rank at RANK_POINT_SEED, and every selection it
+        returns passes the admissibility check.  Both kinds of refusal
+        occur."""
+        kinds = {"found": 0, "hull": 0, "rank": 0}
+        for dims, spec in EXACTNESS_CASES:
+            shape = Shape(dims=dims)
+            offsets = factor_offsets(shape, spec)
+            target = offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
+            for plus in (False, True):
+                needed = selection_size(shape, spec, plus)
+                checker = check_Aj_plus if plus else check_Aj
+                for trial in range(40):
+                    pattern = sample_pattern(shape, (needed + 2) / shape.size, seed=13, trial=trial)
+                    if pattern.num_observed < needed or math.comb(pattern.num_observed, needed) > 2000:
+                        continue
+                    rows = _gf_rows(pattern.observed, shape, spec)
+                    exists = any(
+                        hull_condition(shape, spec, combo, plus)[0]
+                        and reaches_rank_mod_p(rows(combo)[:, offsets[0] :], target)
+                        for combo in itertools.combinations(pattern.observed, needed)
+                    )
+                    try:
+                        selection = find_T_selection(pattern, spec, mode="A+" if plus else "A")
+                    except SelectionNotFoundError as exc:
+                        assert not exists, (dims, spec, plus, trial)
+                        kinds["hull" if "hull screen" in str(exc) else "rank"] += 1
+                        continue
+                    assert exists and checker(pattern, spec, selection)[0], (dims, spec, plus, trial)
+                    kinds["found"] += 1
+        assert kinds == {"found": 177, "hull": 45, "rank": 5}
 
     def test_infeasible_propagates(self):
         pattern = SamplingPattern.from_coords((3, 3, 3), [(1, 1, 1)])

@@ -35,6 +35,16 @@ def anchor_cube(tmp_path):
     return str(ppath), str(vpath)
 
 
+def _first_entry(**change):
+    """A values-file edit that changes fields of its first entry."""
+
+    def edit(payload):
+        payload["entries"][0].update(change)
+        return payload
+
+    return edit
+
+
 class TestCheckFinite:
     def test_finite_artifact(self, full_cube, tmp_path):
         out = tmp_path / "cert.json"
@@ -246,6 +256,31 @@ class TestOracle:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert len(payload["completions"]) == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _first_entry(coord=[1.9, 1, 1]),
+            _first_entry(coord=[True, 1, 1]),
+            _first_entry(value=True),
+            _first_entry(value="1e400"),
+            lambda payload: {"values": payload["entries"]},
+            lambda payload: payload["entries"],
+        ],
+        ids=["float-coordinate", "bool-coordinate", "bool-value", "string-value", "no-entries", "json-list"],
+    )
+    def test_malformed_values_refused(self, edit, anchor_cube, tmp_path, capsys):
+        """A values file that does not give integer coordinates and finite
+        numbers in an ``entries`` list is refused, naming the file, instead
+        of being truncated, coerced or crashing."""
+        ppath, vpath = anchor_cube
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(open(vpath).read()))))
+        out = tmp_path / "sols.json"
+        code = main(["oracle", ppath, "--rank", "1,1", "--j", "1", "--values", str(bad), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_values_or_generate_required(self, full_cube, capsys):
         code = main(["oracle", full_cube, "--rank", "1,2", "--j", "1"])
