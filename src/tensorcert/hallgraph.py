@@ -9,19 +9,21 @@ vertex) leaves the retained-edge choice for the removed vertex underdetermined,
 so every construction is verified against the postconditions and falls back to
 a complete backtracking search when the quick choice breaks the margin.
 
-Matchings come from scipy's compiled Hopcroft-Karp.  The defect test reuses
-that one base matching and extends it only by iterative alternating searches,
-so no matching or defect test recurses on the size of the graph.
+A graph is kept as one CSR biadjacency, built in one numpy pass from a
+drawn 2-D array.  Matchings come from scipy's compiled Hopcroft-Karp on that
+CSR; the defect test decides r = 0 from that one base matching and r = 1 from
+one compiled strong-component pass, and extends the matching by iterative
+alternating searches only for r >= 2 or to name a Hall witness, so no
+matching or defect test recurses on the size of the graph.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_bipartite_matching
 
 __all__ = [
     "BipartiteGraph",
@@ -45,42 +47,77 @@ class HallPreconditionError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
 class BipartiteGraph:
-    """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2).
+    """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2), kept as a
+    CSR biadjacency: T1 node u's 0-based T2 indices are
+    ``indices[indptr[u - 1]:indptr[u]]``, sorted and duplicate-free.
 
-    ``adj`` is stored as sorted, duplicate-free tuples.  Neighbour lists may
-    be given in any order and with repeats; a 2-D integer array (one row per
-    T1 node, all of one degree) is checked in one pass instead and must not
-    repeat a neighbour within a row."""
+    Neighbour lists may be given in any order and with repeats; a 2-D integer
+    array (one row per T1 node, all of one degree) is checked in one pass
+    instead and must not repeat a neighbour within a row.  ``adj``, the
+    neighbour lists as sorted tuples of ints, is built on first read; equality
+    and hashing go through it."""
 
-    size_t1: int
-    size_t2: int
-    adj: tuple[tuple[int, ...], ...]
+    __slots__ = ("size_t1", "size_t2", "indptr", "indices", "_adj")
 
-    def __post_init__(self) -> None:
-        if self.size_t1 < 1 or self.size_t2 < 1:
+    def __init__(self, size_t1: int, size_t2: int, adj: Sequence[Iterable[int]] | np.ndarray) -> None:
+        if size_t1 < 1 or size_t2 < 1:
             raise ValueError("both node sets must be nonempty")
-        if len(self.adj) != self.size_t1:
+        if len(adj) != size_t1:
             raise ValueError("need one neighbor list per T1 node")
-        if isinstance(self.adj, np.ndarray) and self.adj.ndim == 2 and self.adj.dtype.kind in "iu":
-            rows = np.sort(self.adj, axis=1)
-            if rows.size and not (rows[:, 0].min() >= 1 and rows[:, -1].max() <= self.size_t2):
+        self.size_t1 = size_t1
+        self.size_t2 = size_t2
+        if isinstance(adj, np.ndarray) and adj.ndim == 2 and adj.dtype.kind in "iu":
+            rows = np.sort(adj, axis=1)
+            if rows.size and not (rows[:, 0].min() >= 1 and rows[:, -1].max() <= size_t2):
                 raise ValueError("neighbor index out of range")
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("repeated neighbor in an array row")
-            object.__setattr__(self, "adj", tuple(map(tuple, rows.tolist())))
+            self.indptr = np.arange(size_t1 + 1, dtype=np.int32) * rows.shape[1]
+            self.indices = rows.astype(np.int32).ravel() - 1
+            self._adj: Optional[tuple[tuple[int, ...], ...]] = None
             return
         cleaned = []
-        for nbrs in self.adj:
+        for nbrs in adj:
             ns = tuple(sorted(set(map(int, nbrs))))
-            if ns and not (1 <= ns[0] and ns[-1] <= self.size_t2):
+            if ns and not (1 <= ns[0] and ns[-1] <= size_t2):
                 raise ValueError("neighbor index out of range")
             cleaned.append(ns)
-        object.__setattr__(self, "adj", tuple(cleaned))
+        self._adj = tuple(cleaned)
+        self.indptr, self.indices = _csr(self._adj)
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            self._adj = _tuples(self.indptr, self.indices)
+        return self._adj
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size_t1, self.size_t2, self.adj) == (other.size_t1, other.size_t2, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.size_t1, self.size_t2, self.adj))
+
+    def __repr__(self) -> str:
+        return f"BipartiteGraph(size_t1={self.size_t1}, size_t2={self.size_t2}, adj={self.adj})"
 
     def masks(self) -> list[int]:
         return [_to_mask(nbrs) for nbrs in self.adj]
+
+
+def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of 1-based neighbour lists, 0-based indices."""
+    indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), dtype=np.int32, count=len(adj) + 1)
+    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32, count=indptr[-1]) - 1
+    return indptr, indices
+
+
+def _tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The 1-based neighbour lists of a CSR biadjacency."""
+    flat = (indices + 1).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(indptr.tolist()))
 
 
 def _to_mask(neighbors: Iterable[int]) -> int:
@@ -109,13 +146,20 @@ def _mask_width(masks: Sequence[int]) -> int:
 # Matching
 
 
-def _hopcroft_karp(adj: Sequence[Sequence[int]], size_t2: int) -> list[int]:
-    """Maximum matching (Hopcroft-Karp, compiled in scipy) of the graph with
-    T1 adjacency ``adj``: per T1 node its matched T2 label, or 0 when unmatched."""
-    indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), dtype=np.int32, count=len(adj) + 1)
-    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32, count=indptr[-1]) - 1
-    graph = csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(len(adj), size_t2))
-    return (maximum_bipartite_matching(graph, perm_type="column") + 1).tolist()
+def _hopcroft_karp(indptr: np.ndarray, indices: np.ndarray, size_t2: int) -> np.ndarray:
+    """Maximum matching (Hopcroft-Karp, compiled in scipy) of a CSR
+    biadjacency: per T1 node its matched 0-based T2 index, or -1."""
+    graph = csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(indptr.size - 1, size_t2))
+    return maximum_bipartite_matching(graph, perm_type="column")
+
+
+def _mate(matched: np.ndarray, size_t2: int) -> list[int]:
+    """The matching as :func:`_alternating_search` keeps it: T2 label -> T1
+    node, -1 when free."""
+    mate = np.full(size_t2 + 1, -1)
+    rows = np.flatnonzero(matched >= 0)
+    mate[matched[rows] + 1] = rows
+    return mate.tolist()
 
 
 def _alternating_search(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> Optional[tuple[int, ...]]:
@@ -153,8 +197,8 @@ def max_matching(g: BipartiteGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
     Returns (size, pairs) with pairs as (t1, t2), sorted by t1.
     """
-    matched = _hopcroft_karp(g.adj, g.size_t2)
-    pairs = tuple((u + 1, v) for u, v in enumerate(matched) if v)
+    matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2).tolist()
+    pairs = tuple((u + 1, v + 1) for u, v in enumerate(matched) if v >= 0)
     return len(pairs), pairs
 
 
@@ -189,62 +233,72 @@ def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
     return _defect_brute(g.masks())
 
 
-def _clone_fits(adj: Sequence[Sequence[int]], matched: Sequence[int], mate: Sequence[int]) -> list[bool]:
-    """Per T1 node u of a T1-saturating matching: can a clone of u (same
-    neighbours) be matched too?  It can iff some neighbour of u reaches a free
-    T2 node along an alternating path, so one reverse search from the free T2
-    nodes decides every u at once."""
-    users: list[list[int]] = [[] for _ in mate]  # T2 label -> its T1 neighbours
-    for w, nbrs in enumerate(adj):
-        for v in nbrs:
-            users[v].append(w)
-    x = len(matched)
-    fits = [False] * x
-    left = x
-    good = [v for v in range(1, len(mate)) if mate[v] < 0]
-    reached = set(good)
-    for v in good:
-        for w in users[v]:
-            if fits[w]:
-                continue
-            fits[w] = True
-            left -= 1
-            if not left:
-                return fits
-            m = matched[w]
-            if m not in reached:
-                reached.add(m)
-                good.append(m)
-    return fits
+def _alternating_graph(indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int) -> csr_array:
+    """Directed graph on the T1 nodes (0..x-1), the T2 nodes (x..) and a sink
+    (last): every T1 node points to its neighbours, every matched T2 node to
+    its mate, every free T2 node to the sink, and the sink to every T1 node.
+    A T1 node reaches the sink iff an alternating path from it ends in a free
+    T2 node."""
+    x = indptr.size - 1
+    sink = x + size_t2
+    mates = np.full(size_t2, sink, dtype=np.int32)
+    rows = np.flatnonzero(matched >= 0).astype(np.int32)
+    mates[matched[rows]] = rows
+    edges = indptr[-1]
+    return csr_array(
+        (
+            np.ones(edges + size_t2 + x),
+            np.concatenate((indices + x, mates, np.arange(x, dtype=np.int32))),
+            np.concatenate((indptr, np.arange(1, size_t2 + 1, dtype=np.int32) + edges, [edges + size_t2 + x])),
+        ),
+        shape=(sink + 1, sink + 1),
+    )
 
 
-def _defect_at_least(adj: Sequence[Sequence[int]], size_t2: int, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Matching-based exact test of |N(S)| >= |S| + r for all nonempty S.
+def _clone_fits(graph: csr_array, x: int) -> np.ndarray:
+    """Per T1 node u of a T1-saturating matching, given its
+    :func:`_alternating_graph`: can a clone of u (same neighbours) be matched
+    too?  It can iff u reaches the sink, and as the sink reaches every T1
+    node, iff u shares the sink's strong component: one compiled linear-time
+    call decides every u, whatever the depth of the alternating paths."""
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    return labels[:x] == labels[-1]
+
+
+def _defect_at_least(
+    indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int, matched: Optional[np.ndarray] = None
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Matching-based exact test of |N(S)| >= |S| + r for all nonempty S, on a
+    CSR biadjacency and optionally its precomputed base matching.
 
     Given a T1-saturating matching, node u survives r clones of itself being
     matched iff no subset containing u is tighter than r.  One compiled base
-    matching decides r = 0 and one reverse alternating search decides r = 1
-    for every node at once; only for r >= 2 does each node augment its r
-    clones one by one on a copy of the base matching.
+    matching decides r = 0 and one compiled strong-component pass decides
+    r = 1 for every node at once; the Hall witness of a node that fails
+    there is every T1 node it reaches by alternating paths (one compiled
+    breadth-first search), whose neighbourhood holds no free T2 node.  Only
+    for r >= 2 does each node augment its r clones one by one on a copy of
+    the base matching.
     """
     if r < 0:
         raise ValueError("defect threshold must be nonnegative")
-    if not adj:
+    x = indptr.size - 1
+    if not x:
         return True, None
-    matched = _hopcroft_karp(adj, size_t2)
-    mate = [-1] * (size_t2 + 1)
-    for w, v in enumerate(matched):
-        if v:
-            mate[v] = w
-    if 0 in matched:
-        return False, _alternating_search(adj, mate, matched.index(0))
-    if r == 0:
+    if matched is None:
+        matched = _hopcroft_karp(indptr, indices, size_t2)
+    misfits = np.flatnonzero(matched < 0)
+    if misfits.size or r >= 1:
+        graph = _alternating_graph(indptr, indices, matched, size_t2)
+        if not misfits.size:
+            misfits = np.flatnonzero(~_clone_fits(graph, x))
+        if misfits.size:
+            reached = breadth_first_order(graph, misfits[0], return_predecessors=False)
+            return False, tuple((np.sort(reached[reached < x]) + 1).tolist())
+    if r <= 1:
         return True, None
-    fits = _clone_fits(adj, matched, mate)
-    if False in fits:
-        return False, _alternating_search(adj, mate, fits.index(False))
-    if r == 1:
-        return True, None
+    adj = _tuples(indptr, indices)
+    mate = _mate(matched, size_t2)
     for u in range(len(adj)):
         trial = list(mate)
         for _ in range(r):
@@ -256,16 +310,20 @@ def _defect_at_least(adj: Sequence[Sequence[int]], size_t2: int, r: int) -> tupl
 
 def _masks_defect_at_least(masks: Sequence[int], r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """:func:`_defect_at_least` on neighbourhood bitmasks (thinning code)."""
-    return _defect_at_least([_from_mask(m) for m in masks], _mask_width(masks), r)
+    return _defect_at_least(*_csr([_from_mask(m) for m in masks]), _mask_width(masks), r)
 
 
 def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact boolean test ``expansion_defect(g) >= r`` (r >= 0) with witness.
 
-    Cross-checked against the brute-force enumeration in tests; preferred for
-    graphs beyond the brute-force guard.
+    Works on the graph's CSR and never builds ``g.adj``: one compiled
+    matching decides r = 0, and one compiled strong-component pass, linear in
+    the edges whatever the depth of the alternating paths, decides r = 1.  On
+    a failure the witness is a subset S with |N(S)| - |S| < r.  Cross-checked
+    against the brute-force enumeration in tests; preferred for graphs beyond
+    the brute-force guard.
     """
-    return _defect_at_least(g.adj, g.size_t2, r)
+    return _defect_at_least(g.indptr, g.indices, g.size_t2, r)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +338,8 @@ def _perfect_matching_into(adj_masks: Sequence[int], allowed_mask: int) -> Optio
     """Match every T1 node to a distinct T2 node within allowed_mask; returns
     per-node matched T2 label (1-based) or None."""
     allowed = [m & allowed_mask for m in adj_masks]
-    matched = _hopcroft_karp([_from_mask(m) for m in allowed], _mask_width(allowed))
-    return None if 0 in matched else matched
+    matched = _hopcroft_karp(*_csr([_from_mask(m) for m in allowed]), _mask_width(allowed))
+    return None if (matched < 0).any() else (matched + 1).tolist()
 
 
 def _lowest_bits(mask: int, k: int) -> int:
@@ -342,13 +400,24 @@ def _construct(masks: list[int], r: int) -> list[int]:
     # No proper tight set: drop the lowest-index vertex and recurse.  The
     # peeled vertex's edge choice is underdetermined (an arbitrary choice can
     # land inside a tight neighborhood of the recursed subgraph), so return it
-    # the lexicographically first r+1 edges that restore the margin.
+    # the lexicographically first r+1 edges that restore the margin.  When
+    # rest keeps margin r, [cand] + rest keeps it iff (Hall) rest plus r + 1
+    # clones of cand can all be matched, so each candidate only augments its
+    # clones on a copy of rest's base matching.
     rest = _construct(masks[1:], r)
+    adj = [_from_mask(m) for m in rest]
+    width = _mask_width(masks)
+    indptr, indices = _csr(adj)
+    matched = _hopcroft_karp(indptr, indices, width)
+    if not _defect_at_least(indptr, indices, width, r, matched)[0]:
+        raise _ConstructFailed("the recursed subgraph misses the margin")
+    mate = _mate(matched, width)
+    adj.append(())
     for combo in itertools.combinations(_from_mask(masks[0]), r + 1):
-        cand = _to_mask(combo)
-        ok, _ = _masks_defect_at_least([cand] + rest, r)
-        if ok:
-            return [cand] + rest
+        adj[-1] = combo
+        trial = list(mate)
+        if all(_alternating_search(adj, trial, len(rest)) is None for _ in range(r + 1)):
+            return [_to_mask(combo)] + rest
     raise _ConstructFailed("no edge choice for the peeled vertex keeps the margin")
 
 
@@ -430,43 +499,45 @@ def _verify(masks: Sequence[int], chosen: Sequence[int], r: int, s0_mask: Option
 
 def _backtrack(masks: list[int], r: int, s0_mask: Optional[int]) -> list[int]:
     """Complete search over per-node (r+1)-edge choices, pruning with the
-    expansion (and S0-Hall) conditions over all decided subsets."""
+    expansion (and S0-Hall) conditions over all decided subsets.
+
+    A decided prefix keeps margin r and, with a new node, still does iff
+    (Hall) r + 1 clones of the node can be matched on top of the prefix's
+    matching; likewise one augmentation inside S0 extends its S0 matching.
+    So each level carries its prefix's matchings and a choice costs r + 2
+    alternating searches on the prefix, not a fresh defect test."""
     x = len(masks)
     if x > BRUTE_FORCE_GUARD:
         raise _ConstructFailed("instance too large for the complete fallback search")
-    chosen: list[int] = []
-    options = [
-        [
-            _to_mask(combo)
-            for combo in itertools.combinations(_from_mask(m), r + 1)
-        ]
-        for m in masks
-    ]
+    options = [list(itertools.combinations(_from_mask(m), r + 1)) for m in masks]
+    adj: list[tuple[int, ...]] = [()] * x
+    s0_adj: list[tuple[int, ...]] = [()] * x
 
-    def feasible_after(k: int) -> bool:
-        # The decided prefix must already satisfy the margin (and S0-Hall)
-        # over all of its subsets; checked via matchings, not enumeration.
-        ok, _ = _masks_defect_at_least(chosen, r)
-        if not ok:
-            return False
-        if s0_mask is not None:
-            if _perfect_matching_into([c & s0_mask for c in chosen], s0_mask) is None:
-                return False
-        return True
-
-    def rec(k: int) -> bool:
+    def rec(k: int, mate: list[int], s0_mate: list[int]) -> bool:
         if k == x:
             return True
-        for cand in options[k]:
-            chosen.append(cand)
-            if feasible_after(k) and rec(k + 1):
+        for combo in options[k]:
+            adj[k] = combo
+            trial = list(mate)
+            if _alternating_search(adj, trial, k) is not None:
+                continue
+            base = list(trial)
+            if not all(_alternating_search(adj, trial, k) is None for _ in range(r)):
+                continue
+            s0_trial = s0_mate
+            if s0_mask is not None:
+                s0_adj[k] = tuple(v for v in combo if s0_mask >> (v - 1) & 1)
+                s0_trial = list(s0_mate)
+                if _alternating_search(s0_adj, s0_trial, k) is not None:
+                    continue
+            if rec(k + 1, base, s0_trial):
                 return True
-            chosen.pop()
         return False
 
-    if not rec(0):
+    free = [-1] * (_mask_width(masks) + 1)
+    if not rec(0, free, free):
         raise _ConstructFailed("no qualifying spanning subgraph exists")
-    return chosen
+    return [_to_mask(combo) for combo in adj]
 
 
 def _thin(g: BipartiteGraph, r: int, s0: Optional[Sequence[int]]) -> BipartiteGraph:

@@ -5,11 +5,13 @@ Per-trial randomness comes from a counter-based generator keyed on
 reproducible.  Property evaluators are exact (subset scans / certifier /
 Jacobian oracle); proper1 and proper2 sample a column graph in one draw (a
 block of uniform keys, each column taking the rows of its smallest keys) and
-run ``hallgraph.defect_at_least`` at r = 1 and r = 0, which takes one compiled
-Hopcroft-Karp matching and, for r = 1, one reverse alternating search that
-decides whether a clone of every column can be matched too.  Trials where a
-size guard or an assumption precondition fires are reported as "undecided",
-never silently counted either way.
+run ``hallgraph.defect_at_least`` at r = 1 and r = 0 on the drawn array, kept
+as one CSR biadjacency: one compiled Hopcroft-Karp matching and, for r = 1,
+one compiled strong-component pass that decides whether a clone of every
+column can be matched too.  No step of a trial loops over edges in Python.
+A configuration missing a parameter its property needs is refused before any
+trial runs.  Trials where a size guard or an assumption precondition fires
+are reported as "undecided", never silently counted either way.
 """
 from __future__ import annotations
 
@@ -62,10 +64,21 @@ class TrialConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.per_column_l is not None and self.per_column_l < 0:
             raise ValueError("per_column_l must be nonnegative")
+        if self.prop in ("proper1", "proper2"):
+            if self.per_column_l is None:
+                raise ValueError(f"{self.prop} needs per_column_l")
+            if self.per_column_l > self.shape.dims[0]:
+                raise ValueError(
+                    f"per_column_l = {self.per_column_l} exceeds the {self.shape.dims[0]} rows of a column"
+                )
         if self.prop == "proper1" and self.shape.dims[0] < 2:
             raise ValueError(
                 f"proper1 samples n1 - 1 columns, so it needs a first dimension of at least 2 (dims {self.shape.dims})"
             )
+        if self.prop == "perColumnCount" and (self.p is None or self.per_column_l is None):
+            raise ValueError("perColumnCount needs p and per_column_l")
+        if self.prop in ("finiteByCertifier", "finiteByOracle") and (self.spec is None or self.p is None):
+            raise ValueError(f"{self.prop} needs spec and p")
 
     def to_dict(self) -> dict:
         return {
@@ -148,8 +161,6 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
     """True = property holds, False = fails, None = undecided."""
     shape = config.shape
     if config.prop in ("proper1", "proper2"):
-        if config.per_column_l is None:
-            raise ValueError("proper1/proper2 need per_column_l")
         n1 = shape.dims[0]
         r = 1 if config.prop == "proper1" else 0
         n_cols = n1 - 1 if config.prop == "proper1" else n1
@@ -157,8 +168,6 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
         ok, _ = defect_at_least(graph, r)
         return ok
     if config.prop == "perColumnCount":
-        if config.p is None or config.per_column_l is None:
-            raise ValueError("perColumnCount needs p and per_column_l")
         pattern = sample_pattern(shape, config.p, config.seed, trial)
         counts: dict[tuple[int, ...], int] = {}
         for coord in pattern.observed:
@@ -167,8 +176,6 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
         if len(counts) < total_cols:
             return False
         return all(c >= config.per_column_l for c in counts.values())
-    if config.spec is None or config.p is None:
-        raise ValueError(f"{config.prop} needs spec and p")
     pattern = sample_pattern(shape, config.p, config.seed, trial)
     if config.prop == "finiteByCertifier":
         try:

@@ -34,6 +34,7 @@ from tensorcert.geometry import RankSpec, _gf_rows, canonical_structure
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
+    defect_at_least,
     generalized_hall_subgraph,
     lemma_match_subgraph,
     max_matching,
@@ -352,6 +353,25 @@ def brute_defect(g: BipartiteGraph) -> int:
     return best
 
 
+def test_large_staircase_defect_is_linear():
+    """T1 node i of 50,000 sees T2 nodes i+1 and i+2, drawn as one array, so
+    the defect is exactly 1 and a clone's alternating path can run the whole
+    staircase.  The r = 1 test is linear in the edges whatever that depth:
+    all three verdicts take a small fraction of the budget, which a closure
+    repeated once per level of depth would exceed many times over."""
+    n = 50_000
+    g = BipartiteGraph(size_t1=n, size_t2=n + 2, adj=np.arange(2, n + 2)[:, None] + np.arange(2))
+    with Budget(5.0):
+        assert defect_at_least(g, 0) == (True, None)
+        assert defect_at_least(g, 1) == (True, None)
+        ok, witness = defect_at_least(g, 2)
+    assert not ok
+    nbrs = set()
+    for u in witness:
+        nbrs.update(g.adj[u - 1])
+    assert len(nbrs) - len(witness) < 2
+
+
 def test_subgraph_construction_suite():
     """On 500 random bipartite graphs with sufficient expansion defect the
     degree-(r+1) subgraph construction preserves the defect; the matching
@@ -479,6 +499,31 @@ def test_montecarlo_failure_rate_within_bound():
         assert result.passes + result.fails == 2000
         fail_lo, _fail_hi = wilson_interval(result.fails, 2000)
         assert fail_lo <= eps / k
+
+
+# SHA-256 over the proper1/proper2 `simulate` artifacts of the grid below,
+# in grid order.
+SIMULATE_PROPER_DIGEST = "049fa8d97894611ddad9f6df215763dc4882ad348aa16f41ef53b2ae2ec8dcec"
+
+
+def test_simulate_proper_artifacts_pinned(capsys):
+    """Every proper1/proper2 `simulate` artifact over a grid of sizes,
+    per-column counts (none, one, a third, the closed-form threshold capped
+    at n1, all) and seeds stays byte for byte the same."""
+    runs = [("proper2", 1, l) for l in (0, 1)]
+    for n1 in (2, 3, 8, 64, 256):
+        threshold = math.floor(6 * math.log(n1) + 2 * math.log(4 / 0.1) + 4) + 1
+        for l in sorted({0, 1, n1 // 3, min(threshold, n1), n1}):
+            runs += [(prop, n1, l) for prop in ("proper1", "proper2")]
+    digest = hashlib.sha256()
+    with Budget(60.0):
+        for prop, n1, l in runs:
+            for seed in (0, 5):
+                argv = ["simulate", "--dims", f"{n1},4", "--property", prop, "--trials", "6",
+                        "--per-column-l", str(l), "--seed", str(seed)]
+                assert main(argv) == EXIT_OK, argv
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SIMULATE_PROPER_DIGEST
 
 
 def _rerun_identical(tmp_path, name, argv_builder):

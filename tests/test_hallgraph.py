@@ -1,6 +1,7 @@
 """Matchings, expansion defect, and degree-thinned expansion subgraphs."""
 import itertools
 import random
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
+    _alternating_graph,
+    _clone_fits,
+    _hopcroft_karp,
     defect_at_least,
     expansion_defect,
     generalized_hall_subgraph,
@@ -122,6 +126,21 @@ class TestBipartiteGraph:
         with pytest.raises(ValueError):
             BipartiteGraph(size_t1=3, size_t2=3, adj=np.array([[1, 2], [2, 3]]))
 
+    def test_zero_width_array(self):
+        """Columns that observe no row: an empty CSR, no matching, and a
+        failed defect test whose witness is the first column."""
+        g = BipartiteGraph(size_t1=3, size_t2=4, adj=np.zeros((3, 0), dtype=np.int64))
+        assert g.indptr.tolist() == [0, 0, 0, 0] and g.indices.size == 0
+        assert g.adj == ((), (), ())
+        assert max_matching(g) == (0, ())
+        for r in range(3):
+            assert defect_at_least(g, r) == (False, (1,))
+
+    def test_csr_matches_neighbor_lists(self):
+        g = BipartiteGraph(size_t1=3, size_t2=5, adj=((5, 1), (), (2, 2, 4)))
+        assert g.indptr.tolist() == [0, 2, 2, 4]
+        assert g.indices.tolist() == [0, 4, 1, 3]
+
 
 class TestMaxMatching:
     def test_perfect_matching_found(self):
@@ -208,6 +227,66 @@ class TestExpansionDefect:
         ok, witness = defect_at_least(g, 2)
         assert not ok
         assert witness_margin(g, witness) < 2
+
+
+def clone_fits_reference(g: BipartiteGraph) -> list[bool]:
+    """Per T1 node: does a matching still saturate T1 plus one copy of it?"""
+    return [kuhn_matching_size(list(g.adj) + [g.adj[u]]) == g.size_t1 + 1 for u in range(g.size_t1)]
+
+
+class TestCloneFits:
+    """The r = 1 clone-fit set, read off one strong-component pass, equals the
+    per-node augmenting-path reference on every kind of graph it sees."""
+
+    @staticmethod
+    def fits(g: BipartiteGraph) -> Optional[list[bool]]:
+        """The clone-fit set, or None when no matching saturates T1."""
+        matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
+        if (matched < 0).any():
+            return None
+        return _clone_fits(_alternating_graph(g.indptr, g.indices, matched, g.size_t2), g.size_t1).tolist()
+
+    def check(self, g: BipartiteGraph) -> bool:
+        fits = self.fits(g)
+        if fits is not None:
+            assert fits == clone_fits_reference(g), g.adj
+        return fits is not None
+
+    def test_random_ragged_graphs(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(300):
+            n1 = rng.randint(1, 30)
+            n2 = n1 + rng.randint(0, 4)
+            adj = tuple(tuple(rng.sample(range(1, n2 + 1), rng.randint(1, min(n2, 5)))) for _ in range(n1))
+            checked += self.check(BipartiteGraph(size_t1=n1, size_t2=n2, adj=adj))
+        assert checked >= 100
+
+    def test_uniform_degree_arrays(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for n2, degree in [(8, 3), (16, 2), (40, 5), (64, 9)]:
+            for _ in range(15):
+                rows = np.argsort(rng.random((n2 - 1, n2)), axis=1)[:, :degree] + 1
+                checked += self.check(BipartiteGraph(size_t1=n2 - 1, size_t2=n2, adj=rows))
+        assert checked >= 30
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_deep_chains(self, n):
+        """T1 node i sees T2 nodes i and i+1 (margin 1, every clone fits), and
+        a block of three T1 nodes shares three other T2 nodes (tight, no
+        clone fits) until one block node also sees T2 node 1: then a clone's
+        alternating path runs the length of the chain to its free node."""
+        chain = tuple((i, i + 1) for i in range(1, n + 1))
+        block = ((n + 2, n + 3, n + 4),) * 3
+        for adj in (chain + block, block + chain[::-1]):
+            g = BipartiteGraph(size_t1=n + 3, size_t2=n + 4, adj=adj)
+            assert self.check(g)
+            assert sorted(self.fits(g)) == [False] * 3 + [True] * n
+        linked = chain + ((1, n + 2, n + 3, n + 4),) + block[1:]
+        g = BipartiteGraph(size_t1=n + 3, size_t2=n + 4, adj=linked)
+        assert self.check(g)
+        assert all(self.fits(g))
 
 
 class TestGeneralizedHallSubgraph:

@@ -214,12 +214,14 @@ class TestEstimate:
         assert lo <= result.fraction <= hi
 
     def test_missing_parameters_rejected(self):
-        config = TrialConfig(shape=Shape(dims=(8, 4)), prop="proper1", trials=2)
         with pytest.raises(ValueError):
-            estimate(config)
-        config = TrialConfig(shape=Shape(dims=(3, 3, 3)), prop="finiteByCertifier", trials=2)
+            TrialConfig(shape=Shape(dims=(8, 4)), prop="proper1", trials=2)
         with pytest.raises(ValueError):
-            estimate(config)
+            TrialConfig(shape=Shape(dims=(3, 3, 3)), prop="finiteByCertifier", trials=2)
+        with pytest.raises(ValueError, match="perColumnCount needs p and per_column_l"):
+            TrialConfig(shape=Shape(dims=(3, 3)), prop="perColumnCount", trials=2, p=0.5)
+        with pytest.raises(ValueError, match="exceeds the 8 rows"):
+            TrialConfig(shape=Shape(dims=(8, 4)), prop="proper2", trials=2, per_column_l=9)
 
     def test_property_list_is_stable(self):
         assert PROPERTIES == (
