@@ -14,7 +14,9 @@ drawn 2-D array.  Matchings come from scipy's compiled Hopcroft-Karp on that
 CSR; the defect test decides r = 0 from that one base matching and r = 1 from
 one compiled strong-component pass, and extends the matching by iterative
 alternating searches only for r >= 2 or to name a Hall witness, so no
-matching or defect test recurses on the size of the graph.
+matching or defect test recurses on the size of the graph.  The thinning
+code tests each candidate edge choice by matching its clones on top of the
+rest's matching, with alternating searches in Python on its small graphs.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_bipartite_matching
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 __all__ = [
     "BipartiteGraph",
@@ -56,7 +58,8 @@ class BipartiteGraph:
     array (one row per T1 node, all of one degree) is checked in one pass
     instead and must not repeat a neighbour within a row.  ``adj``, the
     neighbour lists as sorted tuples of ints, is built on first read; equality
-    and hashing go through it."""
+    and hashing go through it.  A graph is immutable: its attributes cannot
+    be reassigned and its CSR arrays are read-only."""
 
     __slots__ = ("size_t1", "size_t2", "indptr", "indices", "_adj")
 
@@ -65,31 +68,42 @@ class BipartiteGraph:
             raise ValueError("both node sets must be nonempty")
         if len(adj) != size_t1:
             raise ValueError("need one neighbor list per T1 node")
-        self.size_t1 = size_t1
-        self.size_t2 = size_t2
         if isinstance(adj, np.ndarray) and adj.ndim == 2 and adj.dtype.kind in "iu":
             rows = np.sort(adj, axis=1)
             if rows.size and not (rows[:, 0].min() >= 1 and rows[:, -1].max() <= size_t2):
                 raise ValueError("neighbor index out of range")
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("repeated neighbor in an array row")
-            self.indptr = np.arange(size_t1 + 1, dtype=np.int32) * rows.shape[1]
-            self.indices = rows.astype(np.int32).ravel() - 1
-            self._adj: Optional[tuple[tuple[int, ...], ...]] = None
-            return
-        cleaned = []
-        for nbrs in adj:
-            ns = tuple(sorted(set(map(int, nbrs))))
-            if ns and not (1 <= ns[0] and ns[-1] <= size_t2):
-                raise ValueError("neighbor index out of range")
-            cleaned.append(ns)
-        self._adj = tuple(cleaned)
-        self.indptr, self.indices = _csr(self._adj)
+            cached = None
+            indptr = np.arange(size_t1 + 1, dtype=np.int32) * rows.shape[1]
+            indices = rows.astype(np.int32).ravel() - 1
+        else:
+            cleaned = []
+            for nbrs in adj:
+                ns = tuple(sorted(set(map(int, nbrs))))
+                if ns and not (1 <= ns[0] and ns[-1] <= size_t2):
+                    raise ValueError("neighbor index out of range")
+                cleaned.append(ns)
+            cached = tuple(cleaned)
+            indptr, indices = _csr(cached)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        for name, value in zip(self.__slots__, (size_t1, size_t2, indptr, indices, cached)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        return BipartiteGraph, (self.size_t1, self.size_t2, self.adj)
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         if self._adj is None:
-            self._adj = _tuples(self.indptr, self.indices)
+            object.__setattr__(self, "_adj", _tuples(self.indptr, self.indices))
         return self._adj
 
     def __eq__(self, other: object) -> bool:
@@ -274,11 +288,9 @@ def _defect_at_least(
     Given a T1-saturating matching, node u survives r clones of itself being
     matched iff no subset containing u is tighter than r.  One compiled base
     matching decides r = 0 and one compiled strong-component pass decides
-    r = 1 for every node at once; the Hall witness of a node that fails
-    there is every T1 node it reaches by alternating paths (one compiled
-    breadth-first search), whose neighbourhood holds no free T2 node.  Only
-    for r >= 2 does each node augment its r clones one by one on a copy of
-    the base matching.
+    r = 1 for every node at once; only for r >= 2, or to name the Hall
+    witness of a node that fails, does an alternating search run, from that
+    node on a copy of the base matching.
     """
     if r < 0:
         raise ValueError("defect threshold must be nonnegative")
@@ -288,13 +300,10 @@ def _defect_at_least(
     if matched is None:
         matched = _hopcroft_karp(indptr, indices, size_t2)
     misfits = np.flatnonzero(matched < 0)
-    if misfits.size or r >= 1:
-        graph = _alternating_graph(indptr, indices, matched, size_t2)
-        if not misfits.size:
-            misfits = np.flatnonzero(~_clone_fits(graph, x))
-        if misfits.size:
-            reached = breadth_first_order(graph, misfits[0], return_predecessors=False)
-            return False, tuple((np.sort(reached[reached < x]) + 1).tolist())
+    if not misfits.size and r >= 1:
+        misfits = np.flatnonzero(~_clone_fits(_alternating_graph(indptr, indices, matched, size_t2), x))
+    if misfits.size:
+        return False, _alternating_search(_tuples(indptr, indices), _mate(matched, size_t2), int(misfits[0]))
     if r <= 1:
         return True, None
     adj = _tuples(indptr, indices)
@@ -406,19 +415,37 @@ def _construct(masks: list[int], r: int) -> list[int]:
     # clones on a copy of rest's base matching.
     rest = _construct(masks[1:], r)
     adj = [_from_mask(m) for m in rest]
-    width = _mask_width(masks)
-    indptr, indices = _csr(adj)
-    matched = _hopcroft_karp(indptr, indices, width)
-    if not _defect_at_least(indptr, indices, width, r, matched)[0]:
+    mate = _margin_matching(adj, _mask_width(masks), r)
+    if mate is None:
         raise _ConstructFailed("the recursed subgraph misses the margin")
-    mate = _mate(matched, width)
     adj.append(())
     for combo in itertools.combinations(_from_mask(masks[0]), r + 1):
         adj[-1] = combo
-        trial = list(mate)
-        if all(_alternating_search(adj, trial, len(rest)) is None for _ in range(r + 1)):
+        if _clones_fit(adj, mate, len(rest), r + 1):
             return [_to_mask(combo)] + rest
     raise _ConstructFailed("no edge choice for the peeled vertex keeps the margin")
+
+
+def _margin_matching(adj: list[tuple[int, ...]], width: int, r: int) -> Optional[list[int]]:
+    """A matching of every node of ``adj`` (as :func:`_mate` keeps it) if the
+    neighbour lists keep margin r, else None.  By Hall they do iff every node
+    can be matched and then, for each node, r clones on top.  The thinning
+    code's graphs are small, so these searches run in Python rather than pay
+    the compiled calls' set-up."""
+    mate = [-1] * (width + 1)
+    if any(_alternating_search(adj, mate, u) is not None for u in range(len(adj))):
+        return None
+    if any(not _clones_fit(adj, mate, u, r) for u in range(len(adj))):
+        return None
+    return mate
+
+
+def _clones_fit(adj: Sequence[Sequence[int]], mate: list[int], root: int, copies: int) -> bool:
+    """Can ``copies`` clones of node ``root`` all be matched on top of
+    ``mate``, a matching of the other nodes (and perhaps of ``root``)?
+    Searches on a copy of ``mate``."""
+    trial = list(mate)
+    return all(_alternating_search(adj, trial, root) is None for _ in range(copies))
 
 
 def _lemma_match(masks: list[int], r: int, s0_mask: int) -> list[int]:
@@ -465,21 +492,28 @@ def _lemma_match(masks: list[int], r: int, s0_mask: int) -> list[int]:
         raise _ConstructFailed("no edge into S0")
     # As in the plain construction, the peeled vertex's retained edges are
     # underdetermined; scan anchor nodes u0 (lowest first) and edge
-    # combinations until the margin and the S0 matching both survive.
+    # combinations until the margin and the S0 matching both survive, each
+    # tested by matching the vertex's clones on top of rest's matchings.
+    width = _mask_width(masks)
     for u0 in (1 << i for i in range(anchored.bit_length()) if anchored >> i & 1):
         try:
             rest = _lemma_match(masks[1:], r, s0_mask & ~u0)
         except _ConstructFailed:
             continue
+        adj = [_from_mask(m) for m in rest]
+        s0_adj = [_from_mask(m & s0_mask) for m in rest]
+        mate = _margin_matching(adj, width, r)
+        s0_mate = _margin_matching(s0_adj, width, 0)
+        if mate is None or s0_mate is None:
+            continue
+        adj.append(())
+        s0_adj.append(())
         for combo in itertools.combinations(_from_mask(masks[0] & ~u0), r):
             own = u0 | _to_mask(combo)
-            chosen = [own] + rest
-            ok, _ = _masks_defect_at_least(chosen, r)
-            if not ok:
-                continue
-            if _perfect_matching_into([c & s0_mask for c in chosen], s0_mask) is None:
-                continue
-            return chosen
+            adj[-1] = _from_mask(own)
+            s0_adj[-1] = _from_mask(own & s0_mask)
+            if _clones_fit(adj, mate, len(rest), r + 1) and _clones_fit(s0_adj, s0_mate, len(rest), 1):
+                return [own] + rest
     raise _ConstructFailed("no edge choice for the peeled vertex keeps the margin")
 
 
@@ -518,11 +552,8 @@ def _backtrack(masks: list[int], r: int, s0_mask: Optional[int]) -> list[int]:
             return True
         for combo in options[k]:
             adj[k] = combo
-            trial = list(mate)
-            if _alternating_search(adj, trial, k) is not None:
-                continue
-            base = list(trial)
-            if not all(_alternating_search(adj, trial, k) is None for _ in range(r)):
+            base = list(mate)
+            if _alternating_search(adj, base, k) is not None or not _clones_fit(adj, base, k, r):
                 continue
             s0_trial = s0_mate
             if s0_mask is not None:

@@ -1,5 +1,6 @@
 """Matchings, expansion defect, and degree-thinned expansion subgraphs."""
 import itertools
+import pickle
 import random
 from typing import Optional
 
@@ -140,6 +141,22 @@ class TestBipartiteGraph:
         g = BipartiteGraph(size_t1=3, size_t2=5, adj=((5, 1), (), (2, 2, 4)))
         assert g.indptr.tolist() == [0, 2, 2, 4]
         assert g.indices.tolist() == [0, 4, 1, 3]
+
+    @pytest.mark.parametrize("adj", [((1, 2), (2, 3)), np.array([[1, 2], [2, 3]])])
+    def test_immutable(self, adj):
+        """Neither the sizes nor the CSR can change under the cached ``adj``
+        that equality and hashing read."""
+        g = BipartiteGraph(size_t1=2, size_t2=3, adj=adj)
+        for name in ("size_t1", "size_t2", "indptr", "indices", "_adj"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        for arr in (g.indptr, g.indices):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert g.adj == ((1, 2), (2, 3))
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 class TestMaxMatching:
