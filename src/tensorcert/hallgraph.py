@@ -4,19 +4,19 @@ spanning subgraphs that preserve a Hall-type expansion margin.
 The central construction: given a graph on (T1, T2) in which every nonempty
 S ⊆ T1 satisfies ``|N(S)| >= |S| + r``, produce a spanning subgraph where every
 T1 node keeps exactly ``r + 1`` edges and the same expansion margin still
-holds.  The recursive splitting strategy (peel off a tight set, or remove one
-vertex) leaves the retained-edge choice for the removed vertex underdetermined,
-so every construction is verified against the postconditions and falls back to
-a complete backtracking search when the quick choice breaks the margin.
+holds (optionally with a perfect matching of T1 into a given S0 ⊆ T2).  One
+greedy pass deletes every edge whose loss keeps the margin, tested by
+matching r + 1 clones of its T1 node on top of a matching of the others; the
+result is inclusion-minimal, and minimality forces degree r + 1.
 
 A graph is kept as one CSR biadjacency, built in one numpy pass from a
 drawn 2-D array.  Matchings come from scipy's compiled Hopcroft-Karp on that
 CSR; the defect test decides r = 0 from that one base matching and r = 1 from
 one compiled strong-component pass, and extends the matching by iterative
 alternating searches only for r >= 2 or to name a Hall witness, so no
-matching or defect test recurses on the size of the graph.  The thinning
-code tests each candidate edge choice by matching its clones on top of the
-rest's matching, with alternating searches in Python on its small graphs.
+matching or defect test recurses on the size of the graph.  The exact defect
+is König's deficiency when T1 cannot be matched, and otherwise the first r
+at which the defect test fails, less one: every operation is polynomial.
 """
 from __future__ import annotations
 
@@ -37,9 +37,6 @@ __all__ = [
     "lemma_match_subgraph",
     "lemma_omega_transform",
 ]
-
-BRUTE_FORCE_GUARD = 20
-
 
 class HallPreconditionError(ValueError):
     """An expansion precondition failed; carries a witness subset when known."""
@@ -117,9 +114,6 @@ class BipartiteGraph:
     def __repr__(self) -> str:
         return f"BipartiteGraph(size_t1={self.size_t1}, size_t2={self.size_t2}, adj={self.adj})"
 
-    def masks(self) -> list[int]:
-        return [_to_mask(nbrs) for nbrs in self.adj]
-
 
 def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of 1-based neighbour lists, 0-based indices."""
@@ -132,28 +126,6 @@ def _tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], .
     """The 1-based neighbour lists of a CSR biadjacency."""
     flat = (indices + 1).tolist()
     return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(indptr.tolist()))
-
-
-def _to_mask(neighbors: Iterable[int]) -> int:
-    m = 0
-    for v in neighbors:
-        m |= 1 << (v - 1)
-    return m
-
-
-def _from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
-def _mask_width(masks: Sequence[int]) -> int:
-    return max(1, max((m.bit_length() for m in masks), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +190,6 @@ def max_matching(g: BipartiteGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 # ---------------------------------------------------------------------------
 # Expansion defect
-
-
-def _defect_brute(masks: Sequence[int], limit: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
-    """Exact min over nonempty S of |N(S)| - |S|, by subset enumeration."""
-    x = len(masks)
-    if x > BRUTE_FORCE_GUARD:
-        raise ValueError(f"brute-force defect limited to |T1| <= {BRUTE_FORCE_GUARD}")
-    best = None
-    best_set: tuple[int, ...] = ()
-    # Union-of-neighborhoods DP over subset bitmasks of T1.
-    union = [0] * (1 << x)
-    for s in range(1, 1 << x):
-        low = s & -s
-        union[s] = union[s ^ low] | masks[low.bit_length() - 1]
-        value = union[s].bit_count() - s.bit_count()
-        if best is None or value < best:
-            best = value
-            best_set = tuple(i + 1 for i in range(x) if s >> i & 1)
-            if limit is not None and best < limit:
-                return best, best_set
-    assert best is not None
-    return best, best_set
-
-
-def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
-    """min over nonempty S ⊆ T1 of |N(S)| - |S|, with an argmin witness."""
-    return _defect_brute(g.masks())
 
 
 def _alternating_graph(indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int) -> csr_array:
@@ -317,127 +262,41 @@ def _defect_at_least(
     return True, None
 
 
-def _masks_defect_at_least(masks: Sequence[int], r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """:func:`_defect_at_least` on neighbourhood bitmasks (thinning code)."""
-    return _defect_at_least(*_csr([_from_mask(m) for m in masks]), _mask_width(masks), r)
-
-
 def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact boolean test ``expansion_defect(g) >= r`` (r >= 0) with witness.
 
     Works on the graph's CSR and never builds ``g.adj``: one compiled
     matching decides r = 0, and one compiled strong-component pass, linear in
     the edges whatever the depth of the alternating paths, decides r = 1.  On
-    a failure the witness is a subset S with |N(S)| - |S| < r.  Cross-checked
-    against the brute-force enumeration in tests; preferred for graphs beyond
-    the brute-force guard.
+    a failure the witness is a subset S with |N(S)| - |S| < r.
     """
     return _defect_at_least(g.indptr, g.indices, g.size_t2, r)
 
 
+def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
+    """min over nonempty S ⊆ T1 of |N(S)| - |S|, with an argmin witness.
+
+    If a maximum matching of size ν leaves T1 nodes free, the defect is
+    ν - |T1| (König), and the witness is every T1 node that an alternating
+    path reaches from a free one: one search from a virtual root that sees
+    every free node's neighbours.  Otherwise r rises from 1 until
+    :func:`defect_at_least` fails; the defect is r - 1, and that failure's
+    witness has margin below r, so exactly r - 1.
+    """
+    matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
+    free = np.flatnonzero(matched < 0).tolist()
+    if free:
+        root = tuple(itertools.chain.from_iterable(g.adj[u] for u in free))
+        reached = _alternating_search(g.adj + (root,), _mate(matched, g.size_t2), g.size_t1)
+        return -len(free), tuple(sorted({u + 1 for u in free}.union(reached[:-1])))
+    for r in itertools.count(1):
+        ok, witness = _defect_at_least(g.indptr, g.indices, g.size_t2, r, matched)
+        if not ok:
+            return r - 1, witness
+
+
 # ---------------------------------------------------------------------------
 # Degree-(r+1) spanning subgraph construction
-
-
-class _ConstructFailed(Exception):
-    pass
-
-
-def _perfect_matching_into(adj_masks: Sequence[int], allowed_mask: int) -> Optional[list[int]]:
-    """Match every T1 node to a distinct T2 node within allowed_mask; returns
-    per-node matched T2 label (1-based) or None."""
-    allowed = [m & allowed_mask for m in adj_masks]
-    matched = _hopcroft_karp(*_csr([_from_mask(m) for m in allowed]), _mask_width(allowed))
-    return None if (matched < 0).any() else (matched + 1).tolist()
-
-
-def _lowest_bits(mask: int, k: int) -> int:
-    out = 0
-    while k > 0 and mask:
-        low = mask & -mask
-        out |= low
-        mask ^= low
-        k -= 1
-    if k > 0:
-        raise _ConstructFailed("node degree below r+1")
-    return out
-
-
-def _find_tight_set(masks: Sequence[int], r: int, within_mask: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """Smallest (then lexicographically first) proper nonempty S ⊆ T1 with
-    |N(S)| == |S| + r; neighborhoods optionally restricted to within_mask."""
-    x = len(masks)
-    for size in range(1, x):
-        for combo in itertools.combinations(range(x), size):
-            union = 0
-            for i in combo:
-                union |= masks[i] if within_mask is None else masks[i] & within_mask
-            if union.bit_count() == size + r:
-                return combo
-    return None
-
-
-def _construct(masks: list[int], r: int) -> list[int]:
-    """Recursive peel: returns per-node retained-edge masks (degree r+1)."""
-    x = len(masks)
-    if x == 0:
-        return []
-    if x == 1:
-        return [_lowest_bits(masks[0], r + 1)]
-    tight = _find_tight_set(masks, r)
-    if tight is not None:
-        tight_set = set(tight)
-        hull = 0
-        for i in tight:
-            hull |= masks[i]
-        inner = _construct([masks[i] & hull for i in tight], r)
-        rest = [i for i in range(x) if i not in tight_set]
-        rest_masks = [masks[i] for i in rest]
-        # Pin the complement onto fresh T2 nodes via a matching, then thin it
-        # while keeping that matching inside the retained edges.
-        matched = _perfect_matching_into(rest_masks, ~hull)
-        if matched is None:
-            raise _ConstructFailed("no matching outside the tight hull")
-        s0_mask = _to_mask(matched)
-        outer = _lemma_match(rest_masks, r, s0_mask)
-        result = [0] * x
-        for pos, i in enumerate(tight):
-            result[i] = inner[pos]
-        for pos, i in enumerate(rest):
-            result[i] = outer[pos]
-        return result
-    # No proper tight set: drop the lowest-index vertex and recurse.  The
-    # peeled vertex's edge choice is underdetermined (an arbitrary choice can
-    # land inside a tight neighborhood of the recursed subgraph), so return it
-    # the lexicographically first r+1 edges that restore the margin.  When
-    # rest keeps margin r, [cand] + rest keeps it iff (Hall) rest plus r + 1
-    # clones of cand can all be matched, so each candidate only augments its
-    # clones on a copy of rest's base matching.
-    rest = _construct(masks[1:], r)
-    adj = [_from_mask(m) for m in rest]
-    mate = _margin_matching(adj, _mask_width(masks), r)
-    if mate is None:
-        raise _ConstructFailed("the recursed subgraph misses the margin")
-    adj.append(())
-    for combo in itertools.combinations(_from_mask(masks[0]), r + 1):
-        adj[-1] = combo
-        if _clones_fit(adj, mate, len(rest), r + 1):
-            return [_to_mask(combo)] + rest
-    raise _ConstructFailed("no edge choice for the peeled vertex keeps the margin")
-
-
-def _margin_matching(adj: list[tuple[int, ...]], width: int, r: int) -> Optional[list[int]]:
-    """A matching of every node of ``adj`` (as :func:`_mate` keeps it) if the
-    neighbour lists keep margin r, else None.  By Hall they do iff every node
-    can be matched and then, for each node, r clones on top.  The thinning
-    code's graphs are small, so these searches run in Python rather than pay
-    the compiled calls' set-up."""
-    mate = [-1] * (width + 1)
-    if any(_alternating_search(adj, mate, u) is not None for u in range(len(adj))):
-        return None
-    if any(not _clones_fit(adj, mate, u, r) for u in range(len(adj))):
-        return None
-    return mate
 
 
 def _clones_fit(adj: Sequence[Sequence[int]], mate: list[int], root: int, copies: int) -> bool:
@@ -448,145 +307,55 @@ def _clones_fit(adj: Sequence[Sequence[int]], mate: list[int], root: int, copies
     return all(_alternating_search(adj, trial, root) is None for _ in range(copies))
 
 
-def _lemma_match(masks: list[int], r: int, s0_mask: int) -> list[int]:
-    """Variant that additionally threads a perfect matching into S0."""
-    x = len(masks)
-    if x == 0:
-        return []
-    if x == 1:
-        anchored = masks[0] & s0_mask
-        if not anchored:
-            raise _ConstructFailed("no edge into S0")
-        u0 = anchored & -anchored
-        return [u0 | _lowest_bits(masks[0] & ~u0, r)]
-    # Tightness here is measured against S0: |N(S) ∩ S0| == |S|.
-    tight = None
-    for size in range(1, x):
-        found = None
-        for combo in itertools.combinations(range(x), size):
-            union = 0
-            for i in combo:
-                union |= masks[i] & s0_mask
-            if union.bit_count() == size:
-                found = combo
+def _thin(g: BipartiteGraph, r: int, s0: Optional[frozenset[int]] = None) -> BipartiteGraph:
+    """One greedy edge-deletion pass.  T1 nodes and their edges are walked in
+    ascending order, and edge (u, v) is deleted while deg(u) > r + 1 if the
+    graph without it keeps margin r (and, given S0, a perfect matching of T1
+    into S0).  With u unmatched and every other node matched, the margin
+    holds iff r + 1 clones of u can be matched on top (Hall), and the S0
+    matching survives iff u can be matched into S0 again: each candidate
+    costs r + 2 alternating searches.
+
+    Why one pass leaves every T1 degree at exactly r + 1: both properties
+    are closed under adding edges, so an edge kept once is still needed
+    after later deletions, and the result is inclusion-minimal.  Suppose u
+    keeps deg(u) >= r + 2.  Every perfect matching into S0 uses one edge of
+    u, so at most one of u's edges is needed for it, and each of the others
+    (r + 1 or more; all of them without S0), (u, v), is needed for the
+    margin: some set S containing u is tight (|N(S)| = |S| + r) and no
+    other node of S sees v.  Tight sets through u are closed under
+    intersection (|N(.)| - |.| is submodular and at least r on both the meet
+    and the join), so their intersection S* is tight, and those neighbours
+    are private to u in S*.  S* = {u} would make deg(u) = r + 1, and
+    otherwise |N(S* - u)| <= |S*| + r - (r + 1) = |S* - u|, short of the
+    margin for r >= 1, and short by one more without S0, which covers
+    r = 0.  With S0 and r = 0 the S0 matching implies the margin, so the
+    minimal graph is that matching alone, of degree 1.
+    """
+    # One view of the graph per property: the whole graph, whose matching
+    # must take r + 1 clones of u, and its part inside S0, which must match u.
+    views = [(list(g.adj), r + 1)]
+    if s0 is not None:
+        views.append(([tuple(v for v in nbrs if v in s0) for nbrs in g.adj], 1))
+    mates = [_mate(_hopcroft_karp(*_csr(adj), g.size_t2), g.size_t2) for adj, _ in views]
+    kept = views[0][0]
+    for u, nbrs in enumerate(g.adj):
+        for mate in mates:
+            for v in nbrs:
+                if mate[v] == u:
+                    mate[v] = -1
+        for v in nbrs:
+            if len(kept[u]) == r + 1:
                 break
-        if found is not None:
-            tight = found
-            break
-    if tight is not None:
-        tight_set = set(tight)
-        s0_inner = 0
-        for i in tight:
-            s0_inner |= masks[i] & s0_mask
-        inner = _lemma_match([masks[i] for i in tight], r, s0_inner)
-        rest = [i for i in range(x) if i not in tight_set]
-        outer = _lemma_match([masks[i] for i in rest], r, s0_mask & ~s0_inner)
-        result = [0] * x
-        for pos, i in enumerate(tight):
-            result[i] = inner[pos]
-        for pos, i in enumerate(rest):
-            result[i] = outer[pos]
-        return result
-    anchored = masks[0] & s0_mask
-    if not anchored:
-        raise _ConstructFailed("no edge into S0")
-    # As in the plain construction, the peeled vertex's retained edges are
-    # underdetermined; scan anchor nodes u0 (lowest first) and edge
-    # combinations until the margin and the S0 matching both survive, each
-    # tested by matching the vertex's clones on top of rest's matchings.
-    width = _mask_width(masks)
-    for u0 in (1 << i for i in range(anchored.bit_length()) if anchored >> i & 1):
-        try:
-            rest = _lemma_match(masks[1:], r, s0_mask & ~u0)
-        except _ConstructFailed:
-            continue
-        adj = [_from_mask(m) for m in rest]
-        s0_adj = [_from_mask(m & s0_mask) for m in rest]
-        mate = _margin_matching(adj, width, r)
-        s0_mate = _margin_matching(s0_adj, width, 0)
-        if mate is None or s0_mate is None:
-            continue
-        adj.append(())
-        s0_adj.append(())
-        for combo in itertools.combinations(_from_mask(masks[0] & ~u0), r):
-            own = u0 | _to_mask(combo)
-            adj[-1] = _from_mask(own)
-            s0_adj[-1] = _from_mask(own & s0_mask)
-            if _clones_fit(adj, mate, len(rest), r + 1) and _clones_fit(s0_adj, s0_mate, len(rest), 1):
-                return [own] + rest
-    raise _ConstructFailed("no edge choice for the peeled vertex keeps the margin")
-
-
-def _verify(masks: Sequence[int], chosen: Sequence[int], r: int, s0_mask: Optional[int]) -> bool:
-    for m, c in zip(masks, chosen):
-        if c & ~m or c.bit_count() != r + 1:
-            return False
-    ok, _ = _masks_defect_at_least(list(chosen), r)
-    if not ok:
-        return False
-    if s0_mask is not None:
-        restricted = [c & s0_mask for c in chosen]
-        if _perfect_matching_into(restricted, s0_mask) is None:
-            return False
-    return True
-
-
-def _backtrack(masks: list[int], r: int, s0_mask: Optional[int]) -> list[int]:
-    """Complete search over per-node (r+1)-edge choices, pruning with the
-    expansion (and S0-Hall) conditions over all decided subsets.
-
-    A decided prefix keeps margin r and, with a new node, still does iff
-    (Hall) r + 1 clones of the node can be matched on top of the prefix's
-    matching; likewise one augmentation inside S0 extends its S0 matching.
-    So each level carries its prefix's matchings and a choice costs r + 2
-    alternating searches on the prefix, not a fresh defect test."""
-    x = len(masks)
-    if x > BRUTE_FORCE_GUARD:
-        raise _ConstructFailed("instance too large for the complete fallback search")
-    options = [list(itertools.combinations(_from_mask(m), r + 1)) for m in masks]
-    adj: list[tuple[int, ...]] = [()] * x
-    s0_adj: list[tuple[int, ...]] = [()] * x
-
-    def rec(k: int, mate: list[int], s0_mate: list[int]) -> bool:
-        if k == x:
-            return True
-        for combo in options[k]:
-            adj[k] = combo
-            base = list(mate)
-            if _alternating_search(adj, base, k) is not None or not _clones_fit(adj, base, k, r):
-                continue
-            s0_trial = s0_mate
-            if s0_mask is not None:
-                s0_adj[k] = tuple(v for v in combo if s0_mask >> (v - 1) & 1)
-                s0_trial = list(s0_mate)
-                if _alternating_search(s0_adj, s0_trial, k) is not None:
-                    continue
-            if rec(k + 1, base, s0_trial):
-                return True
-        return False
-
-    free = [-1] * (_mask_width(masks) + 1)
-    if not rec(0, free, free):
-        raise _ConstructFailed("no qualifying spanning subgraph exists")
-    return [_to_mask(combo) for combo in adj]
-
-
-def _thin(g: BipartiteGraph, r: int, s0: Optional[Sequence[int]]) -> BipartiteGraph:
-    masks = g.masks()
-    s0_mask = _to_mask(s0) if s0 is not None else None
-    try:
-        chosen = (
-            _construct(list(masks), r) if s0_mask is None else _lemma_match(list(masks), r, s0_mask)
-        )
-        if not _verify(masks, chosen, r, s0_mask):
-            raise _ConstructFailed("recursive construction missed the margin")
-    except _ConstructFailed:
-        chosen = _backtrack(list(masks), r, s0_mask)
-        if not _verify(masks, chosen, r, s0_mask):  # pragma: no cover - safety net
-            raise RuntimeError("fallback search produced an invalid subgraph")
-    return BipartiteGraph(
-        size_t1=g.size_t1, size_t2=g.size_t2, adj=tuple(_from_mask(c) for c in chosen)
-    )
+            rows = [adj[u] for adj, _ in views]
+            for adj, _ in views:
+                adj[u] = tuple(w for w in adj[u] if w != v)
+            if not all(_clones_fit(adj, mate, u, copies) for (adj, copies), mate in zip(views, mates)):
+                for (adj, _), row in zip(views, rows):
+                    adj[u] = row
+        for (adj, _), mate in zip(views, mates):
+            _alternating_search(adj, mate, u)
+    return BipartiteGraph(size_t1=g.size_t1, size_t2=g.size_t2, adj=kept)
 
 
 def generalized_hall_subgraph(g: BipartiteGraph, r: int) -> BipartiteGraph:
@@ -601,19 +370,21 @@ def generalized_hall_subgraph(g: BipartiteGraph, r: int) -> BipartiteGraph:
     ok, witness = defect_at_least(g, r)
     if not ok:
         raise HallPreconditionError(f"expansion defect below {r}", witness=witness)
-    return _thin(g, r, None)
+    return _thin(g, r)
 
 
 def lemma_match_subgraph(g: BipartiteGraph, r: int, s0: Sequence[int]) -> BipartiteGraph:
     """As :func:`generalized_hall_subgraph` (sizes may differ), additionally
     containing a perfect matching between T1 and the given S0 ⊆ T2."""
-    s0 = tuple(sorted(set(int(v) for v in s0)))
+    s0 = frozenset(int(v) for v in s0)
+    outside = sorted(v for v in s0 if not 1 <= v <= g.size_t2)
+    if outside:
+        raise HallPreconditionError(f"S0 label {outside[0]} is outside 1..{g.size_t2}")
     if len(s0) != g.size_t1:
         raise HallPreconditionError("S0 must have exactly one node per T1 node")
-    masks = g.masks()
-    s0_mask = _to_mask(s0)
-    if _perfect_matching_into([m & s0_mask for m in masks], s0_mask) is None:
-        raise HallPreconditionError("some subset has too few S0-neighbors")
+    ok, witness = _defect_at_least(*_csr([tuple(v for v in nbrs if v in s0) for nbrs in g.adj]), g.size_t2, 0)
+    if not ok:
+        raise HallPreconditionError("some subset has too few S0-neighbors", witness=witness)
     ok, witness = defect_at_least(g, r)
     if not ok:
         raise HallPreconditionError(f"expansion defect below {r}", witness=witness)

@@ -427,6 +427,29 @@ def test_subgraph_construction_suite():
             assert size == n1
 
 
+def test_subgraph_construction_where_tight_sets_mislead():
+    """An 8 x 10 graph at r = 2 on which peeling the first tight set leaves
+    the peeled vertex no edge choice that keeps the margin.  The greedy
+    deletion pass does not look for tight sets and thins it in milliseconds."""
+    adj = (
+        (1, 4, 6, 7, 8, 9, 10),
+        (1, 3, 4, 6, 7, 9),
+        (1, 2, 4, 5, 6, 8, 9, 10),
+        (2, 3, 4, 6, 9, 10),
+        (2, 3, 4, 7, 8, 9, 10),
+        (1, 4, 6, 7, 8, 9, 10),
+        (1, 4, 6, 7, 8, 9),
+        (2, 3, 7, 9, 10),
+    )
+    g = BipartiteGraph(size_t1=8, size_t2=10, adj=adj)
+    with Budget(1.0):
+        sub = generalized_hall_subgraph(g, 2)
+    for kept, original in zip(sub.adj, g.adj):
+        assert len(kept) == 3
+        assert set(kept) <= set(original)
+    assert brute_defect(sub) >= 2
+
+
 def test_threshold_curves_validity_cuts():
     """The emitted curves reproduce the published validity cuts: the
     unstructured bound is valid up to r=150 on the 900^4 sweep, the

@@ -231,6 +231,40 @@ class TestExpansionDefect:
                     assert witness_margin(g, witness) < r
         assert verdicts == {(r, ok) for r in range(4) for ok in (True, False)}
 
+    def test_exact_value_agrees_with_defect_at_least_up_to_40_nodes(self):
+        """The polynomial defect, on graphs far beyond subset enumeration:
+        its witness attains it, and it is >= r exactly when the matching
+        test passes at r."""
+        rng = random.Random(61)
+        values = set()
+        for _ in range(150):
+            n1 = rng.randint(1, 40)
+            n2 = n1 + rng.randint(0, 5)
+            low = rng.randint(0, 6)
+            adj = tuple(
+                tuple(rng.sample(range(1, n2 + 1), min(n2, rng.randint(low, low + 3)))) for _ in range(n1)
+            )
+            g = BipartiteGraph(size_t1=n1, size_t2=n2, adj=adj)
+            defect, witness = expansion_defect(g)
+            values.add(defect)
+            assert witness and witness_margin(g, witness) == defect
+            for r in range(0, 5):
+                assert defect_at_least(g, r)[0] == (defect >= r), (adj, r)
+        assert {-1, 0, 1, 2} <= values
+
+    def test_exact_value_on_large_staircase(self):
+        n = 5000
+        g = BipartiteGraph(size_t1=n, size_t2=n + 2, adj=tuple((i + 1, i + 2) for i in range(1, n + 1)))
+        defect, witness = expansion_defect(g)
+        assert defect == 1
+        assert witness_margin(g, witness) == 1
+
+    def test_free_nodes_give_koenig_witness(self):
+        """Three T1 nodes share two T2 nodes, and an alternating path leads
+        from the free one through the others: the witness is all three."""
+        g = BipartiteGraph(size_t1=4, size_t2=5, adj=((1,), (1, 2), (2,), (3, 4, 5)))
+        assert expansion_defect(g) == (-1, (1, 2, 3))
+
     def test_large_staircase_needs_no_recursion(self):
         # T1 node i sees T2 nodes i+1 and i+2, so the defect is exactly 1.
         n = 5000
@@ -373,10 +407,83 @@ class TestLemmaMatchSubgraph:
             size, _ = max_matching(restricted)
             assert size == n1
 
+    @pytest.mark.parametrize("s0, label", [((0, 1), 0), ((1, 9), 9), ((-2, 3), -2)])
+    def test_s0_label_out_of_range_rejected(self, s0, label):
+        g = BipartiteGraph(size_t1=2, size_t2=3, adj=((1, 2, 3), (1, 2, 3)))
+        with pytest.raises(HallPreconditionError, match=f"S0 label {label} is outside 1..3"):
+            lemma_match_subgraph(g, 1, s0)
+
+    def test_s0_hall_failure_carries_witness(self):
+        g = BipartiteGraph(size_t1=2, size_t2=4, adj=((1, 3, 4), (1, 3, 4)))
+        with pytest.raises(HallPreconditionError, match="too few S0-neighbors") as err:
+            lemma_match_subgraph(g, 1, (1, 2))
+        assert err.value.witness == (1, 2)
+
     def test_s0_size_mismatch_rejected(self):
         g = BipartiteGraph(size_t1=2, size_t2=3, adj=((1, 2, 3), (1, 2, 3)))
         with pytest.raises(HallPreconditionError):
             lemma_match_subgraph(g, 1, (1, 2, 3))
+
+
+def random_regular(n1: int, r: int, degree: int, seed: int) -> BipartiteGraph:
+    """A graph on n1 x (n1 + r) in which every T1 node sees ``degree`` random
+    T2 nodes and the defect is at least r (redrawn until it is)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        rows = np.argsort(rng.random((n1, n1 + r)), axis=1)[:, :degree] + 1
+        g = BipartiteGraph(size_t1=n1, size_t2=n1 + r, adj=rows)
+        if defect_at_least(g, r)[0]:
+            return g
+
+
+def assert_thinned(g: BipartiteGraph, sub: BipartiteGraph, r: int, s0: Optional[tuple[int, ...]] = None) -> None:
+    """Every T1 node keeps r + 1 of its edges, the margin r holds and, given
+    S0, T1 still matches perfectly into S0."""
+    assert (sub.size_t1, sub.size_t2) == (g.size_t1, g.size_t2)
+    for kept, original in zip(sub.adj, g.adj):
+        assert len(kept) == r + 1
+        assert set(kept) <= set(original)
+    assert defect_at_least(sub, r) == (True, None)
+    if s0 is not None:
+        inside = tuple(tuple(v for v in nbrs if v in s0) for nbrs in sub.adj)
+        assert max_matching(BipartiteGraph(size_t1=g.size_t1, size_t2=g.size_t2, adj=inside))[0] == g.size_t1
+
+
+class TestBeyondSubsetEnumeration:
+    """Thinning on graphs whose subsets can no longer be enumerated."""
+
+    @pytest.mark.parametrize("n1", [18, 22, 40])
+    def test_regular_graphs(self, n1):
+        for r in (1, 2):
+            g = random_regular(n1, r, 4 + r, seed=n1 * 10 + r)
+            assert_thinned(g, generalized_hall_subgraph(g, r), r)
+            rng = random.Random(n1 + r)
+            produced = 0
+            while produced < 3:
+                s0 = tuple(sorted(rng.sample(range(1, g.size_t2 + 1), n1)))
+                try:
+                    sub = lemma_match_subgraph(g, r, s0)
+                except HallPreconditionError:
+                    continue
+                produced += 1
+                assert_thinned(g, sub, r, s0)
+
+    def test_random_graphs_and_s0(self):
+        rng = random.Random(515)
+        produced = 0
+        while produced < 40:
+            r = rng.randint(0, 3)
+            n1 = rng.randint(1, 40)
+            n2 = n1 + r + rng.randint(0, 3)
+            adj = tuple(tuple(rng.sample(range(1, n2 + 1), rng.randint(min(n2, r + 1), n2))) for _ in range(n1))
+            g = BipartiteGraph(size_t1=n1, size_t2=n2, adj=adj)
+            s0 = tuple(sorted(rng.sample(range(1, n2 + 1), n1)))
+            try:
+                sub = lemma_match_subgraph(g, r, s0)
+            except HallPreconditionError:
+                continue
+            produced += 1
+            assert_thinned(g, sub, r, s0)
 
 
 class TestLemmaOmegaTransform:
