@@ -72,7 +72,7 @@ def _write_text(text: str, out: Optional[str]) -> None:
 
 
 def _write_artifact(payload: dict, out: Optional[str]) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _parse_ranks(text: str) -> tuple[int, ...]:

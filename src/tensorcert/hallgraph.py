@@ -14,9 +14,12 @@ drawn 2-D array.  Matchings come from scipy's compiled Hopcroft-Karp on that
 CSR; the defect test decides r = 0 from that one base matching and r = 1 from
 one compiled strong-component pass, and extends the matching by iterative
 alternating searches only for r >= 2 or to name a Hall witness, so no
-matching or defect test recurses on the size of the graph.  The exact defect
-is König's deficiency when T1 cannot be matched, and otherwise the first r
-at which the defect test fails, less one: every operation is polynomial.
+matching or defect test recurses on the size of the graph.  A graph made of
+equal disjoint blocks (many Monte Carlo trials at once) gets every block's
+verdict from the same one matching and one strong-component pass.  The
+exact defect is König's deficiency when T1 cannot be matched, and otherwise
+the least number of clones of a T1 node that fit on top of the matching,
+counted in one pass: every operation is polynomial.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ __all__ = [
     "max_matching",
     "expansion_defect",
     "defect_at_least",
+    "block_defects_at_least",
     "generalized_hall_subgraph",
     "lemma_match_subgraph",
     "lemma_omega_transform",
@@ -192,15 +196,18 @@ def max_matching(g: BipartiteGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
 # Expansion defect
 
 
-def _alternating_graph(indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int) -> csr_array:
-    """Directed graph on the T1 nodes (0..x-1), the T2 nodes (x..) and a sink
-    (last): every T1 node points to its neighbours, every matched T2 node to
-    its mate, every free T2 node to the sink, and the sink to every T1 node.
-    A T1 node reaches the sink iff an alternating path from it ends in a free
-    T2 node."""
+def _alternating_graph(
+    indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int, blocks: int
+) -> csr_array:
+    """Directed graph on the T1 nodes (0..x-1), the T2 nodes (x..) and one
+    sink per block (last): every T1 node points to its neighbours, every
+    matched T2 node to its mate, every free T2 node to its block's sink, and
+    each sink to every T1 node of its block.  The graph is ``blocks`` equal,
+    consecutive components, and a T1 node reaches its block's sink iff an
+    alternating path from it ends in a free T2 node."""
     x = indptr.size - 1
-    sink = x + size_t2
-    mates = np.full(size_t2, sink, dtype=np.int32)
+    sinks = x + size_t2
+    mates = sinks + np.arange(size_t2, dtype=np.int32) // (size_t2 // blocks)
     rows = np.flatnonzero(matched >= 0).astype(np.int32)
     mates[matched[rows]] = rows
     edges = indptr[-1]
@@ -208,27 +215,76 @@ def _alternating_graph(indptr: np.ndarray, indices: np.ndarray, matched: np.ndar
         (
             np.ones(edges + size_t2 + x),
             np.concatenate((indices + x, mates, np.arange(x, dtype=np.int32))),
-            np.concatenate((indptr, np.arange(1, size_t2 + 1, dtype=np.int32) + edges, [edges + size_t2 + x])),
+            np.concatenate(
+                (
+                    indptr,
+                    np.arange(1, size_t2 + 1, dtype=np.int32) + edges,
+                    np.arange(1, blocks + 1, dtype=np.int32) * (x // blocks) + edges + size_t2,
+                )
+            ),
         ),
-        shape=(sink + 1, sink + 1),
+        shape=(sinks + blocks, sinks + blocks),
     )
 
 
-def _clone_fits(graph: csr_array, x: int) -> np.ndarray:
-    """Per T1 node u of a T1-saturating matching, given its
+def _clone_fits(graph: csr_array, x: int, blocks: int) -> np.ndarray:
+    """Per T1 node u of a matching that saturates u's block, given its
     :func:`_alternating_graph`: can a clone of u (same neighbours) be matched
-    too?  It can iff u reaches the sink, and as the sink reaches every T1
-    node, iff u shares the sink's strong component: one compiled linear-time
-    call decides every u, whatever the depth of the alternating paths."""
+    too?  It can iff u reaches its block's sink, and as that sink reaches
+    every T1 node of the block, iff u shares the sink's strong component: one
+    compiled linear-time call decides every u of every block, whatever the
+    depth of the alternating paths."""
     _, labels = connected_components(graph, directed=True, connection="strong")
-    return labels[:x] == labels[-1]
+    return labels[:x] == np.repeat(labels[-blocks:], x // blocks)
+
+
+def _misfits(
+    indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int, matched: np.ndarray, blocks: int = 1
+) -> np.ndarray:
+    """Per T1 node, given a maximum matching: is it unmatched, or, for
+    r >= 1 in a block the matching saturates, does no clone of it fit?  A
+    block passes the test at r <= 1 iff none of its nodes is a misfit, and
+    passes it at r >= 2 only if so."""
+    misfit = matched < 0
+    if r >= 1 and not misfit.reshape(blocks, -1).any(axis=1).all():
+        misfit |= ~_clone_fits(_alternating_graph(indptr, indices, matched, size_t2, blocks), indptr.size - 1, blocks)
+    return misfit
+
+
+def _fit_clones(
+    adj: Sequence[Sequence[int]], mate: list[int], root: int, cap: int
+) -> tuple[int, Optional[tuple[int, ...]]]:
+    """How many clones of node ``root`` (same neighbours) can be matched one
+    after another on top of ``mate``, a matching of the other nodes (and
+    perhaps of ``root``), counting up to ``cap``?  Searches on a copy of
+    ``mate``.  Each success augments a maximum matching, so a count below
+    the cap is exact, and it comes with the failed search's Hall witness: a
+    set S containing root with |N(S)| = |S| + count - 1 when root is
+    unmatched in ``mate``, |S| + count when it is matched."""
+    trial = list(mate)
+    for count in range(cap):
+        witness = _alternating_search(adj, trial, root)
+        if witness is not None:
+            return count, witness
+    return cap, None
+
+
+def _clone_shortfall(adj: Sequence[Sequence[int]], mate: list[int], r: int) -> Optional[tuple[int, ...]]:
+    """Given a T1-saturating matching: the Hall witness of the first node of
+    which fewer than r clones fit on top, or None when every node takes r."""
+    for u in range(len(adj)):
+        witness = _fit_clones(adj, mate, u, r)[1]
+        if witness is not None:
+            return witness
+    return None
 
 
 def _defect_at_least(
-    indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int, matched: Optional[np.ndarray] = None
+    indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Matching-based exact test of |N(S)| >= |S| + r for all nonempty S, on a
-    CSR biadjacency and optionally its precomputed base matching.
+    CSR biadjacency: the one-block case of :func:`block_defects_at_least`,
+    plus a Hall witness.
 
     Given a T1-saturating matching, node u survives r clones of itself being
     matched iff no subset containing u is tighter than r.  One compiled base
@@ -239,27 +295,14 @@ def _defect_at_least(
     """
     if r < 0:
         raise ValueError("defect threshold must be nonnegative")
-    x = indptr.size - 1
-    if not x:
-        return True, None
-    if matched is None:
-        matched = _hopcroft_karp(indptr, indices, size_t2)
-    misfits = np.flatnonzero(matched < 0)
-    if not misfits.size and r >= 1:
-        misfits = np.flatnonzero(~_clone_fits(_alternating_graph(indptr, indices, matched, size_t2), x))
+    matched = _hopcroft_karp(indptr, indices, size_t2)
+    misfits = np.flatnonzero(_misfits(indptr, indices, size_t2, r, matched))
     if misfits.size:
         return False, _alternating_search(_tuples(indptr, indices), _mate(matched, size_t2), int(misfits[0]))
     if r <= 1:
         return True, None
-    adj = _tuples(indptr, indices)
-    mate = _mate(matched, size_t2)
-    for u in range(len(adj)):
-        trial = list(mate)
-        for _ in range(r):
-            witness = _alternating_search(adj, trial, u)
-            if witness is not None:
-                return False, witness
-    return True, None
+    witness = _clone_shortfall(_tuples(indptr, indices), _mate(matched, size_t2), r)
+    return witness is None, witness
 
 
 def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -273,38 +316,74 @@ def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int
     return _defect_at_least(g.indptr, g.indices, g.size_t2, r)
 
 
+def block_defects_at_least(g: BipartiteGraph, blocks: int, r: int) -> np.ndarray:
+    """Per block, the verdict of :func:`defect_at_least` at r, for a graph
+    made of ``blocks`` equal, consecutive components: block b (from 0) holds
+    T1 nodes b*x + 1..(b + 1)*x and T2 nodes b*y + 1..(b + 1)*y, with
+    x = size_t1 / blocks and y = size_t2 / blocks.  A split that is not
+    even, or an edge between two blocks, is refused.
+
+    A maximum matching of the union is one of every block, so one compiled
+    matching decides r = 0 for every block, and one compiled
+    strong-component pass, with a sink per block, decides r = 1.  For
+    r >= 2, each block that passes r = 1 runs the clone searches of
+    :func:`defect_at_least` on its part of that matching.
+    """
+    if r < 0:
+        raise ValueError("defect threshold must be nonnegative")
+    if blocks < 1 or g.size_t1 % blocks or g.size_t2 % blocks:
+        raise ValueError(f"cannot split {g.size_t1} T1 and {g.size_t2} T2 nodes into {blocks} equal blocks")
+    x, y = g.size_t1 // blocks, g.size_t2 // blocks
+    if (np.repeat(np.arange(blocks), np.diff(g.indptr[::x])) != g.indices // y).any():
+        raise ValueError("an edge joins two blocks")
+    matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
+    ok = ~_misfits(g.indptr, g.indices, g.size_t2, r, matched, blocks).reshape(blocks, x).any(axis=1)
+    if r >= 2:
+        for b in np.flatnonzero(ok).tolist():
+            lo, hi = g.indptr[b * x], g.indptr[(b + 1) * x]
+            adj = _tuples(g.indptr[b * x : (b + 1) * x + 1] - lo, g.indices[lo:hi] - b * y)
+            ok[b] = _clone_shortfall(adj, _mate(matched[b * x : (b + 1) * x] - b * y, y), r) is None
+    return ok
+
+
 def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
     """min over nonempty S ⊆ T1 of |N(S)| - |S|, with an argmin witness.
 
     If a maximum matching of size ν leaves T1 nodes free, the defect is
     ν - |T1| (König), and the witness is every T1 node that an alternating
     path reaches from a free one: one search from a virtual root that sees
-    every free node's neighbours.  Otherwise r rises from 1 until
-    :func:`defect_at_least` fails; the defect is r - 1, and that failure's
-    witness has margin below r, so exactly r - 1.
+    every free node's neighbours.  Otherwise the defect is the least number
+    of clones that fit on top of the matching, over all T1 nodes.  The
+    strong-component pass of :func:`defect_at_least` finds a node that takes
+    none; if there is none, one pass counts each node's clones on a copy of
+    the base matching, stopping at the least count so far, and the witness
+    is the Hall set of the search that set the final least count.
     """
     matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
+    mate = _mate(matched, g.size_t2)
     free = np.flatnonzero(matched < 0).tolist()
     if free:
         root = tuple(itertools.chain.from_iterable(g.adj[u] for u in free))
-        reached = _alternating_search(g.adj + (root,), _mate(matched, g.size_t2), g.size_t1)
+        reached = _alternating_search(g.adj + (root,), mate, g.size_t1)
         return -len(free), tuple(sorted({u + 1 for u in free}.union(reached[:-1])))
-    for r in itertools.count(1):
-        ok, witness = _defect_at_least(g.indptr, g.indices, g.size_t2, r, matched)
-        if not ok:
-            return r - 1, witness
+    misfits = np.flatnonzero(_misfits(g.indptr, g.indices, g.size_t2, 1, matched))
+    if misfits.size:
+        return 0, _alternating_search(g.adj, mate, int(misfits[0]))
+    # Every node takes one clone, so the pass can stop at a count of 1, and
+    # none takes more than size_t2 - size_t1, so the first node sets a count
+    # and a witness.
+    best, witness = g.size_t2 - g.size_t1 + 1, None
+    for u in range(g.size_t1):
+        if best == 1:
+            break
+        count, found = _fit_clones(g.adj, mate, u, best)
+        if found is not None:
+            best, witness = count, found
+    return best, witness
 
 
 # ---------------------------------------------------------------------------
 # Degree-(r+1) spanning subgraph construction
-
-
-def _clones_fit(adj: Sequence[Sequence[int]], mate: list[int], root: int, copies: int) -> bool:
-    """Can ``copies`` clones of node ``root`` all be matched on top of
-    ``mate``, a matching of the other nodes (and perhaps of ``root``)?
-    Searches on a copy of ``mate``."""
-    trial = list(mate)
-    return all(_alternating_search(adj, trial, root) is None for _ in range(copies))
 
 
 def _thin(g: BipartiteGraph, r: int, s0: Optional[frozenset[int]] = None) -> BipartiteGraph:
@@ -350,7 +429,7 @@ def _thin(g: BipartiteGraph, r: int, s0: Optional[frozenset[int]] = None) -> Bip
             rows = [adj[u] for adj, _ in views]
             for adj, _ in views:
                 adj[u] = tuple(w for w in adj[u] if w != v)
-            if not all(_clones_fit(adj, mate, u, copies) for (adj, copies), mate in zip(views, mates)):
+            if not all(_fit_clones(adj, mate, u, copies)[0] == copies for (adj, copies), mate in zip(views, mates)):
                 for (adj, _), row in zip(views, rows):
                     adj[u] = row
         for (adj, _), mate in zip(views, mates):

@@ -3,15 +3,20 @@
 Per-trial randomness comes from a counter-based generator keyed on
 (seed, trial), so trials are independent, order-insensitive, and exactly
 reproducible.  Property evaluators are exact (subset scans / certifier /
-Jacobian oracle); proper1 and proper2 sample a column graph in one draw (a
-block of uniform keys, each column taking the rows of its smallest keys) and
-run ``hallgraph.defect_at_least`` at r = 1 and r = 0 on the drawn array, kept
-as one CSR biadjacency: one compiled Hopcroft-Karp matching and, for r = 1,
-one compiled strong-component pass that decides whether a clone of every
-column can be matched too.  No step of a trial loops over edges in Python.
-A configuration missing a parameter its property needs is refused before any
-trial runs.  Trials where a size guard or an assumption precondition fires
-are reported as "undecided", never silently counted either way.
+Jacobian oracle).  proper1 and proper2 sample each trial's column graph in
+one draw (a block of uniform keys, each column taking the rows of its
+smallest keys) and decide the trials in chunks: a chunk's drawn rows go
+into one array, each trial's rows offset past the previous trials' rows,
+and that disjoint union of column graphs is one CSR biadjacency on which
+``hallgraph.block_defects_at_least`` gives every trial's verdict at r = 1 or
+r = 0 from one compiled Hopcroft-Karp matching and, for r = 1, one compiled
+strong-component pass.  A chunk holds at most ``_CHUNK_SIZE`` edges and
+nodes, so memory stays bounded whatever the trial count, and the draws are
+those of ``sample_column_graph`` trial by trial.  No step loops over edges
+in Python.  A configuration missing a parameter its property needs is
+refused before any trial runs.  Trials where a size guard or an assumption
+precondition fires are reported as "undecided", never silently counted
+either way.
 """
 from __future__ import annotations
 
@@ -25,7 +30,8 @@ from .core import SamplingPattern, Shape
 from .geometry import RankSpec
 from .assumptions import AssumptionError
 from .certifier import CertifierGuardError, certify_finite
-from .hallgraph import BipartiteGraph, defect_at_least
+from .hallgraph import BipartiteGraph, block_defects_at_least
+from .hallgraph import defect_at_least  # noqa: F401  (still looked up here by callers and the benchmark's tracer)
 from .oracle import generate_instance, jacobian_rank
 
 __all__ = [
@@ -43,6 +49,10 @@ PROPERTIES = ("proper1", "proper2", "perColumnCount", "finiteByCertifier", "fini
 
 # Two-sided 99% normal quantile for the Wilson score interval.
 WILSON_Z_99 = 2.5758293035489004
+
+# Most edges plus nodes in the union graph of one chunk of proper1/proper2
+# trials.
+_CHUNK_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,7 @@ class EstimateResult:
     passes: int
     fails: int
     undecided: int
-    fraction: float  # pass fraction among decided trials
+    fraction: Optional[float]  # pass fraction among decided trials; None when none is decided
     interval: tuple[float, float]  # Wilson 99% interval for the pass fraction
 
     def to_dict(self) -> dict:
@@ -138,9 +148,14 @@ def sample_column_graph(
         raise ValueError("per-column count must be nonnegative")
     if per_column > n_rows:
         raise ValueError("cannot place more observations in a column than it has rows")
+    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=_draw_rows(n_rows, n_cols, per_column, seed, trial) + 1)
+
+
+def _draw_rows(n_rows: int, n_cols: int, per_column: int, seed: int, trial: int) -> np.ndarray:
+    """The draw of :func:`sample_column_graph`: per column, the 0-based rows
+    of its `per_column` smallest keys, unsorted."""
     keys = _trial_rng(seed, trial).random((n_cols, n_rows))
-    smallest = np.argpartition(keys, min(per_column, n_rows - 1), axis=1)[:, :per_column]
-    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=smallest + 1)
+    return np.argpartition(keys, min(per_column, n_rows - 1), axis=1)[:, :per_column]
 
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z_99) -> tuple[float, float]:
@@ -158,15 +173,9 @@ def _derived_oracle_seed(seed: int, trial: int) -> int:
 
 
 def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
-    """True = property holds, False = fails, None = undecided."""
+    """One trial of a property other than proper1/proper2: True = holds,
+    False = fails, None = undecided."""
     shape = config.shape
-    if config.prop in ("proper1", "proper2"):
-        n1 = shape.dims[0]
-        r = 1 if config.prop == "proper1" else 0
-        n_cols = n1 - 1 if config.prop == "proper1" else n1
-        graph = sample_column_graph(n1, n_cols, config.per_column_l, config.seed, trial)
-        ok, _ = defect_at_least(graph, r)
-        return ok
     if config.prop == "perColumnCount":
         pattern = sample_pattern(shape, config.p, config.seed, trial)
         counts: dict[tuple[int, ...], int] = {}
@@ -196,18 +205,42 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
     return report.verdict == "finite"
 
 
+def _proper_passes(config: TrialConfig) -> int:
+    """How many proper1 (margin 1 on n1 - 1 columns) or proper2 (margin 0
+    on n1 columns) trials pass, decided a chunk of trials at a time on the
+    disjoint union of their column graphs."""
+    n1, l = config.shape.dims[0], config.per_column_l
+    r = 1 if config.prop == "proper1" else 0
+    n_cols = n1 - r
+    per_chunk = max(1, _CHUNK_SIZE // (n_cols * (l + 1) + n1))
+    passes = 0
+    for start in range(0, config.trials, per_chunk):
+        count = min(per_chunk, config.trials - start)
+        rows = np.empty((count, n_cols, l), dtype=np.int32)
+        for i in range(count):
+            rows[i] = _draw_rows(n1, n_cols, l, config.seed, start + i)
+        rows += (np.arange(count, dtype=np.int32) * n1 + 1)[:, None, None]
+        union = BipartiteGraph(size_t1=count * n_cols, size_t2=count * n1, adj=rows.reshape(count * n_cols, l))
+        passes += int(block_defects_at_least(union, count, r).sum())
+    return passes
+
+
 def estimate(config: TrialConfig) -> EstimateResult:
     passes = fails = undecided = 0
-    for trial in range(config.trials):
-        outcome = _run_trial(config, trial)
-        if outcome is None:
-            undecided += 1
-        elif outcome:
-            passes += 1
-        else:
-            fails += 1
+    if config.prop in ("proper1", "proper2"):
+        passes = _proper_passes(config)
+        fails = config.trials - passes
+    else:
+        for trial in range(config.trials):
+            outcome = _run_trial(config, trial)
+            if outcome is None:
+                undecided += 1
+            elif outcome:
+                passes += 1
+            else:
+                fails += 1
     decided = passes + fails
-    fraction = passes / decided if decided else float("nan")
+    fraction = passes / decided if decided else None
     interval = wilson_interval(passes, decided)
     return EstimateResult(
         config=config,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tensorcert.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, build_parser, main
+from tensorcert.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, _write_artifact, build_parser, main
 from tensorcert.core import SamplingPattern, write_pattern
 from tensorcert.oracle import section_iib_pattern, section_iib_values
 
@@ -213,6 +213,29 @@ class TestSimulate:
         assert code == EXIT_OK
         counts = json.loads(out.read_text())["result"]["counts"]
         assert counts == {"pass": 0, "fail": 5, "undecided": 0}
+
+    def test_no_decided_trial_writes_strict_json(self, tmp_path):
+        """Every trial undecided: the pass fraction is null, and the artifact
+        parses with non-finite constants refused."""
+        out = tmp_path / "sim.json"
+        code = main([
+            "simulate", "--dims", "3,3,3", "--property", "finiteByCertifier", "--trials", "3",
+            "--p", "0.05", "--rank", "2", "--j", "2", "--seed", "1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"non-finite constant {name} in the artifact")
+
+        result = json.loads(out.read_text(), parse_constant=refuse)["result"]
+        assert result["counts"] == {"pass": 0, "fail": 0, "undecided": 3}
+        assert result["fraction"] is None
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        out = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            _write_artifact({"value": float("nan")}, str(out))
+        assert not out.exists()
 
     def test_rank_requires_j(self, capsys):
         code = main([

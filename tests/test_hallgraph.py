@@ -13,6 +13,7 @@ from tensorcert.hallgraph import (
     _alternating_graph,
     _clone_fits,
     _hopcroft_karp,
+    block_defects_at_least,
     defect_at_least,
     expansion_defect,
     generalized_hall_subgraph,
@@ -252,6 +253,13 @@ class TestExpansionDefect:
                 assert defect_at_least(g, r)[0] == (defect >= r), (adj, r)
         assert {-1, 0, 1, 2} <= values
 
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_complete_graph_defect(self, n):
+        """On K(n, 2n) every set of T1 nodes sees all 2n T2 nodes, so the
+        defect is n, attained by the whole of T1."""
+        g = BipartiteGraph(size_t1=n, size_t2=2 * n, adj=(tuple(range(1, 2 * n + 1)),) * n)
+        assert expansion_defect(g) == (n, tuple(range(1, n + 1)))
+
     def test_exact_value_on_large_staircase(self):
         n = 5000
         g = BipartiteGraph(size_t1=n, size_t2=n + 2, adj=tuple((i + 1, i + 2) for i in range(1, n + 1)))
@@ -295,7 +303,7 @@ class TestCloneFits:
         matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
         if (matched < 0).any():
             return None
-        return _clone_fits(_alternating_graph(g.indptr, g.indices, matched, g.size_t2), g.size_t1).tolist()
+        return _clone_fits(_alternating_graph(g.indptr, g.indices, matched, g.size_t2, 1), g.size_t1, 1).tolist()
 
     def check(self, g: BipartiteGraph) -> bool:
         fits = self.fits(g)
@@ -338,6 +346,77 @@ class TestCloneFits:
         g = BipartiteGraph(size_t1=n + 3, size_t2=n + 4, adj=linked)
         assert self.check(g)
         assert all(self.fits(g))
+
+
+def disjoint_union(parts: list[BipartiteGraph]) -> BipartiteGraph:
+    """Equal-sized graphs side by side: part b's labels shifted past the
+    labels of the parts before it."""
+    x, y = parts[0].size_t1, parts[0].size_t2
+    adj = tuple(tuple(v + b * y for v in nbrs) for b, part in enumerate(parts) for nbrs in part.adj)
+    return BipartiteGraph(size_t1=x * len(parts), size_t2=y * len(parts), adj=adj)
+
+
+class TestBlockDefects:
+    """Per-block verdicts on a disjoint union equal the one-graph test on each
+    block, from one matching and one strong-component pass."""
+
+    def test_random_unions_agree_with_each_block(self):
+        rng = random.Random(808)
+        verdicts = set()
+        for _ in range(60):
+            x = rng.randint(1, 12)
+            y = x + rng.randint(0, 4)
+            low = rng.randint(0, 4)
+            parts = [
+                BipartiteGraph(
+                    size_t1=x,
+                    size_t2=y,
+                    adj=tuple(tuple(rng.sample(range(1, y + 1), min(y, rng.randint(low, low + 2)))) for _ in range(x)),
+                )
+                for _ in range(rng.randint(1, 7))
+            ]
+            union = disjoint_union(parts)
+            for r in range(4):
+                got = block_defects_at_least(union, len(parts), r)
+                assert got.dtype == bool and got.shape == (len(parts),)
+                expected = [defect_at_least(part, r)[0] for part in parts]
+                assert got.tolist() == expected, ([p.adj for p in parts], r)
+                assert expected == [clone_reference(part, r) for part in parts]
+                verdicts.update((r, ok) for ok in expected)
+        assert verdicts == {(r, ok) for r in range(4) for ok in (True, False)}
+
+    def test_one_block_is_defect_at_least(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            g = random_graph(rng)
+            for r in range(3):
+                assert block_defects_at_least(g, 1, r).tolist() == [defect_at_least(g, r)[0]]
+
+    def test_tight_block_beside_loose_ones(self):
+        """A block whose T2 nodes are all matched keeps its sink isolated, so
+        none of its clones fit; its neighbours' verdicts do not change."""
+        loose = BipartiteGraph(size_t1=2, size_t2=3, adj=((1, 2), (2, 3)))
+        tight = BipartiteGraph(size_t1=2, size_t2=3, adj=((1, 2), (1, 2)))
+        union = disjoint_union([loose, tight, loose])
+        assert block_defects_at_least(union, 3, 0).tolist() == [True, True, True]
+        assert block_defects_at_least(union, 3, 1).tolist() == [True, False, True]
+        assert block_defects_at_least(union, 3, 2).tolist() == [False, False, False]
+
+    def test_rejects_edge_between_blocks(self):
+        g = BipartiteGraph(size_t1=4, size_t2=6, adj=((1, 2), (2, 3), (4, 5), (3, 6)))
+        with pytest.raises(ValueError, match="joins two blocks"):
+            block_defects_at_least(g, 2, 1)
+        assert block_defects_at_least(g, 1, 1).tolist() == [defect_at_least(g, 1)[0]]
+
+    @pytest.mark.parametrize("blocks", [0, 3, 4])
+    def test_rejects_uneven_split(self, blocks):
+        g = BipartiteGraph(size_t1=6, size_t2=8, adj=((1,),) * 6)
+        with pytest.raises(ValueError, match="equal blocks"):
+            block_defects_at_least(g, blocks, 0)
+
+    def test_rejects_negative_threshold(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            block_defects_at_least(BipartiteGraph(size_t1=1, size_t2=1, adj=((1,),)), 1, -1)
 
 
 class TestGeneralizedHallSubgraph:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tensorcert import montecarlo
 from tensorcert.core import Shape
 from tensorcert.geometry import RankSpec
 from tensorcert.hallgraph import defect_at_least
@@ -188,6 +189,74 @@ class TestEstimate:
             expected_passes += ok
         assert result.passes == expected_passes
         assert result.undecided == 0
+
+    @pytest.mark.parametrize("prop", ["proper1", "proper2"])
+    @pytest.mark.parametrize("n1", [2, 3, 5, 16, 64, 256])
+    def test_batched_verdicts_equal_per_trial_test(self, monkeypatch, prop, n1):
+        """Every trial's verdict, read from the chunked disjoint unions,
+        equals the one-graph test on that trial's own column graph, with
+        chunks of three trials so that ten trials span four chunks, and with
+        the default chunk size."""
+        r = 1 if prop == "proper1" else 0
+        verdicts = []
+        batched = montecarlo.block_defects_at_least
+
+        def recorded(g, blocks, r):
+            out = batched(g, blocks, r)
+            verdicts.append(out.tolist())
+            return out
+
+        monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
+        default = montecarlo._CHUNK_SIZE
+        outcomes = set()
+        for l in sorted({0, 1, 2, n1 // 2, n1}):
+            for chunk_size, trials in ((3 * ((n1 - r) * (l + 1) + n1), 10), (default, 12)):
+                monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", chunk_size)
+                verdicts.clear()
+                config = TrialConfig(
+                    shape=Shape(dims=(n1, 4)), prop=prop, trials=trials, seed=n1 + l, per_column_l=l
+                )
+                result = estimate(config)
+                expected = [
+                    defect_at_least(sample_column_graph(n1, n1 - r, l, seed=n1 + l, trial=t), r)[0]
+                    for t in range(trials)
+                ]
+                if chunk_size != default:
+                    assert [len(v) for v in verdicts] == [3, 3, 3, 1]
+                assert sum(verdicts, []) == expected, (l, chunk_size)
+                assert (result.passes, result.fails, result.undecided) == (sum(expected), trials - sum(expected), 0)
+                outcomes.update(expected)
+        assert True in outcomes and False in outcomes
+
+    def test_chunks_bound_the_union_size(self, monkeypatch):
+        """64x4 proper1 at the closed-form count: 26 trials fit one chunk of
+        the default size, so 60 trials take three chunks."""
+        sizes = []
+        batched = montecarlo.block_defects_at_least
+
+        def recorded(g, blocks, r):
+            sizes.append((blocks, g.size_t1, g.size_t2, g.indices.size))
+            return batched(g, blocks, r)
+
+        monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
+        estimate(TrialConfig(shape=Shape(dims=(64, 4)), prop="proper1", trials=60, seed=3, per_column_l=37))
+        assert [s[0] for s in sizes] == [26, 26, 8]
+        assert all(t1 + t2 + edges <= montecarlo._CHUNK_SIZE for _b, t1, t2, edges in sizes)
+
+    def test_no_decided_trial_gives_no_fraction(self):
+        config = TrialConfig(
+            shape=Shape(dims=(3, 3, 3)),
+            prop="finiteByCertifier",
+            trials=3,
+            seed=1,
+            spec=RankSpec(j=2, ranks=(2,)),
+            p=0.05,
+        )
+        result = estimate(config)
+        assert result.undecided == 3
+        assert result.fraction is None
+        assert result.to_dict()["fraction"] is None
+        assert result.interval == (0.0, 1.0)
 
     def test_certifier_and_oracle_properties_track_each_other(self):
         shared = dict(
