@@ -555,7 +555,7 @@ def test_montecarlo_failure_rate_within_bound():
 
 # SHA-256 over the `result` objects of the proper1/proper2 `simulate`
 # artifacts of the grid below, in grid order.
-SIMULATE_PROPER_DIGEST = "a992e99407cf17321dc705f7b66b83fc0ee22990c7c27762a6631bb6dec972b9"
+SIMULATE_PROPER_DIGEST = "9fcdbf49ef7141ff9e97058cca38bd96d986c712bff8ff7b58c28cce2e132750"
 
 
 def test_simulate_proper_artifacts_pinned(capsys):

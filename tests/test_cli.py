@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, reproducibility."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,20 @@ class TestSimulate:
         assert "per_column_l must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_key_word_refused(self, seed, capsys, tmp_path):
+        """A seed is one unsigned 64-bit word of each trial's Philox key, so
+        one outside [0, 2**64) is refused with an error line, not a cast
+        warning or an overflow traceback."""
+        out = tmp_path / "sim.json"
+        code = main([
+            "simulate", "--dims", "8,4", "--property", "proper1",
+            "--trials", "2", "--per-column-l", "3", "--seed", seed, "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_proper1_with_one_row_refused(self, capsys, tmp_path):
         out = tmp_path / "sim.json"
         code = main([
@@ -298,7 +313,7 @@ class TestOracle:
         of being truncated, coerced or crashing."""
         ppath, vpath = anchor_cube
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(edit(json.loads(open(vpath).read()))))
+        bad.write_text(json.dumps(edit(json.loads(Path(vpath).read_text()))))
         out = tmp_path / "sols.json"
         code = main(["oracle", ppath, "--rank", "1,1", "--j", "1", "--values", str(bad), "--out", str(out)])
         assert code == EXIT_ERROR

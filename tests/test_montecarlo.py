@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from tensorcert import montecarlo
 from tensorcert.core import Shape
 from tensorcert.geometry import RankSpec
-from tensorcert.hallgraph import defect_at_least
+from tensorcert.hallgraph import BipartiteGraph, block_defects_at_least, defect_at_least
 from tensorcert.montecarlo import (
     PROPERTIES,
     TrialConfig,
@@ -52,6 +52,25 @@ class TestSamplePattern:
         assert abs(rate - 0.3) < 0.03
 
 
+def floyd_reference(n_rows, n_cols, per_column, seed, trial):
+    """The documented draw rule, one column and one step at a time in plain
+    Python, on the same Philox block."""
+    m = min(per_column, n_rows - per_column)
+    key = np.array([seed, trial], dtype=np.uint64)
+    block = np.random.Generator(np.random.Philox(key=key)).random((n_cols, m)).tolist()
+    adj = []
+    for uniforms in block:
+        chosen: set[int] = set()
+        for k, u in enumerate(uniforms):
+            j = n_rows - m + k
+            i = math.floor(u * (j + 1))
+            chosen.add(j if i in chosen else i)
+        if m < per_column:
+            chosen = set(range(n_rows)) - chosen
+        adj.append(tuple(sorted(v + 1 for v in chosen)))
+    return tuple(adj)
+
+
 class TestSampleColumnGraph:
     def test_exact_per_column_degree(self):
         g = sample_column_graph(10, 6, 4, seed=2)
@@ -68,29 +87,32 @@ class TestSampleColumnGraph:
                 assert list(nbrs) == sorted(set(nbrs))
                 assert all(type(v) is int and 1 <= v <= 10 for v in nbrs)
 
-    @pytest.mark.parametrize("n_rows,n_cols,per_column", [(12, 9, 5), (1024, 400, 300)])
-    def test_columns_take_their_smallest_keys(self, n_rows, n_cols, per_column):
-        """Each column observes the rows of its smallest uniform keys, drawn
-        as one block from the trial's Philox stream.  The long rows are past
-        the lengths that numpy's vectorized selection leaves fully sorted, so
-        a wrong partition index shows there."""
+    @pytest.mark.parametrize(
+        "n_rows,n_cols,per_column",
+        [(12, 9, 5), (12, 9, 6), (12, 9, 8), (12, 9, 0), (12, 9, 12), (1, 3, 1), (1024, 400, 300)],
+    )
+    def test_columns_follow_floyds_sampler(self, n_rows, n_cols, per_column):
+        """Each column runs Floyd's sampler on its row of the trial's Philox
+        block, directly when it observes at most half the rows and on the
+        rows it does not observe otherwise, as in the module docstring."""
         g = sample_column_graph(n_rows, n_cols, per_column, seed=8, trial=3)
-        keys = np.random.Generator(np.random.Philox(key=[8, 3])).random((n_cols, n_rows))
-        expected = tuple(tuple(sorted(int(v) + 1 for v in np.argsort(row)[:per_column])) for row in keys)
-        assert g.adj == expected
+        assert g.adj == floyd_reference(n_rows, n_cols, per_column, seed=8, trial=3)
 
-    def test_two_subsets_equally_likely(self):
-        """All 6 two-subsets of 4 rows occur equally often: Pearson's
+    @pytest.mark.parametrize("n_rows,per_column,chi2_999", [(4, 2, 20.52), (5, 3, 27.88)])
+    def test_subsets_equally_likely(self, n_rows, per_column, chi2_999):
+        """Every per_column-subset of n_rows rows occurs equally often, on the
+        direct path (2 of 4) and on the complement path (3 of 5): Pearson's
         statistic over 3000 seeded draws stays below the 0.999 quantile of
-        chi-square with 5 degrees of freedom."""
+        chi-square with one degree of freedom fewer than the subsets."""
         counts: dict[tuple[int, ...], int] = {}
         for trial in range(10):
-            for nbrs in sample_column_graph(4, 300, 2, seed=21, trial=trial).adj:
+            for nbrs in sample_column_graph(n_rows, 300, per_column, seed=21, trial=trial).adj:
                 counts[nbrs] = counts.get(nbrs, 0) + 1
-        assert set(counts) == set(itertools.combinations(range(1, 5), 2))
-        expected = 3000 / 6
+        subsets = list(itertools.combinations(range(1, n_rows + 1), per_column))
+        assert set(counts) == set(subsets)
+        expected = 3000 / len(subsets)
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert stat < 20.52
+        assert stat < chi2_999
 
     def test_per_column_validated(self):
         with pytest.raises(ValueError):
@@ -102,6 +124,45 @@ class TestSampleColumnGraph:
         assert sample_column_graph(10, 6, 4, seed=2, trial=5) == sample_column_graph(
             10, 6, 4, seed=2, trial=5
         )
+
+
+class TestTrialKeys:
+    """Seed and trial are the two unsigned 64-bit words of a trial's Philox
+    key, taken exactly."""
+
+    def test_high_seeds_keep_their_own_streams(self):
+        """2**63 + 1 and 2**63 + 2 round to the same float64, so a key built
+        through floats would give them one stream."""
+        shape = Shape(dims=(6, 6))
+        high = [2**63 + 1, 2**63 + 2, 2**64 - 1]
+        patterns = [sample_pattern(shape, 0.5, seed=s, trial=2**64 - 1) for s in high]
+        graphs = [sample_column_graph(12, 9, 4, seed=s, trial=2**64 - 1) for s in high]
+        assert len(set(patterns)) == len(set(graphs)) == 3
+        for s, graph in zip(high, graphs):
+            assert graph.adj == floyd_reference(12, 9, 4, seed=s, trial=2**64 - 1)
+
+    def test_low_seed_streams_unchanged(self):
+        shape = Shape(dims=(4, 5))
+        draws = np.random.Generator(np.random.Philox(key=[2**63 - 1, 9])).random(shape.size)
+        expected = {c for c, u in zip(shape.coords(), draws) if u < 0.5}
+        assert set(sample_pattern(shape, 0.5, seed=2**63 - 1, trial=9).observed) == expected
+
+    @pytest.mark.parametrize("seed,trial,word", [(-1, 0, "seed"), (2**64, 0, "seed"), (0, -1, "trial"), (0, 2**64, "trial")])
+    def test_key_words_outside_range_refused(self, seed, trial, word):
+        with pytest.raises(ValueError, match=rf"{word} must lie in \[0, 2\*\*64\)"):
+            sample_pattern(Shape(dims=(3, 3)), 0.5, seed=seed, trial=trial)
+        with pytest.raises(ValueError, match=rf"{word} must lie in \[0, 2\*\*64\)"):
+            sample_column_graph(4, 3, 2, seed=seed, trial=trial)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_refuses_seed_outside_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            TrialConfig(shape=Shape(dims=(8, 4)), prop="proper1", trials=2, seed=seed, per_column_l=3)
+
+    def test_config_refuses_trial_indices_past_range(self):
+        TrialConfig(shape=Shape(dims=(8, 4)), prop="proper1", trials=2**64, seed=2**64 - 1, per_column_l=3)
+        with pytest.raises(ValueError, match=r"trial must lie in \[0, 2\*\*64\), got 18446744073709551616"):
+            TrialConfig(shape=Shape(dims=(8, 4)), prop="proper1", trials=2**64 + 1, per_column_l=3)
 
 
 class TestWilsonInterval:
@@ -228,6 +289,26 @@ class TestEstimate:
                 outcomes.update(expected)
         assert True in outcomes and False in outcomes
 
+    @pytest.mark.parametrize("prop", ["proper1", "proper2"])
+    def test_pass_rate_agrees_with_an_independent_sampler(self, prop):
+        """At 8x4, l = 3 the pass count over 4000 trials agrees with that of
+        graphs whose columns ``Generator.choice`` draws one at a time without
+        replacement, within the two-sided 99.9% bound of a two-proportion
+        z-test."""
+        n1, l, trials = 8, 3, 4000
+        r = 1 if prop == "proper1" else 0
+        n_cols = n1 - r
+        config = TrialConfig(shape=Shape(dims=(n1, 4)), prop=prop, trials=trials, seed=17, per_column_l=l)
+        ours = estimate(config).passes
+        rng = np.random.default_rng(17)
+        rows = np.array([rng.choice(n1, size=l, replace=False) for _ in range(trials * n_cols)])
+        rows += np.repeat(np.arange(trials) * n1 + 1, n_cols)[:, None]
+        union = BipartiteGraph(size_t1=trials * n_cols, size_t2=trials * n1, adj=rows)
+        theirs = int(block_defects_at_least(union, trials, r).sum())
+        pooled = (ours + theirs) / (2 * trials)
+        assert 0.05 < pooled < 0.95
+        assert abs(ours - theirs) / trials <= 3.2905 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
+
     def test_chunks_bound_the_union_size(self, monkeypatch):
         """64x4 proper1 at the closed-form count: 26 trials fit one chunk of
         the default size, so 60 trials take three chunks."""
@@ -242,6 +323,22 @@ class TestEstimate:
         estimate(TrialConfig(shape=Shape(dims=(64, 4)), prop="proper1", trials=60, seed=3, per_column_l=37))
         assert [s[0] for s in sizes] == [26, 26, 8]
         assert all(t1 + t2 + edges <= montecarlo._CHUNK_SIZE for _b, t1, t2, edges in sizes)
+
+    def test_membership_array_bounds_sparse_chunks(self, monkeypatch):
+        """At 1024x4 with one row per column a chunk's union is small, but
+        the draw's membership array holds one bool per column and row, so it
+        limits the chunk to four trials (4 MiB)."""
+        blocks = []
+        batched = montecarlo.block_defects_at_least
+
+        def recorded(g, blocks_in_g, r):
+            blocks.append(blocks_in_g)
+            return batched(g, blocks_in_g, r)
+
+        monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
+        estimate(TrialConfig(shape=Shape(dims=(1024, 4)), prop="proper2", trials=10, seed=3, per_column_l=1))
+        assert blocks == [4, 4, 2]
+        assert all(b * 1024 * 1024 <= montecarlo._DRAW_BYTES for b in blocks)
 
     def test_no_decided_trial_gives_no_fraction(self):
         config = TrialConfig(
