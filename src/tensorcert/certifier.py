@@ -43,7 +43,6 @@ import numpy as np
 
 from .core import Coord, SamplingPattern, Shape, unflatten_index
 from .geometry import (
-    RANK_POINT_SEED,
     JacobianRows,
     ModEchelon,
     RankSpec,
@@ -169,19 +168,38 @@ def _caps_worst(width: int, spec: RankSpec) -> list[int]:
     return [by_count[w.bit_count()] for w in range(1 << width)]
 
 
-def _row_scan_violation(masks: Sequence[int], caps: Sequence[int]) -> Optional[list[int]]:
-    """Dual scan: a row set W holding more columns than its capacity allows;
-    returns the positions of the offending columns, or None."""
-    if not masks:
-        return None
-    width = max(m.bit_length() for m in masks)
-    if width > ROW_SCAN_GUARD:
-        raise CertifierGuardError(f"row scan over {width} rows exceeds the guard")
-    for w_mask in range(1, 1 << width):
-        inside = [i for i, m in enumerate(masks) if m & ~w_mask == 0]
-        if len(inside) > caps[w_mask]:
-            return inside
-    return None
+class _IncrementalCounts:
+    """Counts of chosen columns inside every row set, against their caps:
+    filled with every column for the subset condition, or kept incrementally
+    during witness search."""
+
+    def __init__(self, width: int, caps: Sequence[int]):
+        self.full = (1 << width) - 1
+        self.cnt = [0] * (1 << width)
+        self.caps = caps
+
+    def _supersets(self, mask: int) -> Iterator[int]:
+        comp = self.full & ~mask
+        sub = comp
+        while True:
+            yield sub | mask
+            if sub == 0:
+                break
+            sub = (sub - 1) & comp
+
+    def can_add(self, mask: int) -> bool:
+        for w in self._supersets(mask):
+            if self.cnt[w] + 1 > self.caps[w]:
+                return False
+        return True
+
+    def add(self, mask: int) -> None:
+        for w in self._supersets(mask):
+            self.cnt[w] += 1
+
+    def remove(self, mask: int) -> None:
+        for w in self._supersets(mask):
+            self.cnt[w] -= 1
 
 
 def subset_condition_holds(
@@ -196,10 +214,13 @@ def subset_condition_holds(
         return True, None
     masks, _labels = _support_masks(constraint, columns)
     width = max(m.bit_length() for m in masks)
-    bad = _row_scan_violation(masks, _caps_worst(width, spec))
-    if bad is None:
+    counts = _IncrementalCounts(width, _caps_worst(width, spec))
+    for m in masks:
+        counts.add(m)
+    over = next((w for w in range(1, 1 << width) if counts.cnt[w] > counts.caps[w]), None)
+    if over is None:
         return True, None
-    return False, tuple(columns[i] for i in bad)
+    return False, tuple(c for c, m in zip(columns, masks) if m & ~over == 0)
 
 
 def thm4_dependent(constraint: ConstraintMatrix, spec: RankSpec) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -247,42 +268,6 @@ def _witness_entries(constraint: ConstraintMatrix, selection: TSelection, witnes
     """The designated entries plus each witness column's free entry, sorted:
     a finitely-determining subpattern when the witness is confirmed."""
     return sorted(set(selection.entries).union(_free_entry(constraint, idx) for idx in witness))
-
-
-class _IncrementalCounts:
-    """Counts of chosen columns inside every row set, for incremental
-    feasibility checks during witness search."""
-
-    def __init__(self, width: int, caps: Sequence[int]):
-        if width > ROW_SCAN_GUARD:
-            raise CertifierGuardError(f"row scan over {width} rows exceeds the guard")
-        self.width = width
-        self.full = (1 << width) - 1
-        self.cnt = [0] * (1 << width)
-        self.caps = caps
-
-    def _supersets(self, mask: int) -> Iterator[int]:
-        comp = self.full & ~mask
-        sub = comp
-        while True:
-            yield sub | mask
-            if sub == 0:
-                break
-            sub = (sub - 1) & comp
-
-    def can_add(self, mask: int) -> bool:
-        for w in self._supersets(mask):
-            if self.cnt[w] + 1 > self.caps[w]:
-                return False
-        return True
-
-    def add(self, mask: int) -> None:
-        for w in self._supersets(mask):
-            self.cnt[w] += 1
-
-    def remove(self, mask: int) -> None:
-        for w in self._supersets(mask):
-            self.cnt[w] -= 1
 
 
 def _witness_solutions(
@@ -394,6 +379,25 @@ def _certify_finite_once(
     return cert("not-finite", violating=violating)
 
 
+def _check_assumptions(pattern: SamplingPattern, spec: RankSpec) -> None:
+    spec.check_shape(pattern.shape)
+    if not check_Bj(pattern.shape, spec):
+        raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
+
+
+def _selections(
+    pattern: SamplingPattern, spec: RankSpec, mode: str, seed: int, rows: JacobianRows
+) -> Iterator[TSelection]:
+    """The distinct designated selections of seeds ``seed`` to
+    ``seed + SELECTION_RETRIES``, in seed order, each found when asked for."""
+    tried_entries: set[tuple] = set()
+    for attempt in range(SELECTION_RETRIES + 1):
+        selection = find_T_selection(pattern, spec, mode=mode, seed=seed + attempt, rows=rows)
+        if selection.entries not in tried_entries:
+            tried_entries.add(selection.entries)
+            yield selection
+
+
 def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> FiniteCertificate:
     """Decide finite completability for the pattern under the given trailing
     ranks.
@@ -404,17 +408,16 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     same GF(p) point decides: short of the target, the verdict is
     "not-finite" at once; at the target, the other selections are searched,
     and "finite" comes without witness columns if none yields one."""
-    spec.check_shape(pattern.shape)
-    if not check_Bj(pattern.shape, spec):
-        raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
+    _check_assumptions(pattern, spec)
+    return _certify_finite(pattern, spec, seed, _gf_rows(pattern.observed, pattern.shape, spec))
+
+
+def _certify_finite(
+    pattern: SamplingPattern, spec: RankSpec, seed: int, rows: JacobianRows
+) -> FiniteCertificate:
+    """:func:`certify_finite` on the pattern's shared Jacobian ``rows``."""
     first: Optional[FiniteCertificate] = None
-    tried_entries: set[tuple] = set()
-    rows = _gf_rows(pattern.observed, pattern.shape, spec)
-    for attempt in range(SELECTION_RETRIES + 1):
-        selection = find_T_selection(pattern, spec, mode="A", seed=seed + attempt, rows=rows)
-        if selection.entries in tried_entries:
-            continue
-        tried_entries.add(selection.entries)
+    for selection in _selections(pattern, spec, "A", seed, rows):
         result = _certify_finite_once(pattern, spec, selection, rows)
         if result.verdict == "finite":
             return result
@@ -477,20 +480,13 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     """Sufficient uniqueness certification: a finiteness witness plus a
     disjoint second witness whose t'-subsets each involve at least
     R*t' - sum_sq*(t' - n0 + 1)^+ free core entries."""
-    spec.check_shape(pattern.shape)
-    if not check_Bj(pattern.shape, spec):
-        raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
+    _check_assumptions(pattern, spec)
     n = core_dim(pattern.shape, spec)
     n0 = pattern.shape.head_size(spec.j) - spec.sum_sq // spec.product
 
     undecided = False
-    tried_entries: set[tuple] = set()
     rows = _gf_rows(pattern.observed, pattern.shape, spec)
-    for attempt in range(SELECTION_RETRIES + 1):
-        selection = find_T_selection(pattern, spec, mode="A+", seed=seed + attempt, rows=rows)
-        if selection.entries in tried_entries:
-            continue
-        tried_entries.add(selection.entries)
+    for selection in _selections(pattern, spec, "A+", seed, rows):
         constraint = build_constraint(pattern, spec, selection)
         columns = list(range(constraint.num_columns))
         masks, _labels = _support_masks(constraint, columns)
@@ -534,7 +530,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
         except CertifierGuardError:
             undecided = True
 
-    finite_cert = certify_finite(pattern, spec, seed=seed)
+    finite_cert = _certify_finite(pattern, spec, seed, rows)
     verdict = "undecided-search-exhausted" if undecided else "not-certified"
     return UniqueCertificate(
         verdict=verdict,

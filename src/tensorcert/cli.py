@@ -75,19 +75,17 @@ def _write_artifact(payload: dict, out: Optional[str]) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
-def _parse_ranks(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers given to ``flag``."""
     try:
-        ranks = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: bad rank list {text!r}: {exc}")
-    if not ranks:
-        raise SystemExit("error: empty rank list")
-    return ranks
+        raise SystemExit(f"error: bad {flag} list {text!r}: {exc}")
 
 
 def _cmd_check_finite(args: argparse.Namespace) -> int:
     pattern = read_pattern(args.pattern)
-    spec = RankSpec(j=args.j, ranks=_parse_ranks(args.rank))
+    spec = RankSpec(j=args.j, ranks=_parse_ints(args.rank, "--rank"))
     try:
         cert = certify_finite(pattern, spec, seed=args.seed)
     except AssumptionError as exc:
@@ -99,7 +97,7 @@ def _cmd_check_finite(args: argparse.Namespace) -> int:
 
 def _cmd_check_unique(args: argparse.Namespace) -> int:
     pattern = read_pattern(args.pattern)
-    spec = RankSpec(j=args.j, ranks=_parse_ranks(args.rank))
+    spec = RankSpec(j=args.j, ranks=_parse_ints(args.rank, "--rank"))
     try:
         cert = certify_unique(pattern, spec, seed=args.seed)
     except AssumptionError as exc:
@@ -122,13 +120,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    shape = Shape(dims=_parse_ranks(args.dims))
+    shape = Shape(dims=_parse_ints(args.dims, "--dims"))
     spec = None
     if args.rank is not None:
         if args.j is None:
             print("error: --rank requires --j", file=sys.stderr)
             return EXIT_ERROR
-        spec = RankSpec(j=args.j, ranks=_parse_ranks(args.rank))
+        spec = RankSpec(j=args.j, ranks=_parse_ints(args.rank, "--rank"))
     config = TrialConfig(
         shape=shape,
         prop=args.property,
@@ -170,7 +168,7 @@ def _load_values(path: str, pattern: SamplingPattern) -> dict:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    spec = RankSpec(j=args.j, ranks=_parse_ranks(args.rank))
+    spec = RankSpec(j=args.j, ranks=_parse_ints(args.rank, "--rank"))
     if args.generate:
         if args.pattern is None:
             print("error: --generate still needs a pattern file", file=sys.stderr)

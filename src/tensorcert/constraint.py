@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .core import Coord, SamplingPattern, unflatten_index, unfold_row
 from .geometry import RankSpec

@@ -7,12 +7,14 @@ rank components ``r_{j+1}..r_d`` are prescribed.  The core's ``j``-unfolding has
 pins an identity block per trailing dimension inside that unfolding, which is
 what :func:`canonical_structure` lays out and what :meth:`RankSpec.g` counts.
 
-The observed entries are polynomials in the core and factor entries;
-:func:`tucker_terms` evaluates them and their derivatives for every caller,
-in floating point or over GF(p).  Exact ranks are taken over GF(p) by
-:class:`ModEchelon`: full rank mod p implies full rank over Q, and a random
-point of GF(p) shows a deficit that is not generic with probability at most
-deg/p (Schwartz-Zippel).
+The observed entries are polynomials in the core and factor entries, which
+have one layout, :func:`factor_offsets`'; the oracle's unknowns are a column
+selection of it.  :func:`tucker_terms` evaluates the entries and their
+partials for every caller, in floating point or over GF(p), and
+:func:`layout_columns` places the partials in that layout.  Exact ranks are
+taken over GF(p) by :class:`ModEchelon`: full rank mod p implies full rank
+over Q, and a random point of GF(p) shows a deficit that is not generic with
+probability at most deg/p (Schwartz-Zippel).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .core import Coord, CoordinateBoundsError, Shape
 
 __all__ = [
     "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
-    "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "probe_point",
+    "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "layout_columns", "probe_point",
     "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "ModEchelon", "reaches_rank_mod_p",
 ]
 
@@ -230,16 +232,17 @@ def tucker_terms(
     rows: np.ndarray,
     tails: np.ndarray,
     modulus: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Values of the entries at unfolding ``rows`` and trailing indices
     ``tails`` (0-based), with all their nonzero partial derivatives.
 
-    ``w[e, col]`` is the derivative of entry ``e`` in ``core[rows[e], col]``
-    and ``d_fac[s][a, e]`` its derivative in ``T_s(a, tails[e, s])``.
-    Products and sums run in the same order for every entry: factors left
-    to right by slot, rank tuples in ``itertools.product`` order.  With a
-    ``modulus``, the inputs are int64 residues and every product and every
-    sum is reduced mod it, so nothing leaves int64.
+    ``partials[e]`` lists entry ``e``'s derivatives in ``core[rows[e], :]``,
+    then, slot by slot, in ``T_s(:, tails[e, s])``; :func:`layout_columns`
+    gives their columns in the unreduced layout.  Products and sums run in
+    the same order for every entry: factors left to right by slot, rank
+    tuples in ``itertools.product`` order.  With a ``modulus``, the inputs
+    are int64 residues and every product and every sum is reduced mod it,
+    so nothing leaves int64.
     """
     if modulus is None:
         mul, add = np.multiply, np.add
@@ -252,23 +255,36 @@ def tucker_terms(
 
     ranks = tuple(T.shape[0] for T in factors)
     strides = rank_strides(ranks)
-    m = len(rows)
+    R = core.shape[1]
+    starts = list(itertools.accumulate(ranks, initial=R))
     core_at = core[rows]  # (entries, R): each entry's unfolding row
     fac_at = [T[:, tails[:, s]] for s, T in enumerate(factors)]  # (r_s, entries)
-    values = np.zeros(m, core.dtype)
-    w = np.empty((m, core.shape[1]), core.dtype)
-    d_fac = [np.zeros((r, m), core.dtype) for r in ranks]
+    values = np.zeros(len(rows), core.dtype)
+    partials = np.zeros((starts[-1], len(rows)), core.dtype)  # transposed
     for k in itertools.product(*(range(r) for r in ranks)):
         col = sum(ki * s for ki, s in zip(k, strides))
         fs = [f[ks] for f, ks in zip(fac_at, k)]
         prod_all = functools.reduce(mul, fs)
-        w[:, col] = prod_all
+        partials[col] = prod_all
         c = core_at[:, col]
         values = add(values, mul(c, prod_all))
         for s in range(len(fs)):
             others = fs[:s] + fs[s + 1 :]
-            d_fac[s][k[s]] = add(d_fac[s][k[s]], mul(c, functools.reduce(mul, others)) if others else c)
-    return values, w, d_fac
+            at = starts[s] + k[s]
+            partials[at] = add(partials[at], mul(c, functools.reduce(mul, others)) if others else c)
+    return values, partials.T
+
+
+def layout_columns(shape: Shape, spec: RankSpec, rows: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Column in the :func:`factor_offsets` layout of each partial that
+    :func:`tucker_terms` returns for the entries at ``rows`` and ``tails``."""
+    offsets = factor_offsets(shape, spec)
+    R = spec.product
+    return np.concatenate(
+        [rows[:, None] * R + np.arange(R)]
+        + [offsets[s] + tails[:, s, None] * r + np.arange(r) for s, r in enumerate(spec.ranks)],
+        axis=1,
+    )
 
 
 def probe_point(
@@ -296,15 +312,10 @@ def unreduced_jacobian(
     :func:`probe_point` draws from ``seed``, over GF(``modulus``) when one is
     given.  Row ``e`` depends only on ``coords[e]``, so the Jacobian of a
     subset of the entries is a row selection of this matrix."""
-    offsets = factor_offsets(shape, spec)
     rows, tails = unfolding_indices(shape, spec.j, coords)
-    _, w, d_fac = tucker_terms(*probe_point(shape, spec, seed, modulus), rows, tails, modulus)
-    R = spec.product
-    entry = np.arange(len(rows))[:, None]
-    jac = np.zeros((len(rows), offsets[-1]), w.dtype)
-    jac[entry, rows[:, None] * R + np.arange(R)] = w
-    for s, (r, d) in enumerate(zip(spec.ranks, d_fac)):
-        jac[entry, offsets[s] + tails[:, s, None] * r + np.arange(r)] = d.T
+    _, partials = tucker_terms(*probe_point(shape, spec, seed, modulus), rows, tails, modulus)
+    jac = np.zeros((len(rows), factor_offsets(shape, spec)[-1]), partials.dtype)
+    jac[np.arange(len(rows))[:, None], layout_columns(shape, spec, rows, tails)] = partials
     return jac
 
 

@@ -49,7 +49,7 @@ do not depend on the chunking.  No step loops over edges in Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

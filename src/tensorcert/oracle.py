@@ -17,15 +17,24 @@ each mode the unknown count matches the dimension the rank test needs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .core import Coord, SamplingPattern, Shape
-from .geometry import RankSpec, canonical_structure, rank_strides, tucker_terms, unfolding_indices
+from .geometry import (
+    RankSpec,
+    canonical_structure,
+    factor_offsets,
+    layout_columns,
+    probe_point,
+    rank_strides,
+    tucker_terms,
+    unfolding_indices,
+)
 from .assumptions import check_Bj
 
 __all__ = [
@@ -111,6 +120,17 @@ def realize(
     return tensor
 
 
+def _gauge_blocks(shape: Shape, spec: RankSpec) -> list[np.ndarray]:
+    """Per canonical identity block, the unreduced-layout columns of its
+    entries, ``[a, b]`` for block entry (a, b): the gauge pins of every
+    instance and parametrization."""
+    strides = np.array(rank_strides(spec.ranks))
+    return [
+        (np.array(block.rows)[:, None] - 1) * spec.product + (np.array(block.cols) - 1) @ strides
+        for block in canonical_structure(shape, spec).blocks
+    ]
+
+
 def generate_instance(shape: Shape, spec: RankSpec, seed: int = 0) -> GenericInstance:
     """Generic parameters with the canonical identity blocks enforced."""
     spec.check_shape(shape)
@@ -119,125 +139,87 @@ def generate_instance(shape: Shape, spec: RankSpec, seed: int = 0) -> GenericIns
             raise ValueError(f"rank component {r} exceeds dimension {n}")
     if not check_Bj(shape, spec):
         raise ValueError("unfolding has fewer rows than the sum of trailing ranks")
-    rng = np.random.default_rng(seed)
-    nj = shape.head_size(spec.j)
-    core_mat = rng.standard_normal((nj, spec.product))
-    strides = rank_strides(spec.ranks)
-    structure = canonical_structure(shape, spec)
-    for block in structure.blocks:
-        for a, row in enumerate(block.rows):
-            for b, col in enumerate(block.cols):
-                flat = sum((c - 1) * s for c, s in zip(col, strides))
-                core_mat[row - 1, flat] = 1.0 if a == b else 0.0
-    factors = tuple(
-        rng.standard_normal((r, n)) for r, n in zip(spec.ranks, spec.tail_dims(shape))
-    )
-    return GenericInstance(shape=shape, spec=spec, core_mat=core_mat, factors=factors, seed=seed)
-
-
-class _Entries(NamedTuple):
-    """Index arrays for one list of observed coordinates (0-based).
-
-    ``rows`` and ``tails`` locate each entry in the j-unfolding.  The core
-    Jacobian entries sit at ``core_hits = (entry, param, col)``: entry ``e``
-    reads core column ``col`` and lies in the unfolding row of free core
-    parameter ``param``.  ``factor_hits[s] = (entry, a, param)`` pairs entry
-    ``e`` with free factor parameter ``param`` = T_s(a, tails[e, s]).
-    """
-
-    rows: np.ndarray
-    tails: np.ndarray
-    core_hits: tuple[np.ndarray, np.ndarray, np.ndarray]
-    factor_hits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    core_mat, factors = probe_point(shape, spec, seed)
+    for cols in _gauge_blocks(shape, spec):
+        core_mat.flat[cols] = np.eye(len(cols))
+    return GenericInstance(shape=shape, spec=spec, core_mat=core_mat, factors=tuple(factors), seed=seed)
 
 
 class _ParamMap:
     """Free-parameter layout for one unknown mode, with analytic Jacobian.
 
-    theta lists the free core entries first, row by row, at
-    ``(core_rows[i], core_cols[i])``; then the free factor entries slot by
-    slot in (a, b) order.  ``factor_cols[s][a, b]`` is the theta index of
-    T_s(a, b), or -1 where that entry is pinned or not free in this mode.
-    :meth:`index_entries` turns a coordinate list into :class:`_Entries`
-    once, so :meth:`values_and_jacobian` scatters the terms of
-    :func:`~tensorcert.geometry.tucker_terms` with those arrays.
+    There is one parameter layout, :func:`~tensorcert.geometry.factor_offsets`'
+    unreduced one, and theta is a column selection of it: ``free[i]`` is the
+    layout column of theta entry ``i``.  theta lists the free core entries
+    row by row, then the free factor entries slot by slot in (a, b) order.
+    The gauge blocks are pinned, except the leading diagonal entry of each
+    block after the first, and T_s(1, 1) is pinned for s >= 1 instead; the
+    mode only changes which columns are free.  :meth:`index_entries` maps a
+    coordinate list's partial columns to theta once (pinned ones to the
+    spare column ``num_params``), so :meth:`values_and_jacobian` is one
+    scatter of :func:`~tensorcert.geometry.tucker_terms`' partials.
     """
 
     def __init__(self, instance: GenericInstance, mode: str):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        self.instance = instance
-        self.mode = mode
-        shape, spec = instance.shape, instance.spec
-        self.shape, self.spec = shape, spec
-        strides = rank_strides(spec.ranks)
-        structure = canonical_structure(shape, spec)
+        shape, spec = self.shape, self.spec = instance.shape, instance.spec
+        self.offsets = factor_offsets(shape, spec)
+        self.flat = np.concatenate(
+            [instance.core_mat.ravel()] + [T.ravel(order="F") for T in instance.factors]
+        )
 
         core_free = mode in ("coreAndFactors", "coreOnly")
-        factors_free = mode in ("coreAndFactors", "factorsOnly")
-
-        free_core = np.full((shape.head_size(spec.j), spec.product), core_free)
-        for slot, block in enumerate(structure.blocks):
-            for a, row in enumerate(block.rows):
-                for b, col in enumerate(block.cols):
-                    if slot >= 1 and a == 0 and b == 0:
-                        continue  # freed diagonal entry compensating T pin
-                    flat = sum((c - 1) * s for c, s in zip(col, strides))
-                    free_core[row - 1, flat] = False
-        self.core_rows, self.core_cols = np.nonzero(free_core)
-
-        self.factor_cols: list[np.ndarray] = []
-        num_params = len(self.core_rows)
-        for slot, (r, n) in enumerate(zip(spec.ranks, spec.tail_dims(shape))):
-            cols = np.full((r, n), -1, dtype=np.intp)
-            if factors_free:
-                free = np.ones((r, n), dtype=bool)
-                if slot >= 1:
-                    free[0, 0] = False  # pinned against the freed core diagonal
-                count = int(free.sum())
-                cols[free] = np.arange(num_params, num_params + count)
-                num_params += count
-            self.factor_cols.append(cols)
-        self.num_params = num_params
+        free = np.zeros(self.offsets[-1], dtype=bool)
+        free[: self.offsets[0]] = core_free
+        free[self.offsets[0] :] = mode in ("coreAndFactors", "factorsOnly")
+        blocks = _gauge_blocks(shape, spec)
+        for cols in blocks:
+            free[cols] = False
+        for s, cols in enumerate(blocks[1:], start=1):
+            # the freed diagonal entry compensates the pinned T_s(1, 1)
+            free[cols[0, 0]] = core_free
+            free[self.offsets[s]] = False
+        theta_order = np.concatenate(
+            [np.arange(self.offsets[0])]
+            + [
+                (start + np.arange(n) * r + np.arange(r)[:, None]).ravel()
+                for start, r, n in zip(self.offsets, spec.ranks, spec.tail_dims(shape))
+            ]
+        )
+        self.free = theta_order[free[theta_order]]
+        self.num_params = len(self.free)
+        self.theta_of = np.full(self.offsets[-1], self.num_params)
+        self.theta_of[self.free] = np.arange(self.num_params)
 
     def pack(self) -> np.ndarray:
-        theta = np.empty(self.num_params)
-        theta[: len(self.core_rows)] = self.instance.core_mat[self.core_rows, self.core_cols]
-        for cols, T in zip(self.factor_cols, self.instance.factors):
-            free = cols >= 0
-            theta[cols[free]] = T[free]
-        return theta
+        return self.flat[self.free]
 
     def materialize(self, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        core = self.instance.core_mat.copy()
-        core[self.core_rows, self.core_cols] = theta[: len(self.core_rows)]
-        factors = [T.copy() for T in self.instance.factors]
-        for cols, T in zip(self.factor_cols, factors):
-            free = cols >= 0
-            T[free] = theta[cols[free]]
+        flat = self.flat.copy()
+        flat[self.free] = theta
+        core = flat[: self.offsets[0]].reshape(-1, self.spec.product)
+        factors = [
+            flat[start:end].reshape(-1, r).T
+            for start, end, r in zip(self.offsets, self.offsets[1:], self.spec.ranks)
+        ]
         return core, factors
 
-    def index_entries(self, coords: Sequence[Coord]) -> _Entries:
+    def index_entries(self, coords: Sequence[Coord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unfolding rows, trailing indices and the theta column of every
+        partial (``num_params`` for pinned ones) of the entries at ``coords``."""
         rows, tails = unfolding_indices(self.shape, self.spec.j, coords)
-        entry, param = np.nonzero(rows[:, None] == self.core_rows[None, :])
-        factor_hits = []
-        for s, cols in enumerate(self.factor_cols):
-            entry_cols = cols[:, tails[:, s]].T  # (entries, r_s)
-            e, a = np.nonzero(entry_cols >= 0)
-            factor_hits.append((e, a, entry_cols[e, a]))
-        return _Entries(rows, tails, (entry, param, self.core_cols[param]), tuple(factor_hits))
+        return rows, tails, self.theta_of[layout_columns(self.shape, self.spec, rows, tails)]
 
     def values_and_jacobian(
-        self, theta: np.ndarray, entries: _Entries
+        self, theta: np.ndarray, entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Observed values and their Jacobian in theta."""
-        values, w, d_fac = tucker_terms(*self.materialize(theta), entries.rows, entries.tails)
-        jac = np.zeros((len(entries.rows), self.num_params))
-        entry, param, col = entries.core_hits
-        jac[entry, param] = w[entry, col]
-        for d, (entry, a, param) in zip(d_fac, entries.factor_hits):
-            jac[entry, param] = d[a, entry]
-        return values, jac
+        rows, tails, cols = entries
+        values, partials = tucker_terms(*self.materialize(theta), rows, tails)
+        jac = np.zeros((len(rows), self.num_params + 1))
+        jac[np.arange(len(rows))[:, None], cols] = partials
+        return values, jac[:, : self.num_params]
 
 
 def jacobian_rank(

@@ -8,7 +8,6 @@ import pytest
 from tensorcert import certifier
 from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
 from tensorcert.certifier import (
-    RANK_POINT_SEED,
     FiniteCertificate,
     _caps_worst,
     _finite_search,
@@ -29,7 +28,7 @@ from tensorcert.certifier import (
 )
 from tensorcert.constraint import build_constraint, m_count
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RANK_PRIME, RankSpec, core_dim, unreduced_jacobian
+from tensorcert.geometry import RANK_POINT_SEED, RANK_PRIME, RankSpec, core_dim, unreduced_jacobian
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import (
     appendix_c_pattern,

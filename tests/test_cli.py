@@ -64,8 +64,9 @@ class TestCheckFinite:
         assert "error" in capsys.readouterr().err
 
     def test_bad_rank_list(self, full_cube):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["check-finite", full_cube, "--rank", "1,x", "--j", "1"])
+        assert exc.value.code.startswith("error: bad --rank list '1,x'")
 
     def test_byte_identical_reruns(self, full_cube, tmp_path):
         out = tmp_path / "cert.json"
@@ -183,6 +184,17 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         counts = payload["result"]["counts"]
         assert counts["pass"] + counts["fail"] + counts["undecided"] == 20
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["--dims", "3,x"], "--dims"), (["--dims", "8,4", "--rank", "2,", "--j", "1"], "--rank")],
+    )
+    def test_bad_integer_list_names_its_flag(self, argv, flag, tmp_path):
+        out = tmp_path / "sim.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *argv, "--property", "proper1", "--trials", "2", "--out", str(out)])
+        assert exc.value.code.startswith(f"error: bad {flag} list")
+        assert not out.exists()
 
     def test_negative_per_column_refused(self, capsys, tmp_path):
         out = tmp_path / "sim.json"

@@ -1,4 +1,6 @@
 """Generic instances, Jacobian rank reports, and completion enumeration."""
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from tensorcert.core import SamplingPattern, Shape
 from tensorcert.geometry import RankSpec, canonical_structure, core_dim
+from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import (
     MODES,
     _ParamMap,
@@ -233,3 +236,44 @@ class TestUniqueCompletionInstance:
         spec = RankSpec(j=1, ranks=(1, 1))
         with pytest.raises(ValueError):
             enumerate_completions(pattern, {(1, 1, 1): 2.0}, spec)
+
+
+# Sweep draws (dims, j, ranks, p, trials) of the certifier/oracle sweep.
+DIGEST_DRAWS = [
+    ((3, 3, 3), 1, (1, 2), 0.75, (0, 1)),
+    ((3, 3, 3), 2, (2,), 0.65, (0, 1)),
+    ((4, 4, 4), 1, (2, 2), 0.80, (0,)),
+    ((3, 3, 3, 3), 1, (1, 1, 1), 0.45, (0,)),
+    ((3, 3, 3, 3), 2, (2, 2), 0.85, (0,)),
+]
+# SHA-256 over the rank reports (sorted-key JSON of to_dict(), every mode)
+# of the draws above, then the converged count, completions and residuals
+# of both worked examples' enumerations at seeds 0 and 3.
+ORACLE_DIGEST = "baa521dc4aa1c94e8323d3dcfd7501081789c95fc28d6b56cde45fc8681fb34a"
+
+
+def test_oracle_outputs_pinned():
+    """Rank reports and enumerations are pinned bit for bit, so a change to
+    the parameter layout or the kernel that moves any of them fails here."""
+    digest = hashlib.sha256()
+    for dims, j, ranks, p, trials in DIGEST_DRAWS:
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        instance = generate_instance(shape, spec, seed=11)
+        for trial in trials:
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            for mode in MODES:
+                report = jacobian_rank(instance, pattern, mode=mode)
+                digest.update((json.dumps(report.to_dict(), sort_keys=True) + "\n").encode())
+    matrix, matrix_values = appendix_c_pattern()
+    examples = [
+        (matrix, {c: float(v) for c, v in matrix_values.items()}, RankSpec(j=1, ranks=(2,))),
+        (section_iib_pattern(), section_iib_values(), RankSpec(j=1, ranks=(1, 1))),
+    ]
+    for pattern, values, spec in examples:
+        for seed in (0, 3):
+            result = enumerate_completions(pattern, values, spec, starts=12, seed=seed)
+            digest.update(f"{result.converged} {[repr(r) for r in result.residuals]}\n".encode())
+            for completion in result.completions:
+                digest.update(completion.tobytes())
+    assert digest.hexdigest() == ORACLE_DIGEST
