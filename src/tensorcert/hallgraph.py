@@ -20,15 +20,20 @@ verdict from the same one matching and one strong-component pass.  The
 exact defect is König's deficiency when T1 cannot be matched, and otherwise
 the least number of clones of a T1 node that fit on top of the matching,
 counted in one pass: every operation is polynomial.
+
+scipy is imported by the three functions that call it, on their first call:
+the hull screen in ``assumptions`` uses only the pure-Python alternating
+search, so loading this module costs numpy alone.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "BipartiteGraph",
@@ -70,10 +75,12 @@ class BipartiteGraph:
         if len(adj) != size_t1:
             raise ValueError("need one neighbor list per T1 node")
         if isinstance(adj, np.ndarray) and adj.ndim == 2 and adj.dtype.kind in "iu":
-            rows = np.sort(adj, axis=1)
+            # Strictly ascending rows (as drawn) need no sort and no repeat check.
+            ascending = bool((adj[:, 1:] > adj[:, :-1]).all())
+            rows = adj if ascending else np.sort(adj, axis=1)
             if rows.size and not (rows[:, 0].min() >= 1 and rows[:, -1].max() <= size_t2):
                 raise ValueError("neighbor index out of range")
-            if (rows[:, 1:] == rows[:, :-1]).any():
+            if not ascending and (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("repeated neighbor in an array row")
             cached = None
             indptr = np.arange(size_t1 + 1, dtype=np.int32) * rows.shape[1]
@@ -139,6 +146,9 @@ def _tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], .
 def _hopcroft_karp(indptr: np.ndarray, indices: np.ndarray, size_t2: int) -> np.ndarray:
     """Maximum matching (Hopcroft-Karp, compiled in scipy) of a CSR
     biadjacency: per T1 node its matched 0-based T2 index, or -1."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     graph = csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(indptr.size - 1, size_t2))
     return maximum_bipartite_matching(graph, perm_type="column")
 
@@ -205,6 +215,8 @@ def _alternating_graph(
     each sink to every T1 node of its block.  The graph is ``blocks`` equal,
     consecutive components, and a T1 node reaches its block's sink iff an
     alternating path from it ends in a free T2 node."""
+    from scipy.sparse import csr_array
+
     x = indptr.size - 1
     sinks = x + size_t2
     mates = sinks + np.arange(size_t2, dtype=np.int32) // (size_t2 // blocks)
@@ -234,6 +246,8 @@ def _clone_fits(graph: csr_array, x: int, blocks: int) -> np.ndarray:
     every T1 node of the block, iff u shares the sink's strong component: one
     compiled linear-time call decides every u of every block, whatever the
     depth of the alternating paths."""
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(graph, directed=True, connection="strong")
     return labels[:x] == np.repeat(labels[-blocks:], x // blocks)
 

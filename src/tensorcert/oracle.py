@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import Coord, SamplingPattern, Shape
 from .geometry import (
@@ -254,6 +253,15 @@ def jacobian_rank(
     )
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call so that
+    only the enumerator pays for loading scipy.optimize.  A module-level
+    name, so that the benchmark's tracer can wrap it."""
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
+
+
 def enumerate_completions(
     pattern: SamplingPattern,
     observed_values: dict[Coord, float],
@@ -266,6 +274,8 @@ def enumerate_completions(
 
     Each theta is evaluated once: ``fun`` and ``jac`` share the values and
     Jacobian of the most recent point."""
+    if starts < 1:
+        raise ValueError(f"need at least one start, got {starts}")
     shape = pattern.shape
     coords = list(pattern.observed)
     if set(coords) != set(observed_values):

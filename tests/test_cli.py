@@ -332,6 +332,19 @@ class TestOracle:
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_no_starts_refused(self, starts, anchor_cube, tmp_path, capsys):
+        """Fewer than one start is an error, not an artifact of zero starts."""
+        ppath, vpath = anchor_cube
+        out = tmp_path / "sols.json"
+        code = main([
+            "oracle", ppath, "--rank", "1,1", "--j", "1",
+            "--values", vpath, "--starts", starts, "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_values_or_generate_required(self, full_cube, capsys):
         code = main(["oracle", full_cube, "--rank", "1,2", "--j", "1"])
         assert code == EXIT_ERROR
@@ -345,3 +358,12 @@ class TestPaperExamples:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 5
+
+    @pytest.mark.parametrize("starts", ["0", "-1"])
+    def test_no_starts_refused(self, starts, capsys):
+        """Fewer than one start is an error, not a FAIL about the paper."""
+        code = main(["paper-examples", "--starts", starts])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "FAIL" not in captured.out
