@@ -31,19 +31,20 @@ screen, and the matching greedy extends it to ``needed`` entries.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Coord, SamplingPattern, Shape
+from .core import Coord, SamplingPattern, Shape, unfolding_indices
 from .geometry import (
     RANK_PRIME,
     JacobianRows,
     ModEchelon,
     RankSpec,
     _gf_rows,
+    _slot_lists,
     factor_offsets,
+    pattern_index,
     reaches_rank_mod_p,
     unreduced_jacobian,
 )
@@ -132,18 +133,9 @@ def _slot_graph(
 ) -> tuple[list[list[int]], list[int]]:
     """Per entry, the T2 slot labels (from 1) of its trailing coordinates, and
     an empty matching over those slots (slot label -> entry, -1 when free)."""
-    weights = _per_dim_weights(spec, plus)
-    sizes = (n * w for n, w in zip(spec.tail_dims(shape), weights))
-    starts = list(itertools.accumulate(sizes, initial=1))
-    adj = [
-        [
-            slot
-            for x, w, start in zip(c[spec.j:], weights, starts)
-            for slot in range(start + (x - 1) * w, start + x * w)
-        ]
-        for c in entries
-    ]
-    return adj, [-1] * starts[-1]
+    trailing = unfolding_indices(shape, spec.j, entries)[1]
+    adj, size = _slot_lists(spec.tail_dims(shape), _per_dim_weights(spec, plus), trailing)
+    return adj, [-1] * size
 
 
 def hull_condition(
@@ -271,21 +263,23 @@ def _selection_size(shape: Shape, spec: RankSpec, plus: bool) -> int:
     return sum(n * w for n, w in zip(spec.tail_dims(shape), weights))
 
 
-def _seed_order(pattern: SamplingPattern, seed: int) -> list[Coord]:
-    """The observed entries in lexicographic order, shuffled unless seed is 0."""
-    order = sorted(pattern.observed)
+def _seed_order(pattern: SamplingPattern, seed: int) -> list[int]:
+    """Positions of the observed entries (sorted already) in lexicographic
+    order, shuffled unless seed is 0."""
+    order = list(range(pattern.num_observed))
     if seed:
         random.Random(seed * 1_000_003).shuffle(order)
     return order
 
 
 def _greedy_candidate(
-    shape: Shape, spec: RankSpec, plus: bool, order: Sequence[Coord]
-) -> Optional[tuple[Coord, ...]]:
-    """Greedy accumulation over ``order``, keeping an entry whenever the
-    counting screen still passes.  Lexicographic order naturally packs
-    several designated entries into the same trailing column, which
-    downstream witness searches often need.
+    pattern: SamplingPattern, spec: RankSpec, plus: bool, order: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """Greedy accumulation over ``order`` (positions in ``pattern.observed``),
+    keeping an entry whenever the counting screen still passes; returns the
+    kept positions.  Lexicographic order naturally packs several designated
+    entries into the same trailing column, which downstream witness searches
+    often need.
 
     The kept entries stay matched into their slots, so an entry passes the
     screen together with them exactly when one alternating search from it
@@ -293,12 +287,14 @@ def _greedy_candidate(
     greedy of a transversal matroid, so it returns None, in any entry order,
     exactly when no `needed` entries pass the screen together, and it keeps
     every entry of a prefix that passes."""
-    needed = _selection_size(shape, spec, plus)
-    adj, mate = _slot_graph(shape, spec, order, plus)
-    chosen: list[Coord] = []
-    for u, coord in enumerate(order):
+    needed = _selection_size(pattern.shape, spec, plus)
+    slots, size = pattern_index(pattern, spec).slots(_per_dim_weights(spec, plus))
+    adj = [slots[p] for p in order]
+    mate = [-1] * size
+    chosen: list[int] = []
+    for u, p in enumerate(order):
         if _alternating_search(adj, mate, u) is None:
-            chosen.append(coord)
+            chosen.append(p)
             if len(chosen) == needed:
                 return tuple(chosen)
     return None
@@ -357,25 +353,26 @@ def find_T_selection(
             f"selection needs {needed} entries but only {pattern.num_observed} are observed"
         )
     order = _seed_order(pattern, seed)
-    first = _greedy_candidate(shape, spec, plus, order)
+    first = _greedy_candidate(pattern, spec, plus, order)
     if first is None:
         raise SelectionNotFoundError(f"no {needed} observed entries pass the hull screen together")
     order = list(dict.fromkeys([*first, *order]))
 
     offsets = factor_offsets(shape, spec)
     target = _pin_target(offsets, spec)
-    rows = rows or _gf_rows(pattern.observed, shape, spec)
+    observed = pattern.observed
+    rows = rows or _gf_rows(observed, shape, spec)
     echelon = ModEchelon(offsets[-1] - offsets[0])
     basis = []
-    for coord, row in zip(order, rows(order)[:, offsets[0] :]):
+    for p, row in zip(order, rows([observed[p] for p in order])[:, offsets[0] :]):
         if echelon.rank == target:
             break
         if echelon.push(row):
-            basis.append(coord)
+            basis.append(p)
     if echelon.rank < target:
         raise SelectionNotFoundError(
             f"the observed entries' factor block reaches rank {echelon.rank}, short of the {target} that pins the factors"
         )
-    selection = _greedy_candidate(shape, spec, plus, list(dict.fromkeys(basis + order)))
+    selection = _greedy_candidate(pattern, spec, plus, list(dict.fromkeys(basis + order)))
     assert selection is not None and set(basis) <= set(selection)
-    return TSelection(entries=selection, mode=mode)
+    return TSelection(entries=tuple(observed[p] for p in selection), mode=mode)

@@ -36,6 +36,7 @@ witness, the rank of the full pattern at the same point decides.  So
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -49,6 +50,7 @@ from .geometry import (
     _gf_rows,
     core_dim,
     factor_offsets,
+    pattern_index,
     reaches_rank_mod_p,
 )
 from .assumptions import (
@@ -144,28 +146,32 @@ def _support_masks(constraint: ConstraintMatrix, columns: Sequence[int]) -> tupl
     """Supports as bitmasks over the rows actually touched (remapped densely).
 
     Returns (masks, row_labels); bit b corresponds to 1-based row row_labels[b].
+    The columns of one subtensor share their designated rows, so each set of
+    designated rows is mapped once.
     """
-    union: set[int] = set()
-    for idx in columns:
-        union |= constraint.columns[idx].support
-    labels = sorted(union)
-    pos = {row: b for b, row in enumerate(labels)}
-    masks = []
-    for idx in columns:
-        m = 0
-        for row in constraint.columns[idx].support:
-            m |= 1 << pos[row]
-        masks.append(m)
-    return masks, labels
+    chosen = [constraint.columns[idx] for idx in columns]
+    designated = {c.designated_rows for c in chosen}
+    labels = sorted({c.free_row for c in chosen}.union(*designated))
+    bit = {row: 1 << b for b, row in enumerate(labels)}
+    designated_mask = {rows: sum(bit[row] for row in rows) for rows in designated}
+    return [designated_mask[c.designated_rows] | bit[c.free_row] for c in chosen], labels
 
 
-def _caps_worst(width: int, spec: RankSpec) -> list[int]:
-    """Capacity R*|W| - g(|W|) for every row set W, indexed by bitmask."""
+CAPS_CACHE_SIZE = 32  # capacity tables _caps_worst keeps, least recently used dropped
+
+
+@functools.lru_cache(maxsize=CAPS_CACHE_SIZE)
+def _caps_worst(width: int, spec: RankSpec) -> tuple[int, ...]:
+    """Capacity R*|W| - g(|W|) for every row set W, indexed by bitmask.
+
+    Built once per ``(width, spec)`` and kept in a process cache of the
+    ``CAPS_CACHE_SIZE`` most recently used tables, so a certificate's
+    searches and its dependence check share one table."""
     if width > ROW_SCAN_GUARD:
         raise CertifierGuardError(f"capacity table over {width} rows exceeds the guard")
     R = spec.product
     by_count = [R * w - spec.g(w) for w in range(width + 1)]
-    return [by_count[w.bit_count()] for w in range(1 << width)]
+    return tuple(by_count[w.bit_count()] for w in range(1 << width))
 
 
 class _IncrementalCounts:
@@ -321,15 +327,18 @@ def _witness_solutions(
 
 
 def _finite_search(
-    shape: Shape,
+    pattern: SamplingPattern,
     spec: RankSpec,
     constraint: ConstraintMatrix,
     selection: TSelection,
     rows: JacobianRows,
 ) -> Iterator[tuple[int, ...]]:
-    """Witnesses of ``core_dim`` columns, in search order, each confirmed:
-    with the designated entries, their free entries reach rank
-    :func:`_rank_target` over GF(p).  ``rows`` is a :func:`_gf_rows`."""
+    """Witnesses of ``core_dim`` columns of the pattern's ``constraint``, in
+    search order, each confirmed: with the designated entries, their free
+    entries reach rank :func:`_rank_target` over GF(p).  ``rows`` is a
+    :func:`_gf_rows`; each column's free entry is read from the pattern's
+    :func:`~tensorcert.geometry.pattern_index`."""
+    shape = pattern.shape
     n = core_dim(shape, spec)
     columns = list(range(constraint.num_columns))
     masks, _labels = _support_masks(constraint, columns)
@@ -343,7 +352,8 @@ def _finite_search(
         echelon.push(row)
     if echelon.dependent > slack:
         return
-    free = rows([_free_entry(constraint, i) for i in columns])
+    index, observed = pattern_index(pattern, spec), pattern.observed
+    free = rows([observed[index.at[c.free_row, c.base]] for c in constraint.columns])
     yield from _witness_solutions(masks, order, n, counts, [WITNESS_NODE_BUDGET], (echelon, free, slack))
 
 
@@ -370,7 +380,7 @@ def _certify_finite_once(
             reason=f"only {constraint.num_columns} constraint columns but {n} needed",
         )
     try:
-        witness = next(_finite_search(pattern.shape, spec, constraint, selection, rows), None)
+        witness = next(_finite_search(pattern, spec, constraint, selection, rows), None)
     except CertifierGuardError as exc:
         return cert("undecided-search-exhausted", reason=str(exc))
     if witness is not None:
@@ -494,7 +504,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
 
         try:
             caps_uni = _caps_unique(width, spec, n0)
-            finite_witnesses = _finite_search(pattern.shape, spec, constraint, selection, rows)
+            finite_witnesses = _finite_search(pattern, spec, constraint, selection, rows)
             for tried, witness in enumerate(finite_witnesses, start=1):
                 used = set(witness)
                 remaining = [i for i in columns if i not in used]

@@ -6,7 +6,9 @@ matrices) and the rest.  Each remaining observed entry contributes one column
 whose support, expressed in j-unfolding row indices, is the set of designated
 rows of the subtensor plus the entry's own ("free") row.  These supports are
 all the downstream counting arguments ever look at, so the matrix is stored
-directly in this column/row-set form.
+directly in this column/row-set form.  The subtensors and unfolding rows come
+from the pattern's :class:`~tensorcert.geometry.PatternIndex`, so building a
+matrix converts no coordinate.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Coord, SamplingPattern, unflatten_index, unfold_row
-from .geometry import RankSpec
+from .core import SamplingPattern, unflatten_index
+from .geometry import RankSpec, pattern_index
 from .assumptions import TSelection
 
 __all__ = ["ConstraintColumn", "ConstraintMatrix", "build_constraint", "m_count"]
@@ -75,38 +77,31 @@ def build_constraint(
     pattern: SamplingPattern, spec: RankSpec, selection: TSelection
 ) -> ConstraintMatrix:
     """Assemble the constraint matrix; columns are ordered lexicographically by
-    (subtensor coordinate, free entry coordinate) so rebuilds are identical."""
-    shape = pattern.shape
-    spec.check_shape(shape)
-    designated = set(selection.entries)
-    if not designated <= set(pattern.observed):
-        raise ValueError("designated selection must be a subset of the observed entries")
-    j = spec.j
-    by_tail: dict[tuple[int, ...], list[Coord]] = {}
-    for coord in pattern.observed:
-        by_tail.setdefault(coord[j:], []).append(coord)
+    (subtensor coordinate, free entry coordinate) so rebuilds are identical.
 
+    Reads the subtensors and unfolding rows from the pattern's
+    :func:`~tensorcert.geometry.pattern_index`, which the certificate's
+    selections and searches share."""
+    shape = pattern.shape
+    index = pattern_index(pattern, spec)
+    try:
+        designated = {index.position[c] for c in selection.entries}
+    except KeyError:
+        raise ValueError("designated selection must be a subset of the observed entries") from None
+    rows = index.rows
     columns = []
-    for tail in sorted(by_tail):
-        entries = by_tail[tail]
-        designated_rows = frozenset(
-            unfold_row(shape, j, c) for c in entries if c in designated
+    for tail, members in index.groups.items():
+        designated_rows = frozenset(rows[p] for p in members if p in designated)
+        columns.extend(
+            ConstraintColumn(base=tail, designated_rows=designated_rows, free_row=rows[p])
+            for p in members
+            if p not in designated
         )
-        for coord in sorted(entries):
-            if coord in designated:
-                continue
-            columns.append(
-                ConstraintColumn(
-                    base=tail,
-                    designated_rows=designated_rows,
-                    free_row=unfold_row(shape, j, coord),
-                )
-            )
     return ConstraintMatrix(
-        num_rows=shape.head_size(j),
+        num_rows=shape.head_size(spec.j),
         columns=tuple(columns),
-        j=j,
-        head_dims=shape.dims[:j],
+        j=spec.j,
+        head_dims=shape.dims[: spec.j],
     )
 
 

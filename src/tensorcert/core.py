@@ -5,14 +5,19 @@ Conventions used throughout the package:
 * coordinates are 1-based tuples ``(x_1, ..., x_d)``;
 * flattened indices are 1-based, with the *first* participating dimension
   varying fastest (column-major in the usual numpy sense);
-* a sampling pattern is a sorted, duplicate-free set of observed coordinates.
+* a sampling pattern is a sorted, duplicate-free set of observed coordinates,
+  checked in one numpy pass (arity, bounds, duplicates) when it is built;
+* dimensions and coordinates must fit int64, the index type of every numpy
+  map below; :func:`read_pattern` refuses a file whose dimensions do not.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "Coord",
@@ -27,6 +32,7 @@ __all__ = [
     "unfold_col",
     "flatten_index",
     "unflatten_index",
+    "unfolding_indices",
     "read_pattern",
     "write_pattern",
 ]
@@ -171,6 +177,44 @@ def unfold_col(shape: Shape, j: int, coord: Sequence[int]) -> int:
     return unfold_index(shape, j, coord)[1]
 
 
+def unfolding_indices(shape: Shape, j: int, coords: Sequence[Coord]) -> tuple[np.ndarray, np.ndarray]:
+    """0-based j-unfolding rows and trailing indices of 1-based coordinates."""
+    try:
+        x = np.array(coords, dtype=np.intp).reshape(-1, shape.order) - 1
+    except OverflowError:
+        raise CoordinateBoundsError(f"coordinates out of bounds for {shape.dims}") from None
+    if ((x < 0) | (x >= np.array(shape.dims))).any():
+        raise CoordinateBoundsError(f"coordinates out of bounds for {shape.dims}")
+    head_strides = np.cumprod((1,) + shape.dims[: j - 1])
+    return x[:, :j] @ head_strides, x[:, j:]
+
+
+def _int64_array(values) -> Optional[np.ndarray]:
+    """``values`` as an int64 array, or None when they are not all integers
+    that fit int64 (numpy then infers a float, unsigned or object array), or
+    do not form a rectangular array."""
+    try:
+        x = np.array(values)
+    except (TypeError, ValueError):
+        return None
+    return x if x.dtype == np.int64 else None
+
+
+def _sorted_if_valid(shape: Shape, coords: tuple) -> Optional[tuple[Coord, ...]]:
+    """The coordinates as sorted tuples of ints, checked in one numpy pass:
+    None when any has the wrong arity, lies outside ``1..n_i`` or repeats,
+    or when they or the dimensions do not fit int64."""
+    if not coords:
+        return ()
+    x, dims = _int64_array(coords), _int64_array(shape.dims)
+    if x is None or dims is None or x.ndim != 2 or x.shape[1] != shape.order:
+        return None
+    x = x[np.lexsort(x.T[::-1])]
+    if not ((x >= 1) & (x <= dims)).all() or (x[1:] == x[:-1]).all(axis=1).any():
+        return None
+    return tuple(map(tuple, x.tolist()))
+
+
 @dataclass(frozen=True)
 class SamplingPattern:
     """A binary observation mask, stored as the sorted set of observed coords."""
@@ -179,16 +223,22 @@ class SamplingPattern:
     observed: tuple[Coord, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        checked = []
-        for coord in self.observed:
-            c = self.shape.check_coord(coord)
-            if c in seen:
-                raise DuplicateCoordinateError(f"duplicate coordinate {c}")
-            seen.add(c)
-            checked.append(c)
-        object.__setattr__(self, "observed", tuple(sorted(checked)))
-        object.__setattr__(self, "_observed_set", frozenset(seen))
+        coords = tuple(self.observed)
+        observed = _sorted_if_valid(self.shape, coords)
+        if observed is None:
+            # Some coordinate is bad: name the first one, in input order.
+            seen = set()
+            for coord in coords:
+                c = self.shape.check_coord(coord)
+                if c in seen:
+                    raise DuplicateCoordinateError(f"duplicate coordinate {c}")
+                seen.add(c)
+            observed = tuple(sorted(seen))
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "_observed_set", frozenset(observed))
+        # Indexes other modules derive from this immutable pattern, kept with
+        # it (see geometry.pattern_index).
+        object.__setattr__(self, "_indexes", {})
 
     @property
     def num_observed(self) -> int:
@@ -199,7 +249,7 @@ class SamplingPattern:
 
     @classmethod
     def from_coords(cls, dims: Sequence[int], coords: Iterable[Sequence[int]]) -> "SamplingPattern":
-        return cls(Shape(tuple(dims)), tuple(tuple(c) for c in coords))
+        return cls(Shape(tuple(dims)), tuple(coords))
 
     @classmethod
     def full(cls, dims: Sequence[int]) -> "SamplingPattern":
@@ -232,9 +282,14 @@ def read_pattern(path) -> SamplingPattern:
     # JSON gives 1.5 and true as float and bool, which int() would truncate.
     dims, observed = payload["dims"], payload["observed"]
     if not (
-        _int_list(dims) and isinstance(observed, list) and all(_int_list(c) for c in observed)
+        _int_list(dims)
+        and isinstance(observed, list)
+        and all(isinstance(c, list) for c in observed)
+        and all(type(v) is int for v in itertools.chain.from_iterable(observed))
     ):
         raise MalformedPatternError(f"{path}: 'dims' and every observed coordinate must be lists of integers")
+    if dims and _int64_array(dims) is None:
+        raise MalformedPatternError(f"{path}: every dimension must lie between 1 and 2**63 - 1")
     try:
         return SamplingPattern.from_coords(dims, observed)
     except (CoordinateBoundsError, DuplicateCoordinateError):

@@ -14,7 +14,14 @@ partials for every caller, in floating point or over GF(p), and
 :func:`layout_columns` places the partials in that layout.  Exact ranks are
 taken over GF(p) by :class:`ModEchelon`: full rank mod p implies full rank
 over Q, and a random point of GF(p) shows a deficit that is not generic with
-probability at most deg/p (Schwartz-Zippel).
+probability at most deg/p (Schwartz-Zippel).  :func:`probe_point` draws each
+GF(p) point once per ``(shape, spec, seed, modulus)`` and keeps the last
+``POINT_CACHE_SIZE`` in a process cache, as read-only arrays.
+
+One certificate asks the same questions of its pattern many times, so
+:func:`pattern_index` builds a :class:`PatternIndex` of it in one numpy pass
+(each entry's position, unfolding row, trailing coordinates, subtensor and
+hull-screen slots) and keeps it with the immutable pattern.
 """
 from __future__ import annotations
 
@@ -25,12 +32,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Coord, CoordinateBoundsError, Shape
+from .core import Coord, SamplingPattern, Shape, unfolding_indices
 
 __all__ = [
     "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
     "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "layout_columns", "probe_point",
-    "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "ModEchelon", "reaches_rank_mod_p",
+    "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "POINT_CACHE_SIZE", "ModEchelon", "reaches_rank_mod_p",
+    "PatternIndex", "pattern_index",
 ]
 
 # The largest prime below 2**28.  Residues multiply within int64, and 128
@@ -38,6 +46,7 @@ __all__ = [
 RANK_PRIME = 268_435_399
 _DOT_CHUNK = (2**63 - RANK_PRIME) // (RANK_PRIME - 1) ** 2
 RANK_POINT_SEED = 0x7A57E  # the GF(RANK_PRIME) point of every certificate's ranks
+POINT_CACHE_SIZE = 16  # GF(p) points probe_point keeps, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -217,15 +226,6 @@ def factor_offsets(shape: Shape, spec: RankSpec) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-def unfolding_indices(shape: Shape, j: int, coords: Sequence[Coord]) -> tuple[np.ndarray, np.ndarray]:
-    """0-based j-unfolding rows and trailing indices of 1-based coordinates."""
-    x = np.array(coords, dtype=np.intp).reshape(-1, shape.order) - 1
-    if ((x < 0) | (x >= np.array(shape.dims))).any():
-        raise CoordinateBoundsError(f"coordinates out of bounds for {shape.dims}")
-    head_strides = np.cumprod((1,) + shape.dims[: j - 1])
-    return x[:, :j] @ head_strides, x[:, j:]
-
-
 def tucker_terms(
     core: np.ndarray,
     factors: Sequence[np.ndarray],
@@ -287,20 +287,37 @@ def layout_columns(shape: Shape, spec: RankSpec, rows: np.ndarray, tails: np.nda
     )
 
 
+def _point_shapes(shape: Shape, spec: RankSpec) -> list[tuple[int, int]]:
+    return [(shape.head_size(spec.j), spec.product), *zip(spec.ranks, spec.tail_dims(shape))]
+
+
+@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
+def _residue_point(shape: Shape, spec: RankSpec, seed: int, modulus: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    shapes = _point_shapes(shape, spec)
+    flat = np.random.default_rng(seed).integers(modulus, size=sum(a * b for a, b in shapes))
+    flat.flags.writeable = False  # shared by every caller; views inherit the flag
+    ends = itertools.accumulate(a * b for a, b in shapes)
+    core, *factors = [flat[end - a * b : end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
+    return core, tuple(factors)
+
+
 def probe_point(
     shape: Shape, spec: RankSpec, seed: int, modulus: Optional[int] = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), drawn in
     that order from ``seed``: standard normal entries, or uniform residues
-    mod ``modulus`` when one is given."""
+    mod ``modulus`` when one is given.
+
+    A float point is drawn afresh on every call, into writable arrays (the
+    oracle writes its gauge pins into them).  A residue point is drawn once
+    per ``(shape, spec, seed, modulus)`` and kept in a process cache of the
+    ``POINT_CACHE_SIZE`` most recently used points; its arrays are
+    read-only views of one draw, shared by every caller."""
+    if modulus is not None:
+        core, factors = _residue_point(shape, spec, seed, modulus)
+        return core, list(factors)
     rng = np.random.default_rng(seed)
-    shapes = [(shape.head_size(spec.j), spec.product), *zip(spec.ranks, spec.tail_dims(shape))]
-    if modulus is None:
-        core, *factors = [rng.standard_normal(size) for size in shapes]
-    else:
-        flat = rng.integers(modulus, size=sum(a * b for a, b in shapes))
-        ends = itertools.accumulate(a * b for a, b in shapes)
-        core, *factors = [flat[end - a * b : end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
+    core, *factors = [rng.standard_normal(size) for size in _point_shapes(shape, spec)]
     return core, factors
 
 
@@ -331,6 +348,67 @@ def _gf_rows(coords: Sequence[Coord], shape: Shape, spec: RankSpec) -> JacobianR
     row_of = {c: i for i, c in enumerate(coords)}
     jac = unreduced_jacobian(shape, spec, coords, RANK_POINT_SEED, RANK_PRIME)
     return lambda subset: jac[[row_of[c] for c in subset]]
+
+
+def _slot_lists(
+    tail_dims: Sequence[int], weights: Sequence[int], trailing: np.ndarray
+) -> tuple[list[list[int]], int]:
+    """The hull screen's slots (see :mod:`~tensorcert.assumptions`) of the
+    entries at 0-based trailing indices ``trailing``, and the slot count
+    plus one: value ``t`` of trailing slot ``s`` owns ``weights[s]``
+    consecutive labels, numbered from 1 slot by slot, and an entry holds
+    the labels of each of its trailing values."""
+    sizes = [n * w for n, w in zip(tail_dims, weights)]
+    starts = itertools.accumulate(sizes, initial=1)
+    labels = [start + t[:, None] * w + np.arange(w) for start, w, t in zip(starts, weights, trailing.T)]
+    return np.concatenate(labels, axis=1).tolist(), 1 + sum(sizes)
+
+
+class PatternIndex:
+    """A pattern's observed entries under one rank spec, indexed in one numpy
+    pass.  Entry ``p`` is ``pattern.observed[p]``, which is also its row in
+    ``_gf_rows(pattern.observed, ...)``.
+
+    * ``position``: entry -> ``p``;
+    * ``rows[p]``: its 1-based j-unfolding row; ``trailing[p]``: its
+      0-based trailing coordinates, one array for all entries;
+    * ``groups``: tail (the 1-based trailing coordinates) -> the positions
+      with that tail, ascending, tails in ascending order: the subtensors of
+      the constraint matrix;
+    * ``at``: ``(row, tail)`` -> ``p``;
+    * :meth:`slots`: per entry, its hull-screen slots at given weights.
+    """
+
+    def __init__(self, pattern: SamplingPattern, spec: RankSpec):
+        observed, j = pattern.observed, spec.j
+        rows, self.trailing = unfolding_indices(pattern.shape, j, observed)
+        self.tail_dims = spec.tail_dims(pattern.shape)
+        self.position = {c: p for p, c in enumerate(observed)}
+        self.rows = (rows + 1).tolist()
+        tails = [c[j:] for c in observed]
+        self.at = {key: p for p, key in enumerate(zip(self.rows, tails))}
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for p, tail in enumerate(tails):
+            groups.setdefault(tail, []).append(p)
+        self.groups = dict(sorted(groups.items()))
+        self._slots: dict[tuple[int, ...], tuple[list[list[int]], int]] = {}
+
+    def slots(self, weights: tuple[int, ...]) -> tuple[list[list[int]], int]:
+        """:func:`_slot_lists` of every entry, built once per weights."""
+        if weights not in self._slots:
+            self._slots[weights] = _slot_lists(self.tail_dims, weights, self.trailing)
+        return self._slots[weights]
+
+
+def pattern_index(pattern: SamplingPattern, spec: RankSpec) -> PatternIndex:
+    """The pattern's :class:`PatternIndex` under ``spec``, built on first use
+    and kept with the (immutable) pattern, so that a certificate and all the
+    selections, constraint matrices and searches it runs share one index."""
+    index = pattern._indexes.get(spec)
+    if index is None:
+        spec.check_shape(pattern.shape)
+        index = pattern._indexes[spec] = PatternIndex(pattern, spec)
+    return index
 
 
 def _dot_mod(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:

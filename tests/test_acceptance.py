@@ -29,7 +29,8 @@ from tensorcert.assumptions import (
 from tensorcert.bounds import CurveConfig, emit_curves
 from tensorcert.certifier import certify_finite, subpro_consistency, verify_finite_witness
 from tensorcert.cli import EXIT_OK, main
-from tensorcert.core import SamplingPattern, Shape, write_pattern
+from tensorcert.constraint import ConstraintColumn, ConstraintMatrix, build_constraint
+from tensorcert.core import SamplingPattern, Shape, unfold_row, write_pattern
 from tensorcert.geometry import RankSpec, _gf_rows, canonical_structure
 from tensorcert.hallgraph import (
     BipartiteGraph,
@@ -256,6 +257,54 @@ def test_selection_admissibility_matches_rank_oracle():
     assert checked >= 200
 
 
+def per_entry_constraint(pattern: SamplingPattern, spec: RankSpec, selection: TSelection) -> ConstraintMatrix:
+    """Reference: the constraint matrix built entry by entry, converting each
+    coordinate to its unfolding row and grouping the entries by tail."""
+    shape, j = pattern.shape, spec.j
+    designated = set(selection.entries)
+    by_tail: dict = {}
+    for coord in pattern.observed:
+        by_tail.setdefault(coord[j:], []).append(coord)
+    columns = []
+    for tail in sorted(by_tail):
+        entries = by_tail[tail]
+        designated_rows = frozenset(unfold_row(shape, j, c) for c in entries if c in designated)
+        for coord in sorted(entries):
+            if coord not in designated:
+                columns.append(
+                    ConstraintColumn(base=tail, designated_rows=designated_rows, free_row=unfold_row(shape, j, coord))
+                )
+    return ConstraintMatrix(num_rows=shape.head_size(j), columns=tuple(columns), j=j, head_dims=shape.dims[:j])
+
+
+def test_index_built_constraint_matches_per_entry_construction():
+    """On all 320 sweep patterns, with a seeded designated subset of each,
+    and on the A and A+ selections of the first three draws of each config,
+    the constraint matrix read from the pattern's index equals the one built
+    entry by entry, column by column."""
+    selections = 0
+    for ci, (dims, j, ranks, p) in enumerate(SWEEP_CONFIGS):
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial in range(40):
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            rng = random.Random(f"{ci}-{trial}")
+            cases = [TSelection(entries=rng.sample(pattern.observed, rng.randint(0, pattern.num_observed)), mode="A")]
+            for mode in ("A", "A+") if trial < 3 else ():
+                try:
+                    cases.append(find_T_selection(pattern, spec, mode=mode, seed=3))
+                except AssumptionError:
+                    continue
+                selections += 1
+            for selection in cases:
+                built, reference = build_constraint(pattern, spec, selection), per_entry_constraint(pattern, spec, selection)
+                assert built.num_columns == reference.num_columns, (dims, j, ranks, trial)
+                for z, (ours, ref) in enumerate(zip(built.columns, reference.columns)):
+                    assert ours == ref, (dims, j, ranks, trial, z)
+                assert built == reference
+    assert selections >= 30
+
+
 @pytest.mark.parametrize("mode", ["A", "A+"])
 def test_selection_search_same_with_shared_rows(mode):
     """On the first five draws of each sweep config, the selection search
@@ -293,10 +342,10 @@ def test_pinning_greedy_candidate_kept(mode):
         spec = RankSpec(j=j, ranks=ranks)
         for trial, seed in itertools.product(range(5), (0, 3)):
             pattern = sample_pattern(shape, p, seed=5, trial=trial)
-            candidate = _greedy_candidate(shape, spec, mode == "A+", _seed_order(pattern, seed))
+            candidate = _greedy_candidate(pattern, spec, mode == "A+", _seed_order(pattern, seed))
             if candidate is None:
                 continue
-            selection = TSelection(entries=candidate, mode=mode)
+            selection = TSelection(entries=tuple(pattern.observed[p] for p in candidate), mode=mode)
             if checker(pattern, spec, selection)[0]:
                 assert find_T_selection(pattern, spec, mode=mode, seed=seed) == selection, (dims, j, ranks, trial)
                 kept += 1

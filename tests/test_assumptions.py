@@ -67,6 +67,13 @@ def reference_greedy(shape: Shape, spec: RankSpec, plus: bool, order):
     return None
 
 
+def greedy_over(pattern: SamplingPattern, spec: RankSpec, plus: bool, order):
+    """_greedy_candidate over entries given by coordinate; the kept entries as
+    coordinates."""
+    kept = _greedy_candidate(pattern, spec, plus, [pattern.observed.index(c) for c in order])
+    return None if kept is None else tuple(pattern.observed[p] for p in kept)
+
+
 HULL_CASES = [
     ((3, 3, 3), RankSpec(j=1, ranks=(1, 1))),
     ((3, 3, 3), RankSpec(j=1, ranks=(1, 2))),
@@ -176,8 +183,8 @@ class TestHullCondition:
             shuffled = sorted(pattern.observed)
             random.Random(trial).shuffle(shuffled)
             for order in (sorted(pattern.observed), shuffled):
-                ours, ref = (greedy(shape, spec, plus, order) for greedy in (_greedy_candidate, reference_greedy))
-                assert ours == ref
+                ours = greedy_over(pattern, spec, plus, order)
+                assert ours == reference_greedy(shape, spec, plus, order)
                 found += ours is not None
         assert found
 
@@ -437,7 +444,7 @@ class TestFindTSelection:
                         for combo in itertools.combinations(pattern.observed, needed)
                     )
                     continue
-            assert _greedy_candidate(shape, spec, False, sorted(pattern.observed)) is not None
+            assert greedy_over(pattern, spec, False, sorted(pattern.observed)) is not None
         assert refused == 3
 
     def test_refuses_exactly_when_brute_force_finds_none(self):

@@ -8,6 +8,7 @@ import pytest
 from tensorcert import certifier
 from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
 from tensorcert.certifier import (
+    CAPS_CACHE_SIZE,
     FiniteCertificate,
     _caps_worst,
     _finite_search,
@@ -105,6 +106,14 @@ def subset_condition_by_columns(cm, columns, spec):
 
 
 class TestSubsetCondition:
+    def test_capacity_table_kept_and_bounded(self):
+        """A (width, spec) table is built once, immutable, in a bounded cache."""
+        spec = RankSpec(j=1, ranks=(1, 2))
+        table = _caps_worst(5, spec)
+        assert isinstance(table, tuple) and len(table) == 32
+        assert _caps_worst(5, spec) is table
+        assert _caps_worst.cache_info().maxsize == CAPS_CACHE_SIZE
+
     def test_single_column_threshold(self):
         # need R*s - g(s) >= 1; for ranks (1, 1) that first happens at s = 3.
         spec = RankSpec(j=1, ranks=(1, 1))
@@ -287,7 +296,7 @@ class TestRankPrunedSearch:
             if witness_is_confirmed(pattern, spec, constraint, selection, w)
         ]
         rows = _gf_rows(pattern.observed, shape, spec)
-        pruned = list(_finite_search(shape, spec, constraint, selection, rows))
+        pruned = list(_finite_search(pattern, spec, constraint, selection, rows))
         assert pruned == expected
 
     def test_replay_rejects_count_feasible_rank_dependent_witness(self):

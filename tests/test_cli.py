@@ -98,6 +98,35 @@ class TestCheckFinite:
         assert not out.exists()
 
 
+PATTERN_COMMANDS = [["check-finite"], ["check-unique"], ["oracle", "--generate"]]
+
+
+class TestIntegerLimits:
+    """Dimensions must fit int64, the index type of every numpy map; a file
+    with a larger one is refused where it is read, by every command."""
+
+    @pytest.mark.parametrize("command", PATTERN_COMMANDS, ids=lambda c: c[0])
+    def test_dimension_beyond_int64_refused(self, command, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"dims": [3, 3, 100000000000000000000], '
+            '"observed": [[1, 1, 1], [2, 2, 99999999999999999999], [3, 3, 5]]}'
+        )
+        out = tmp_path / "artifact.json"
+        code = main([command[0], str(path), "--rank", "1,2", "--j", "1", *command[1:], "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {path}: every dimension must lie between 1 and 2**63 - 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", PATTERN_COMMANDS, ids=lambda c: c[0])
+    def test_coordinate_beyond_int64_out_of_bounds(self, command, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text('{"dims": [3, 3, 5], "observed": [[1, 1, 1], [2, 2, 99999999999999999999]]}')
+        code = main([command[0], str(path), "--rank", "1,2", "--j", "1", *command[1:]])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: coordinate (2, 2, 99999999999999999999) out of bounds for (3, 3, 5)\n"
+
+
 class TestParser:
     def test_calls_share_no_state(self, full_cube, tmp_path, capsys):
         """The reused parser gives each call fresh defaults: a second call

@@ -1,8 +1,9 @@
 """Shapes, index maps, and sampling-pattern I/O."""
 import itertools
+import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tensorcert.core import (
     CoordinateBoundsError,
@@ -18,6 +19,7 @@ from tensorcert.core import (
     unfold_index,
     unfold_row,
     write_pattern,
+    _sorted_if_valid,
 )
 
 dims_st = st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=4).map(tuple)
@@ -182,4 +184,83 @@ class TestSamplingPattern:
         path = tmp_path / "oob.json"
         path.write_text('{"dims": [2, 2], "observed": [[1, 3]]}')
         with pytest.raises(CoordinateBoundsError):
+            read_pattern(path)
+
+
+def checked_one_by_one(shape: Shape, coords):
+    """Reference: check every coordinate in input order, naming the first bad
+    one."""
+    seen = set()
+    for coord in coords:
+        c = shape.check_coord(coord)
+        if c in seen:
+            raise DuplicateCoordinateError(f"duplicate coordinate {c}")
+        seen.add(c)
+    return tuple(sorted(seen))
+
+
+HUGE = [2**63 - 1, 2**63, 2**64, -(2**63) - 1, 10**20]
+
+
+@st.composite
+def dims_and_coords(draw):
+    """Coordinates that are mostly in bounds, some of the wrong arity, 0,
+    n_i + 1 or beyond int64, drawn with repeats from a small pool."""
+    dims = draw(dims_st)
+    d = len(dims)
+
+    def coord():
+        c = [draw(st.integers(1, n)) for n in dims]
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            c = c[:-1] if draw(st.booleans()) else c + [1]
+        elif kind == 1:
+            i = draw(st.integers(0, d - 1))
+            c[i] = draw(st.sampled_from([0, dims[i] + 1, *HUGE]))
+        return tuple(c)
+
+    pool = [coord() for _ in range(draw(st.integers(1, 6)))]
+    coords = draw(st.lists(st.sampled_from(pool), max_size=10))
+    return dims, coords
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:  # the class and text are what is compared
+        return type(exc), str(exc)
+
+
+class TestOnePassCheck:
+    @settings(max_examples=300)
+    @given(dims_and_coords())
+    def test_same_result_or_error_as_per_coordinate_loop(self, case):
+        """The one-pass check accepts exactly what the loop accepts, with the
+        same sorted entries, and a refused pattern raises the loop's error."""
+        dims, coords = case
+        shape = Shape(dims=dims)
+        expected = outcome(lambda: checked_one_by_one(shape, coords))
+        assert outcome(lambda: SamplingPattern.from_coords(dims, coords).observed) == expected
+        assert _sorted_if_valid(shape, coords) == (expected[1] if expected[0] == "ok" else None)
+
+    def test_empty_pattern(self):
+        assert _sorted_if_valid(Shape(dims=(2, 2)), ()) == ()
+        assert SamplingPattern.from_coords((2, 2), []).observed == ()
+
+    def test_huge_coordinate_keeps_its_message(self):
+        with pytest.raises(CoordinateBoundsError, match=r"coordinate \(2, 2, 99999999999999999999\) out of bounds"):
+            SamplingPattern.from_coords((3, 3, 5), [(1, 1, 1), (2, 2, 99999999999999999999)])
+
+    def test_dimension_beyond_int64_checked_one_by_one(self):
+        """A shape numpy cannot index is still checked, by the loop."""
+        dims = (3, 3, 10**20)
+        assert _sorted_if_valid(Shape(dims=dims), [(1, 1, 1)]) is None
+        pattern = SamplingPattern.from_coords(dims, [(3, 3, 5), (2, 2, 10**20 - 1)])
+        assert pattern.observed == ((2, 2, 10**20 - 1), (3, 3, 5))
+
+    @pytest.mark.parametrize("dims", [[3, 3, 2**63], [3, 3, 10**20], [3, -(2**64), 3]])
+    def test_read_refuses_dimension_beyond_int64(self, dims, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": dims, "observed": [[1, 1, 1]]}))
+        with pytest.raises(MalformedPatternError, match="2\\*\\*63 - 1"):
             read_pattern(path)

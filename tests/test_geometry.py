@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensorcert.core import SamplingPattern, Shape, unfold_row
+from tensorcert import geometry
 from tensorcert.geometry import (
+    POINT_CACHE_SIZE,
+    RANK_POINT_SEED,
     RANK_PRIME,
     ModEchelon,
     RankSpec,
@@ -21,7 +24,7 @@ from tensorcert.geometry import (
     unreduced_jacobian,
 )
 from tensorcert.montecarlo import sample_pattern
-from tensorcert.oracle import realize
+from tensorcert.oracle import generate_instance, realize
 
 ranks_st = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(tuple)
 
@@ -282,6 +285,39 @@ class TestModularJacobian:
         assert core.tobytes() == rng.standard_normal(core.shape).tobytes()
         for T in factors:
             assert T.tobytes() == rng.standard_normal(T.shape).tobytes()
+
+
+class TestPointCache:
+    """probe_point keeps each residue point, read-only, in a bounded cache;
+    float points stay fresh and writable."""
+
+    def test_residue_point_drawn_once_and_read_only(self):
+        shape, spec = Shape(dims=(4, 3, 3)), RankSpec(j=1, ranks=(2, 2))
+        core, factors = probe_point(shape, spec, RANK_POINT_SEED, RANK_PRIME)
+        again, again_factors = probe_point(shape, spec, RANK_POINT_SEED, RANK_PRIME)
+        assert again is core and all(a is b for a, b in zip(again_factors, factors))
+        for array in (core, *factors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        total = core.size + sum(T.size for T in factors)
+        flat = np.random.default_rng(RANK_POINT_SEED).integers(RANK_PRIME, size=total)
+        assert np.array_equal(np.concatenate([core.ravel(), *(T.ravel() for T in factors)]), flat)
+
+    def test_cache_is_bounded(self):
+        shape, spec = Shape(dims=(3, 3, 3)), RankSpec(j=1, ranks=(1, 1))
+        for seed in range(POINT_CACHE_SIZE + 5):
+            probe_point(shape, spec, seed, RANK_PRIME)
+        info = geometry._residue_point.cache_info()
+        assert info.maxsize == POINT_CACHE_SIZE and info.currsize == POINT_CACHE_SIZE
+
+    def test_generated_instances_are_fresh_and_writable(self):
+        shape, spec = Shape(dims=(4, 3, 3)), RankSpec(j=1, ranks=(2, 2))
+        a, b = (generate_instance(shape, spec, seed=11) for _ in range(2))
+        for x, y in zip((a.core_mat, *a.factors), (b.core_mat, *b.factors)):
+            assert x.flags.writeable and y.flags.writeable
+            assert not np.shares_memory(x, y)
+            assert np.array_equal(x, y)
 
 
 def dependent_rich_rows(rng: np.random.Generator, count: int, width: int, spread: int = 6) -> np.ndarray:
