@@ -27,7 +27,7 @@ from tensorcert.assumptions import (
     find_T_selection,
 )
 from tensorcert.bounds import CurveConfig, emit_curves
-from tensorcert.certifier import certify_finite, subpro_consistency, verify_finite_witness
+from tensorcert.certifier import certify_finite, certify_unique, subpro_consistency, verify_finite_witness
 from tensorcert.cli import EXIT_OK, main
 from tensorcert.constraint import ConstraintColumn, ConstraintMatrix, build_constraint
 from tensorcert.core import SamplingPattern, Shape, unfold_row, write_pattern
@@ -220,6 +220,31 @@ def test_sweep_witness_coverage_and_replay():
             coverage.append((witnessed, witnessless))
         assert coverage == SWEEP_WITNESS_COVERAGE
         assert digest.hexdigest() == SWEEP_CERTIFICATE_DIGEST
+
+
+# SHA-256 over certify_unique's certificates and refusals at seed 3 on all 40
+# draws of sweep configs 0-6, in the line format of SWEEP_CERTIFICATE_DIGEST.
+# Config 7 takes seconds per pattern here (the second-witness search).
+UNIQUE_CERTIFICATE_DIGEST = "8c99d9bd19f9db6b4f616cdd0325a3bba085a2eec7155dd7512b8f8f35ac60c1"
+
+
+def test_unique_certificates_pinned():
+    """Every check-unique certificate and refusal of the first seven sweep
+    configs, byte for byte."""
+    with Budget(30.0):
+        digest = hashlib.sha256()
+        for dims, j, ranks, p in SWEEP_CONFIGS[:7]:
+            shape = Shape(dims=dims)
+            spec = RankSpec(j=j, ranks=ranks)
+            for trial in range(40):
+                pattern = sample_pattern(shape, p, seed=5, trial=trial)
+                try:
+                    cert = certify_unique(pattern, spec, seed=3)
+                except AssumptionError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    continue
+                digest.update((json.dumps(cert.to_dict(), sort_keys=True) + "\n").encode())
+        assert digest.hexdigest() == UNIQUE_CERTIFICATE_DIGEST
 
 
 def test_selection_admissibility_matches_rank_oracle():
