@@ -27,7 +27,12 @@ weak-map image of the transversal one.  An admissible selection therefore
 exists exactly when ``needed`` observed entries pass the screen together and
 all observed factor rows reach ``target``: a basis of those rows passes the
 screen, and the matching greedy extends it to ``needed`` entries.
-:func:`find_T_selection` builds the selection that way.
+:func:`find_T_selection` builds the selection that way.  It pushes each
+entry's full GF(p) row into one echelon (:func:`selection_echelon`) whose
+pivots land in the factor block, the trailing columns, whenever a reduced
+row is nonzero there, so the same pushes find the factor basis and leave the
+echelon of the selection's rows, which the certifier's witness search starts
+from instead of pushing the designated rows again.
 """
 from __future__ import annotations
 
@@ -64,6 +69,7 @@ __all__ = [
     "check_Bj",
     "select_T_entries",
     "find_T_selection",
+    "selection_echelon",
 ]
 
 
@@ -320,59 +326,87 @@ def select_T_entries(
     raise SelectionNotFoundError("hinted selection fails the admissibility check")
 
 
+def selection_echelon(shape: Shape, spec: RankSpec) -> ModEchelon:
+    """An empty echelon for :func:`find_T_selection`: as wide as the
+    unreduced layout, whose ``block_rank`` is the factor block's rank."""
+    offsets = factor_offsets(shape, spec)
+    return ModEchelon(offsets[-1], block=offsets[0])
+
+
+def _check_observed_count(pattern: SamplingPattern, spec: RankSpec, plus: bool) -> None:
+    """Refuse a pattern with fewer observed entries than a selection needs.
+    Decided from the dimensions alone, before any Jacobian is built."""
+    needed = _selection_size(pattern.shape, spec, plus)
+    if needed > pattern.num_observed:
+        raise SelectionInfeasibleError(
+            f"selection needs {needed} entries but only {pattern.num_observed} are observed"
+        )
+
+
 def find_T_selection(
     pattern: SamplingPattern,
     spec: RankSpec,
     mode: str = "A",
     seed: int = 0,
     rows: Optional[JacobianRows] = None,
+    echelon: Optional[ModEchelon] = None,
 ) -> TSelection:
     """Exact construction of an admissible designated selection, or a proof
     that none exists at the GF(p) point of ``RANK_POINT_SEED``.
 
     1. The greedy over the seed's order of the observed entries picks ``X0``;
        a shortfall proves that no `needed` entries pass the hull screen.
-    2. A greedy GF(p) basis ``Y`` of the factor rows of ``X0`` and then of
-       the other entries stops at the pinning rank; falling short of it
-       proves that no selection pins the factors.
-    3. The greedy over ``Y``, then ``X0``, then the rest keeps ``Y`` (it
-       passes the screen, see the module docstring) and grows it to
-       `needed` entries, so the selection pins the factors by construction.
-       When ``X0`` pins them already, ``Y`` lies inside it and the
-       selection is ``X0``.
+    2. The full GF(p) rows of ``X0``, then of the other entries, are pushed
+       into one :func:`selection_echelon`, until every row of ``X0`` is in
+       and the factor block reaches the pinning rank.  A row's pivot lands
+       in the factor block exactly when its factor part is independent of
+       the earlier ones, so those rows form a greedy basis ``Y`` of the
+       factor rows.  Falling short of the pinning rank proves that no
+       selection pins the factors.
+    3. When ``Y`` lies inside ``X0``, ``X0`` pins the factors and is the
+       selection, and the echelon already holds exactly its rows.
+       Otherwise the greedy over ``Y``, then ``X0``, then the rest keeps
+       ``Y`` (it passes the screen, see the module docstring) and grows it
+       to `needed` entries, so the selection pins the factors by
+       construction; the echelon is then rebuilt from its rows.
 
     ``rows`` is a :func:`~tensorcert.geometry._gf_rows` covering the
     observed entries; without it, one is built at ``RANK_POINT_SEED``.
+    ``echelon``, an empty :func:`selection_echelon` when given, holds
+    exactly the selection's rows on return.
     """
     plus = mode == "A+"
     shape = pattern.shape
     spec.check_shape(shape)
+    _check_observed_count(pattern, spec, plus)
     needed = _selection_size(shape, spec, plus)
-    if needed > pattern.num_observed:
-        raise SelectionInfeasibleError(
-            f"selection needs {needed} entries but only {pattern.num_observed} are observed"
-        )
     order = _seed_order(pattern, seed)
     first = _greedy_candidate(pattern, spec, plus, order)
     if first is None:
         raise SelectionNotFoundError(f"no {needed} observed entries pass the hull screen together")
     order = list(dict.fromkeys([*first, *order]))
 
-    offsets = factor_offsets(shape, spec)
-    target = _pin_target(offsets, spec)
+    target = _pin_target(factor_offsets(shape, spec), spec)
     observed = pattern.observed
     rows = rows or _gf_rows(observed, shape, spec)
-    echelon = ModEchelon(offsets[-1] - offsets[0])
+    echelon = selection_echelon(shape, spec) if echelon is None else echelon
     basis = []
-    for p, row in zip(order, rows([observed[p] for p in order])[:, offsets[0] :]):
-        if echelon.rank == target:
+    for pushed, (p, row) in enumerate(zip(order, rows([observed[p] for p in order]))):
+        if pushed >= len(first) and echelon.block_rank == target:
             break
-        if echelon.push(row):
+        block_rank = echelon.block_rank
+        echelon.push(row)
+        if echelon.block_rank > block_rank:
             basis.append(p)
-    if echelon.rank < target:
+    if echelon.block_rank < target:
         raise SelectionNotFoundError(
-            f"the observed entries' factor block reaches rank {echelon.rank}, short of the {target} that pins the factors"
+            f"the observed entries' factor block reaches rank {echelon.block_rank}, short of the {target} that pins the factors"
         )
+    if set(basis) <= set(first):
+        return TSelection(entries=tuple(observed[p] for p in first), mode=mode)
     selection = _greedy_candidate(pattern, spec, plus, list(dict.fromkeys(basis + order)))
     assert selection is not None and set(basis) <= set(selection)
+    echelon.clear()
+    for row in rows([observed[p] for p in selection]):
+        echelon.push(row)
     return TSelection(entries=tuple(observed[p] for p in selection), mode=mode)

@@ -16,9 +16,11 @@ column — must have a Jacobian of rank ``target`` (the unknowns minus the
 basis-change group, as in :func:`generic_rank_finite`).  The rank is taken
 over GF(p), p = ``RANK_PRIME``, at the point drawn from ``RANK_POINT_SEED``:
 full rank there proves independence, and a deficit that is not generic shows
-with probability at most deg/p.  The search pushes the designated rows into
-one :class:`~tensorcert.geometry.ModEchelon`, then the free-entry row of
-every column it includes, and prunes a branch as soon as more rows are
+with probability at most deg/p.  The search starts from the
+:class:`~tensorcert.geometry.ModEchelon` of the designated rows that
+:func:`~tensorcert.assumptions.find_T_selection` leaves (one per selection,
+so those rows are pushed once), pushes the free-entry row of every column
+it includes, and prunes a branch as soon as more rows are
 dependent than ``slack = |entries| - target`` allows (0 for an ``A``
 selection, sum n_i for an ``A+`` one).  Independence is inherited by
 subsets, so the pruning loses no witness, and every witness it yields is
@@ -56,8 +58,10 @@ from .geometry import (
 from .assumptions import (
     AssumptionError,
     TSelection,
+    _check_observed_count,
     check_Bj,
     find_T_selection,
+    selection_echelon,
 )
 from .constraint import ConstraintMatrix, build_constraint, m_count
 
@@ -332,12 +336,15 @@ def _finite_search(
     constraint: ConstraintMatrix,
     selection: TSelection,
     rows: JacobianRows,
+    echelon: ModEchelon,
 ) -> Iterator[tuple[int, ...]]:
     """Witnesses of ``core_dim`` columns of the pattern's ``constraint``, in
     search order, each confirmed: with the designated entries, their free
     entries reach rank :func:`_rank_target` over GF(p).  ``rows`` is a
-    :func:`_gf_rows`; each column's free entry is read from the pattern's
-    :func:`~tensorcert.geometry.pattern_index`."""
+    :func:`_gf_rows`, and ``echelon`` holds the rows of the selection's
+    entries, as :func:`find_T_selection` leaves it; the search pushes the
+    free entries' rows onto it.  Each column's free entry is read from the
+    pattern's :func:`~tensorcert.geometry.pattern_index`."""
     shape = pattern.shape
     n = core_dim(shape, spec)
     columns = list(range(constraint.num_columns))
@@ -346,10 +353,6 @@ def _finite_search(
     counts = _IncrementalCounts(width, _caps_worst(width, spec))
     order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
     slack = len(selection.entries) + n - _rank_target(shape, spec)
-    designated = rows(selection.entries)
-    echelon = ModEchelon(designated.shape[1])
-    for row in designated:
-        echelon.push(row)
     if echelon.dependent > slack:
         return
     index, observed = pattern_index(pattern, spec), pattern.observed
@@ -358,7 +361,7 @@ def _finite_search(
 
 
 def _certify_finite_once(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: JacobianRows
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: JacobianRows, echelon: ModEchelon
 ) -> FiniteCertificate:
     constraint = build_constraint(pattern, spec, selection)
     n = core_dim(pattern.shape, spec)
@@ -380,7 +383,7 @@ def _certify_finite_once(
             reason=f"only {constraint.num_columns} constraint columns but {n} needed",
         )
     try:
-        witness = next(_finite_search(pattern, spec, constraint, selection, rows), None)
+        witness = next(_finite_search(pattern, spec, constraint, selection, rows, echelon), None)
     except CertifierGuardError as exc:
         return cert("undecided-search-exhausted", reason=str(exc))
     if witness is not None:
@@ -397,15 +400,17 @@ def _check_assumptions(pattern: SamplingPattern, spec: RankSpec) -> None:
 
 def _selections(
     pattern: SamplingPattern, spec: RankSpec, mode: str, seed: int, rows: JacobianRows
-) -> Iterator[TSelection]:
+) -> Iterator[tuple[TSelection, ModEchelon]]:
     """The distinct designated selections of seeds ``seed`` to
-    ``seed + SELECTION_RETRIES``, in seed order, each found when asked for."""
+    ``seed + SELECTION_RETRIES``, in seed order, each found when asked for,
+    with the echelon of its rows that :func:`find_T_selection` leaves."""
     tried_entries: set[tuple] = set()
     for attempt in range(SELECTION_RETRIES + 1):
-        selection = find_T_selection(pattern, spec, mode=mode, seed=seed + attempt, rows=rows)
+        echelon = selection_echelon(pattern.shape, spec)
+        selection = find_T_selection(pattern, spec, mode=mode, seed=seed + attempt, rows=rows, echelon=echelon)
         if selection.entries not in tried_entries:
             tried_entries.add(selection.entries)
-            yield selection
+            yield selection, echelon
 
 
 def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> FiniteCertificate:
@@ -419,6 +424,7 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     "not-finite" at once; at the target, the other selections are searched,
     and "finite" comes without witness columns if none yields one."""
     _check_assumptions(pattern, spec)
+    _check_observed_count(pattern, spec, plus=False)
     return _certify_finite(pattern, spec, seed, _gf_rows(pattern.observed, pattern.shape, spec))
 
 
@@ -427,8 +433,8 @@ def _certify_finite(
 ) -> FiniteCertificate:
     """:func:`certify_finite` on the pattern's shared Jacobian ``rows``."""
     first: Optional[FiniteCertificate] = None
-    for selection in _selections(pattern, spec, "A", seed, rows):
-        result = _certify_finite_once(pattern, spec, selection, rows)
+    for selection, echelon in _selections(pattern, spec, "A", seed, rows):
+        result = _certify_finite_once(pattern, spec, selection, rows, echelon)
         if result.verdict == "finite":
             return result
         if first is None:
@@ -491,12 +497,13 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     disjoint second witness whose t'-subsets each involve at least
     R*t' - sum_sq*(t' - n0 + 1)^+ free core entries."""
     _check_assumptions(pattern, spec)
+    _check_observed_count(pattern, spec, plus=True)
     n = core_dim(pattern.shape, spec)
     n0 = pattern.shape.head_size(spec.j) - spec.sum_sq // spec.product
 
     undecided = False
     rows = _gf_rows(pattern.observed, pattern.shape, spec)
-    for selection in _selections(pattern, spec, "A+", seed, rows):
+    for selection, echelon in _selections(pattern, spec, "A+", seed, rows):
         constraint = build_constraint(pattern, spec, selection)
         columns = list(range(constraint.num_columns))
         masks, _labels = _support_masks(constraint, columns)
@@ -504,7 +511,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
 
         try:
             caps_uni = _caps_unique(width, spec, n0)
-            finite_witnesses = _finite_search(pattern, spec, constraint, selection, rows)
+            finite_witnesses = _finite_search(pattern, spec, constraint, selection, rows, echelon)
             for tried, witness in enumerate(finite_witnesses, start=1):
                 used = set(witness)
                 remaining = [i for i in columns if i not in used]

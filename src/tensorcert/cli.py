@@ -321,6 +321,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        # A pattern whose dimensions fit int64 can still ask for arrays that
+        # do not fit in memory, e.g. a generic instance of a huge dimension.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

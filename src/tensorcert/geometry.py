@@ -14,9 +14,11 @@ partials for every caller, in floating point or over GF(p), and
 :func:`layout_columns` places the partials in that layout.  Exact ranks are
 taken over GF(p) by :class:`ModEchelon`: full rank mod p implies full rank
 over Q, and a random point of GF(p) shows a deficit that is not generic with
-probability at most deg/p (Schwartz-Zippel).  :func:`probe_point` draws each
-GF(p) point once per ``(shape, spec, seed, modulus)`` and keeps the last
-``POINT_CACHE_SIZE`` in a process cache, as read-only arrays.
+probability at most deg/p (Schwartz-Zippel).  An echelon pivots each row at
+its last nonzero column, so the same pushes also rank the rows' parts in a
+trailing block of columns, such as the factor block.  :func:`probe_point`
+draws each GF(p) point once per ``(shape, spec, seed, modulus)`` and keeps
+the last ``POINT_CACHE_SIZE`` in a process cache, as read-only arrays.
 
 One certificate asks the same questions of its pattern many times, so
 :func:`pattern_index` builds a :class:`PatternIndex` of it in one numpy pass
@@ -429,10 +431,19 @@ class ModEchelon:
     pivots times the kept rows.  An independent row then clears its pivot
     column from the earlier rows; the cleared column is saved, and ``pop``
     adds it back.  Memory stays at two width x width arrays however deep
-    the pushes go."""
+    the pushes go.
 
-    def __init__(self, width: int):
-        self.rank = 0
+    A row's pivot is its last nonzero column, so every kept row is zero
+    after its pivot, and for any column b the kept rows pivoted at b or
+    later reduce every row's part from b on: a row's part from b on is
+    independent of the earlier rows' parts exactly when its pivot is b or
+    later.  ``block_rank`` counts the pivots from column ``block`` on: the
+    rank of the pushed rows' parts from ``block`` on, from the same pushes
+    as ``rank``."""
+
+    def __init__(self, width: int, block: int = 0):
+        self.rank = self.block_rank = 0
+        self.block = block
         self._rows = np.zeros((width, width), np.int64)
         self._pivots = np.zeros(width, np.intp)
         self._cleared = np.zeros((width, width), np.int64)  # row k: what push k cleared
@@ -452,7 +463,7 @@ class ModEchelon:
         independent = bool(nonzero.size)
         self._pushed.append(independent)
         if independent:
-            pivot = nonzero[0]
+            pivot = nonzero[-1]
             row = row * pow(int(row[pivot]), -1, RANK_PRIME) % RANK_PRIME
             if k:
                 cleared = self._cleared[k, :k]
@@ -462,6 +473,8 @@ class ModEchelon:
             self._rows[k] = row
             self._pivots[k] = pivot
             self.rank = k + 1
+            if pivot >= self.block:
+                self.block_rank += 1
         return independent
 
     def pop(self) -> None:
@@ -471,6 +484,13 @@ class ModEchelon:
             self._rows[:k] += np.multiply.outer(self._cleared[k, :k], self._rows[k])
             self._rows[:k] %= RANK_PRIME
             self.rank = k
+            if self._pivots[k] >= self.block:
+                self.block_rank -= 1
+
+    def clear(self) -> None:
+        """Undo every push at once."""
+        self.rank = self.block_rank = 0
+        self._pushed.clear()
 
 
 def reaches_rank_mod_p(rows: np.ndarray, target: int) -> bool:

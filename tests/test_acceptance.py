@@ -6,6 +6,8 @@ verification of the counting function, the bipartite subgraph constructions,
 threshold-curve validity cuts, Monte Carlo bound sanity, and byte-level CLI
 determinism.  Stated wall-clock budgets are asserted directly.
 """
+import collections
+import copy
 import hashlib
 import itertools
 import json
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tensorcert import assumptions, certifier
 from tensorcert.assumptions import (
     AssumptionError,
     TSelection,
@@ -31,7 +34,7 @@ from tensorcert.certifier import certify_finite, certify_unique, subpro_consiste
 from tensorcert.cli import EXIT_OK, main
 from tensorcert.constraint import ConstraintColumn, ConstraintMatrix, build_constraint
 from tensorcert.core import SamplingPattern, Shape, unfold_row, write_pattern
-from tensorcert.geometry import RankSpec, _gf_rows, canonical_structure
+from tensorcert.geometry import ModEchelon, RankSpec, _gf_rows, canonical_structure
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
@@ -377,6 +380,56 @@ def test_pinning_greedy_candidate_kept(mode):
             else:
                 repaired += 1
     assert kept >= 50 and repaired
+
+
+def test_witness_search_starts_from_the_selection_echelon(monkeypatch):
+    """On the first ten draws of each sweep config, through certify_finite
+    and (configs 0-6) certify_unique, the echelon each witness search starts
+    from holds exactly its selection's rows: the rank and the dependent count
+    of a fresh push of them, and every one of them dependent on it.  This
+    holds both when the selection search keeps its first greedy pick (one
+    greedy call) and when it rebuilds the echelon (two)."""
+    greedy_calls = []
+    real_greedy = assumptions._greedy_candidate
+
+    def counting_greedy(*args):
+        greedy_calls[-1] += 1
+        return real_greedy(*args)
+
+    real_find = certifier.find_T_selection
+
+    def counting_find(*args, **kwargs):
+        greedy_calls.append(0)
+        return real_find(*args, **kwargs)
+
+    real_search = certifier._finite_search
+    cases = collections.Counter()
+
+    def checking_search(pattern, spec, constraint, selection, rows, echelon):
+        designated = rows(selection.entries)
+        fresh = ModEchelon(designated.shape[1])
+        for row in designated:
+            fresh.push(row)
+        assert (echelon.rank, echelon.dependent) == (fresh.rank, fresh.dependent)
+        clone = copy.deepcopy(echelon)
+        assert not any(clone.push(row) for row in designated)
+        cases[greedy_calls[-1]] += 1
+        return real_search(pattern, spec, constraint, selection, rows, echelon)
+
+    monkeypatch.setattr(assumptions, "_greedy_candidate", counting_greedy)
+    monkeypatch.setattr(certifier, "find_T_selection", counting_find)
+    monkeypatch.setattr(certifier, "_finite_search", checking_search)
+    for ci, (dims, j, ranks, p) in enumerate(SWEEP_CONFIGS):
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial in range(10):
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            for certify in (certify_finite, certify_unique) if ci < 7 else (certify_finite,):
+                try:
+                    certify(pattern, spec, seed=3)
+                except AssumptionError:
+                    continue
+    assert cases[1] >= 200 and cases[2] >= 20 and set(cases) == {1, 2}
 
 
 def test_counting_function_exhaustive():

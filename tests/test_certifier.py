@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from tensorcert import certifier
-from tensorcert.assumptions import AssumptionError, TSelection, find_T_selection
+from tensorcert.assumptions import (
+    AssumptionError,
+    SelectionInfeasibleError,
+    TSelection,
+    find_T_selection,
+    selection_echelon,
+)
 from tensorcert.certifier import (
     CAPS_CACHE_SIZE,
     FiniteCertificate,
@@ -287,7 +293,9 @@ class TestRankPrunedSearch:
         monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 10**9)
         shape = Shape(dims=dims)
         pattern = SamplingPattern.full(dims) if trial is None else sample_pattern(shape, 0.85, seed=17, trial=trial)
-        selection = find_T_selection(pattern, spec, mode=mode)
+        rows = _gf_rows(pattern.observed, shape, spec)
+        echelon = selection_echelon(shape, spec)
+        selection = find_T_selection(pattern, spec, mode=mode, rows=rows, echelon=echelon)
         constraint = build_constraint(pattern, spec, selection)
         n = core_dim(shape, spec)
         expected = [
@@ -295,8 +303,7 @@ class TestRankPrunedSearch:
             for w in count_only_witnesses(constraint, spec, n)
             if witness_is_confirmed(pattern, spec, constraint, selection, w)
         ]
-        rows = _gf_rows(pattern.observed, shape, spec)
-        pruned = list(_finite_search(pattern, spec, constraint, selection, rows))
+        pruned = list(_finite_search(pattern, spec, constraint, selection, rows, echelon))
         assert pruned == expected
 
     def test_replay_rejects_count_feasible_rank_dependent_witness(self):
@@ -340,6 +347,19 @@ class TestCertifyFinite:
         pattern = SamplingPattern.full((2, 3, 3))
         with pytest.raises(AssumptionError):
             certify_finite(pattern, RankSpec(j=1, ranks=(1, 2)))
+
+    @pytest.mark.parametrize("certify", [certify_finite, certify_unique])
+    def test_too_few_entries_refused_before_the_jacobian(self, certify, monkeypatch):
+        """A pattern with fewer entries than a selection needs is refused
+        from its dimensions alone: its Jacobian could be too large to build."""
+
+        def no_jacobian(*args):
+            raise AssertionError("the Jacobian was built")
+
+        monkeypatch.setattr(certifier, "_gf_rows", no_jacobian)
+        pattern = SamplingPattern.from_coords((3, 3, 10**12), [(1, 1, 1), (2, 2, 5), (3, 1, 7)])
+        with pytest.raises(SelectionInfeasibleError, match="only 3 are observed"):
+            certify(pattern, RankSpec(j=1, ranks=(1, 2)))
 
     def test_full_observation_finite_with_witness_replay(self):
         pattern = SamplingPattern.full((3, 3, 3))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tensorcert import cli
 from tensorcert.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, _write_artifact, build_parser, main
 from tensorcert.core import SamplingPattern, write_pattern
 from tensorcert.oracle import section_iib_pattern, section_iib_values
@@ -125,6 +126,32 @@ class TestIntegerLimits:
         code = main([command[0], str(path), "--rank", "1,2", "--j", "1", *command[1:]])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: coordinate (2, 2, 99999999999999999999) out of bounds for (3, 3, 5)\n"
+
+
+class TestLayoutBeyondMemory:
+    """Dimensions that fit int64 but whose factor layout does not fit in
+    memory end in an ``error:`` line and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("command,needed", [("check-finite", 2000000000003), ("check-unique", 3000000000006)])
+    def test_certificate_commands_refuse_before_the_jacobian(self, command, needed, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [3, 3, 1000000000000], "observed": [[1,1,1],[2,2,5],[3,1,7]]}')
+        out = tmp_path / "artifact.json"
+        code = main([command, str(path), "--rank", "1,2", "--j", "1", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: selection needs {needed} entries but only 3 are observed\n"
+        assert not out.exists()
+
+    def test_memory_error_reported(self, full_cube, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(cli, "generate_instance", no_memory)
+        out = tmp_path / "report.json"
+        code = main(["oracle", full_cube, "--rank", "1,2", "--j", "1", "--generate", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: Unable to allocate 14.6 TiB\n"
+        assert not out.exists()
 
 
 class TestParser:

@@ -399,6 +399,40 @@ class TestModEchelon:
                 assert echelon.push(row) == prefix_independence_reference(stack)[-1]
             assert echelon.rank == sum(prefix_independence_reference(stack))
 
+    @pytest.mark.parametrize("count,block,width", [(30, 4, 9), (60, 20, 28), (190, 100, 150)])
+    def test_block_pivot_marks_independent_block_parts(self, count, block, width):
+        """A row's pivot lands in the block exactly when its block part is
+        independent of the earlier rows' block parts, and whether the row
+        itself is independent does not depend on the block."""
+        rng = np.random.default_rng(count)
+        head, tail = dependent_rich_rows(rng, count, block), dependent_rich_rows(rng, count, width - block)
+        rows = np.concatenate([head, tail], axis=1)
+        expected = zip(prefix_independence_reference(rows), prefix_independence_reference(tail))
+        echelon = ModEchelon(width, block)
+        outcomes = set()
+        for row, (independent, block_independent) in zip(rows, expected):
+            block_rank = echelon.block_rank
+            assert echelon.push(row) == independent
+            assert (echelon.block_rank > block_rank) == block_independent
+            outcomes.add((independent, block_independent))
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    def test_pop_and_clear_restore_block_rank(self):
+        rng = np.random.default_rng(7)
+        rows = np.concatenate([dependent_rich_rows(rng, 40, 6), dependent_rich_rows(rng, 40, 8)], axis=1)
+        echelon = ModEchelon(14, 6)
+        pushed, block_ranks = [], [0]
+        for row in rows:
+            pushed.append(echelon.push(row))
+            block_ranks.append(echelon.block_rank)
+        for depth in reversed(range(len(rows))):
+            echelon.pop()
+            assert echelon.block_rank == block_ranks[depth]
+        assert echelon.rank == 0 and [echelon.push(row) for row in rows] == pushed
+        echelon.clear()
+        assert (echelon.rank, echelon.block_rank, echelon.dependent) == (0, 0, 0)
+        assert [echelon.push(row) for row in rows] == pushed and echelon.block_rank == block_ranks[-1]
+
     def test_reaches_rank_on_short_and_empty_input(self):
         rows = np.random.default_rng(3).integers(RANK_PRIME, size=(4, 6))
         assert reaches_rank_mod_p(rows, 4)
