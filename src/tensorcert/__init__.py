@@ -15,7 +15,7 @@ from .core import (
     write_pattern,
 )
 from .geometry import RankSpec, canonical_structure, core_dim, manifold_dim
-from .assumptions import check_Aj, check_Aj_plus, check_Bj, minimal_hull, select_T_entries
+from .assumptions import check_Aj, check_Aj_plus, check_Bj, minimal_hull
 from .constraint import ConstraintMatrix, build_constraint, m_count
 from .hallgraph import (
     BipartiteGraph,
@@ -47,7 +47,6 @@ __all__ = [
     "check_Aj_plus",
     "check_Bj",
     "minimal_hull",
-    "select_T_entries",
     "ConstraintMatrix",
     "build_constraint",
     "m_count",

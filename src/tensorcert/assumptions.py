@@ -28,11 +28,13 @@ exists exactly when ``needed`` observed entries pass the screen together and
 all observed factor rows reach ``target``: a basis of those rows passes the
 screen, and the matching greedy extends it to ``needed`` entries.
 :func:`find_T_selection` builds the selection that way.  It pushes each
-entry's full GF(p) row into one echelon (:func:`selection_echelon`) whose
-pivots land in the factor block, the trailing columns, whenever a reduced
-row is nonzero there, so the same pushes find the factor basis and leave the
-echelon of the selection's rows, which the certifier's witness search starts
-from instead of pushing the designated rows again.
+entry's full GF(p) row, read from the pattern's one Jacobian
+(:attr:`~tensorcert.geometry.PatternIndex.jacobian`), into one echelon
+(:func:`selection_echelon`) whose pivots land in the factor block, the
+trailing columns, whenever a reduced row is nonzero there, so the same
+pushes find the factor basis and leave the echelon of the selection's rows,
+which the certifier's witness search starts from instead of pushing the
+designated rows again.
 """
 from __future__ import annotations
 
@@ -42,11 +44,10 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Coord, SamplingPattern, Shape, unfolding_indices
 from .geometry import (
+    RANK_POINT_SEED,
     RANK_PRIME,
-    JacobianRows,
     ModEchelon,
     RankSpec,
-    _gf_rows,
     _slot_lists,
     factor_offsets,
     pattern_index,
@@ -67,7 +68,6 @@ __all__ = [
     "check_Aj",
     "check_Aj_plus",
     "check_Bj",
-    "select_T_entries",
     "find_T_selection",
     "selection_echelon",
 ]
@@ -169,23 +169,13 @@ def hull_condition(
     return True, None
 
 
-# Pinning is ultimately a generic-rank question, so the screen above is
-# confirmed by an exact rank over GF(p).  The first point is RANK_POINT_SEED's,
-# the point of the certificate's Jacobian, whose rows serve here too; full rank
-# there proves pinning.  Only a shortfall is retried, on a fresh Jacobian of
-# the selection alone at this second point.
-_PIN_POINT_SEEDS = (0xA11CE,)
-
-
 def _pin_target(offsets: Sequence[int], spec: RankSpec) -> int:
     """Factor-block rank that pins the factors: every factor entry but the
     d - j - 1 compensating scalings."""
     return offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
 
 
-def selection_pins_factors(
-    shape: Shape, spec: RankSpec, entries: Sequence[Coord], rows: Optional[JacobianRows] = None
-) -> bool:
+def selection_pins_factors(shape: Shape, spec: RankSpec, entries: Sequence[Coord]) -> bool:
     """True when, for a generic fixed core, the polynomials of the given
     observed entries leave only finitely many factor tuples (up to the
     inherent compensating-scaling family of dimension d - j - 1).
@@ -193,9 +183,8 @@ def selection_pins_factors(
     Decided by the rank of the entries' Jacobian with respect to all factor
     entries at a random point of GF(p): the maximum attainable rank is
     ``sum n_i r_i - (d - j - 1)``, and the selection pins the factors exactly
-    when it is attained.  The first point's rows come from ``rows`` (a
-    :func:`~tensorcert.geometry._gf_rows` covering every entry) when given,
-    else from a Jacobian of just these entries at the same point.
+    when it is attained.  The point is ``RANK_POINT_SEED``'s, at which
+    :func:`find_T_selection` decides pinning too.
     """
     spec.check_shape(shape)
     offsets = factor_offsets(shape, spec)
@@ -203,11 +192,8 @@ def selection_pins_factors(
     coords = [tuple(c) for c in entries]
     if len(coords) < target:
         return False
-    rows = rows or _gf_rows(coords, shape, spec)
-    return reaches_rank_mod_p(rows(coords)[:, offsets[0] :], target) or any(
-        reaches_rank_mod_p(unreduced_jacobian(shape, spec, coords, seed, RANK_PRIME)[:, offsets[0] :], target)
-        for seed in _PIN_POINT_SEEDS
-    )
+    jac = unreduced_jacobian(shape, spec, coords, RANK_POINT_SEED, RANK_PRIME)
+    return reaches_rank_mod_p(jac[:, offsets[0] :], target)
 
 
 def _validate_selection(
@@ -226,36 +212,31 @@ def _validate_selection(
 
 
 def _check_admissible(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, plus: bool, rows: Optional[JacobianRows] = None
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, plus: bool
 ) -> tuple[bool, Optional[HullSpec]]:
     """The counting screen first, supplying the overdrawn-hull witness when it
     fails; when it passes, the generic-rank confirmation decides (in which
-    case a False verdict carries no hull witness).  ``rows`` is passed on to
-    :func:`selection_pins_factors`."""
+    case a False verdict carries no hull witness)."""
     _validate_selection(pattern, spec, selection, plus)
     ok, witness = hull_condition(pattern.shape, spec, selection.entries, plus)
     if not ok:
         return False, witness
-    return selection_pins_factors(pattern.shape, spec, selection.entries, rows=rows), None
+    return selection_pins_factors(pattern.shape, spec, selection.entries), None
 
 
-def check_Aj(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: Optional[JacobianRows] = None
-) -> tuple[bool, Optional[HullSpec]]:
+def check_Aj(pattern: SamplingPattern, spec: RankSpec, selection: TSelection) -> tuple[bool, Optional[HullSpec]]:
     """Admissibility of a designated selection of size ``sum n_i r_i``: the
     selection must pin the factor matrices to finitely many tuples for a
     generic core.  Returns (ok, overdrawn hull when the counting screen
     fails)."""
-    return _check_admissible(pattern, spec, selection, plus=False, rows=rows)
+    return _check_admissible(pattern, spec, selection, plus=False)
 
 
-def check_Aj_plus(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: Optional[JacobianRows] = None
-) -> tuple[bool, Optional[HullSpec]]:
+def check_Aj_plus(pattern: SamplingPattern, spec: RankSpec, selection: TSelection) -> tuple[bool, Optional[HullSpec]]:
     """Strengthened admissibility with per-dimension weight r_i + 1 (used for
     uniqueness): the larger selection must satisfy the weighted counting
     screen and still pin the factors in the generic-rank sense."""
-    return _check_admissible(pattern, spec, selection, plus=True, rows=rows)
+    return _check_admissible(pattern, spec, selection, plus=True)
 
 
 def check_Bj(shape: Shape, spec: RankSpec) -> bool:
@@ -306,26 +287,6 @@ def _greedy_candidate(
     return None
 
 
-def select_T_entries(
-    pattern: SamplingPattern,
-    spec: RankSpec,
-    mode: str = "A",
-    seed: int = 0,
-    hint: Optional[TSelection] = None,
-    rows: Optional[JacobianRows] = None,
-) -> TSelection:
-    """Pick an admissible designated selection: a `hint` is verified by the
-    admissibility check (with ``rows``) and returned verbatim when it passes;
-    without one, :func:`find_T_selection` builds the selection."""
-    if hint is None:
-        return find_T_selection(pattern, spec, mode=mode, seed=seed, rows=rows)
-    checker = check_Aj_plus if mode == "A+" else check_Aj
-    ok, _ = checker(pattern, spec, hint, rows=rows)
-    if ok:
-        return hint
-    raise SelectionNotFoundError("hinted selection fails the admissibility check")
-
-
 def selection_echelon(shape: Shape, spec: RankSpec) -> ModEchelon:
     """An empty echelon for :func:`find_T_selection`: as wide as the
     unreduced layout, whose ``block_rank`` is the factor block's rank."""
@@ -348,7 +309,6 @@ def find_T_selection(
     spec: RankSpec,
     mode: str = "A",
     seed: int = 0,
-    rows: Optional[JacobianRows] = None,
     echelon: Optional[ModEchelon] = None,
 ) -> TSelection:
     """Exact construction of an admissible designated selection, or a proof
@@ -370,10 +330,10 @@ def find_T_selection(
        to `needed` entries, so the selection pins the factors by
        construction; the echelon is then rebuilt from its rows.
 
-    ``rows`` is a :func:`~tensorcert.geometry._gf_rows` covering the
-    observed entries; without it, one is built at ``RANK_POINT_SEED``.
-    ``echelon``, an empty :func:`selection_echelon` when given, holds
-    exactly the selection's rows on return.
+    The rows are read from the pattern index's
+    :attr:`~tensorcert.geometry.PatternIndex.jacobian`.  ``echelon``, an
+    empty :func:`selection_echelon` when given, holds exactly the
+    selection's rows on return.
     """
     plus = mode == "A+"
     shape = pattern.shape
@@ -387,15 +347,14 @@ def find_T_selection(
     order = list(dict.fromkeys([*first, *order]))
 
     target = _pin_target(factor_offsets(shape, spec), spec)
-    observed = pattern.observed
-    rows = rows or _gf_rows(observed, shape, spec)
+    observed, jacobian = pattern.observed, pattern_index(pattern, spec).jacobian
     echelon = selection_echelon(shape, spec) if echelon is None else echelon
     basis = []
-    for pushed, (p, row) in enumerate(zip(order, rows([observed[p] for p in order]))):
+    for pushed, p in enumerate(order):
         if pushed >= len(first) and echelon.block_rank == target:
             break
         block_rank = echelon.block_rank
-        echelon.push(row)
+        echelon.push(jacobian[p])
         if echelon.block_rank > block_rank:
             basis.append(p)
     if echelon.block_rank < target:
@@ -407,6 +366,6 @@ def find_T_selection(
     selection = _greedy_candidate(pattern, spec, plus, list(dict.fromkeys(basis + order)))
     assert selection is not None and set(basis) <= set(selection)
     echelon.clear()
-    for row in rows([observed[p] for p in selection]):
-        echelon.push(row)
+    for p in selection:
+        echelon.push(jacobian[p])
     return TSelection(entries=tuple(observed[p] for p in selection), mode=mode)

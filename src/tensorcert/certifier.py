@@ -16,7 +16,10 @@ column — must have a Jacobian of rank ``target`` (the unknowns minus the
 basis-change group, as in :func:`generic_rank_finite`).  The rank is taken
 over GF(p), p = ``RANK_PRIME``, at the point drawn from ``RANK_POINT_SEED``:
 full rank there proves independence, and a deficit that is not generic shows
-with probability at most deg/p.  The search starts from the
+with probability at most deg/p.  Every row is read from the pattern's one
+Jacobian at that point, :attr:`~tensorcert.geometry.PatternIndex.jacobian`,
+which the selection search, the witness search and the full pattern's rank
+share.  The search starts from the
 :class:`~tensorcert.geometry.ModEchelon` of the designated rows that
 :func:`~tensorcert.assumptions.find_T_selection` leaves (one per selection,
 so those rows are pushed once), pushes the free-entry row of every column
@@ -46,10 +49,8 @@ import numpy as np
 
 from .core import Coord, SamplingPattern, Shape, unflatten_index
 from .geometry import (
-    JacobianRows,
     ModEchelon,
     RankSpec,
-    _gf_rows,
     core_dim,
     factor_offsets,
     pattern_index,
@@ -246,10 +247,8 @@ def _rank_target(shape: Shape, spec: RankSpec) -> int:
     return factor_offsets(shape, spec)[-1] - spec.sum_sq
 
 
-def generic_rank_finite(
-    pattern_coords: Sequence[Coord], shape, spec: RankSpec, jacobian_rows: Optional[JacobianRows] = None
-) -> bool:
-    """True when the given observed entries determine the tensor up to
+def generic_rank_finite(pattern: SamplingPattern, spec: RankSpec) -> bool:
+    """True when the pattern's observed entries determine the tensor up to
     finitely many completions, decided at a random point of GF(p).
 
     Works with the unreduced parametrization — every core entry and every
@@ -257,16 +256,12 @@ def generic_rank_finite(
     given trailing ranks is the basis-change group of dimension sum r_i^2.
     The entries pin the tensor finitely exactly when their Jacobian reaches
     rank (num core entries) + (num factor entries) - sum r_i^2.  The rows
-    come from ``jacobian_rows`` (a :func:`_gf_rows` covering every entry)
-    when given, else from a Jacobian of just these entries.
+    are the pattern index's :attr:`~tensorcert.geometry.PatternIndex.jacobian`.
     """
-    spec.check_shape(shape)
-    target = _rank_target(shape, spec)
-    coords = [tuple(c) for c in pattern_coords]
-    if len(coords) < target:
+    target = _rank_target(pattern.shape, spec)
+    if pattern.num_observed < target:
         return False
-    rows = jacobian_rows or _gf_rows(coords, shape, spec)
-    return reaches_rank_mod_p(rows(coords), target)
+    return reaches_rank_mod_p(pattern_index(pattern, spec).jacobian, target)
 
 
 def _free_entry(constraint: ConstraintMatrix, idx: int) -> Coord:
@@ -335,16 +330,15 @@ def _finite_search(
     spec: RankSpec,
     constraint: ConstraintMatrix,
     selection: TSelection,
-    rows: JacobianRows,
     echelon: ModEchelon,
 ) -> Iterator[tuple[int, ...]]:
     """Witnesses of ``core_dim`` columns of the pattern's ``constraint``, in
     search order, each confirmed: with the designated entries, their free
-    entries reach rank :func:`_rank_target` over GF(p).  ``rows`` is a
-    :func:`_gf_rows`, and ``echelon`` holds the rows of the selection's
-    entries, as :func:`find_T_selection` leaves it; the search pushes the
-    free entries' rows onto it.  Each column's free entry is read from the
-    pattern's :func:`~tensorcert.geometry.pattern_index`."""
+    entries reach rank :func:`_rank_target` over GF(p).  ``echelon`` holds
+    the rows of the selection's entries, as :func:`find_T_selection` leaves
+    it; the search pushes the free entries' rows onto it.  Each column's
+    free entry and its row are read from the pattern's
+    :func:`~tensorcert.geometry.pattern_index`."""
     shape = pattern.shape
     n = core_dim(shape, spec)
     columns = list(range(constraint.num_columns))
@@ -355,13 +349,13 @@ def _finite_search(
     slack = len(selection.entries) + n - _rank_target(shape, spec)
     if echelon.dependent > slack:
         return
-    index, observed = pattern_index(pattern, spec), pattern.observed
-    free = rows([observed[index.at[c.free_row, c.base]] for c in constraint.columns])
+    index = pattern_index(pattern, spec)
+    free = index.jacobian[[index.at[c.free_row, c.base] for c in constraint.columns]]
     yield from _witness_solutions(masks, order, n, counts, [WITNESS_NODE_BUDGET], (echelon, free, slack))
 
 
 def _certify_finite_once(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, rows: JacobianRows, echelon: ModEchelon
+    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, echelon: ModEchelon
 ) -> FiniteCertificate:
     constraint = build_constraint(pattern, spec, selection)
     n = core_dim(pattern.shape, spec)
@@ -383,7 +377,7 @@ def _certify_finite_once(
             reason=f"only {constraint.num_columns} constraint columns but {n} needed",
         )
     try:
-        witness = next(_finite_search(pattern, spec, constraint, selection, rows, echelon), None)
+        witness = next(_finite_search(pattern, spec, constraint, selection, echelon), None)
     except CertifierGuardError as exc:
         return cert("undecided-search-exhausted", reason=str(exc))
     if witness is not None:
@@ -399,7 +393,7 @@ def _check_assumptions(pattern: SamplingPattern, spec: RankSpec) -> None:
 
 
 def _selections(
-    pattern: SamplingPattern, spec: RankSpec, mode: str, seed: int, rows: JacobianRows
+    pattern: SamplingPattern, spec: RankSpec, mode: str, seed: int
 ) -> Iterator[tuple[TSelection, ModEchelon]]:
     """The distinct designated selections of seeds ``seed`` to
     ``seed + SELECTION_RETRIES``, in seed order, each found when asked for,
@@ -407,7 +401,7 @@ def _selections(
     tried_entries: set[tuple] = set()
     for attempt in range(SELECTION_RETRIES + 1):
         echelon = selection_echelon(pattern.shape, spec)
-        selection = find_T_selection(pattern, spec, mode=mode, seed=seed + attempt, rows=rows, echelon=echelon)
+        selection = find_T_selection(pattern, spec, mode=mode, seed=seed + attempt, echelon=echelon)
         if selection.entries not in tried_entries:
             tried_entries.add(selection.entries)
             yield selection, echelon
@@ -425,23 +419,21 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     and "finite" comes without witness columns if none yields one."""
     _check_assumptions(pattern, spec)
     _check_observed_count(pattern, spec, plus=False)
-    return _certify_finite(pattern, spec, seed, _gf_rows(pattern.observed, pattern.shape, spec))
+    return _certify_finite(pattern, spec, seed)
 
 
-def _certify_finite(
-    pattern: SamplingPattern, spec: RankSpec, seed: int, rows: JacobianRows
-) -> FiniteCertificate:
-    """:func:`certify_finite` on the pattern's shared Jacobian ``rows``."""
+def _certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int) -> FiniteCertificate:
+    """:func:`certify_finite` past its input checks."""
     first: Optional[FiniteCertificate] = None
-    for selection, echelon in _selections(pattern, spec, "A", seed, rows):
-        result = _certify_finite_once(pattern, spec, selection, rows, echelon)
+    for selection, echelon in _selections(pattern, spec, "A", seed):
+        result = _certify_finite_once(pattern, spec, selection, echelon)
         if result.verdict == "finite":
             return result
         if first is None:
             first = result
             # A witness's rows reach the target rank, so when all observed
             # rows fall short no other selection can yield one.
-            if not generic_rank_finite(pattern.observed, pattern.shape, spec, rows):
+            if not generic_rank_finite(pattern, spec):
                 if first.verdict == "not-finite":
                     return first
                 return replace(first, verdict="not-finite", reason="generic rank stays below the number of unknowns")
@@ -471,9 +463,8 @@ def verify_finite_witness(
     if len(witness) != certificate.num_free_core:
         return False
     ok, _ = subset_condition_holds(constraint, witness, spec)
-    return ok and generic_rank_finite(
-        _witness_entries(constraint, certificate.selection, witness), pattern.shape, spec
-    )
+    entries = _witness_entries(constraint, certificate.selection, witness)
+    return ok and generic_rank_finite(SamplingPattern(pattern.shape, tuple(entries)), spec)
 
 
 def _caps_unique(width: int, spec: RankSpec, n0: int) -> list[int]:
@@ -502,8 +493,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     n0 = pattern.shape.head_size(spec.j) - spec.sum_sq // spec.product
 
     undecided = False
-    rows = _gf_rows(pattern.observed, pattern.shape, spec)
-    for selection, echelon in _selections(pattern, spec, "A+", seed, rows):
+    for selection, echelon in _selections(pattern, spec, "A+", seed):
         constraint = build_constraint(pattern, spec, selection)
         columns = list(range(constraint.num_columns))
         masks, _labels = _support_masks(constraint, columns)
@@ -511,7 +501,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
 
         try:
             caps_uni = _caps_unique(width, spec, n0)
-            finite_witnesses = _finite_search(pattern, spec, constraint, selection, rows, echelon)
+            finite_witnesses = _finite_search(pattern, spec, constraint, selection, echelon)
             for tried, witness in enumerate(finite_witnesses, start=1):
                 used = set(witness)
                 remaining = [i for i in columns if i not in used]
@@ -547,7 +537,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
         except CertifierGuardError:
             undecided = True
 
-    finite_cert = _certify_finite(pattern, spec, seed, rows)
+    finite_cert = _certify_finite(pattern, spec, seed)
     verdict = "undecided-search-exhausted" if undecided else "not-certified"
     return UniqueCertificate(
         verdict=verdict,
@@ -584,13 +574,6 @@ def subpro_consistency(
             verdict_at_j=cert_j.verdict,
             verdict_below=None,
             note=f"assumptions fail at j-1: {exc}",
-        )
-    if cert_below.verdict == "undecided-search-exhausted":
-        return SubproResult(
-            implication_held=None,
-            vacuous=False,
-            verdict_at_j=cert_j.verdict,
-            verdict_below=cert_below.verdict,
         )
     return SubproResult(
         implication_held=(cert_below.verdict == "finite"),

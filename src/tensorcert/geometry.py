@@ -23,14 +23,17 @@ the last ``POINT_CACHE_SIZE`` in a process cache, as read-only arrays.
 One certificate asks the same questions of its pattern many times, so
 :func:`pattern_index` builds a :class:`PatternIndex` of it in one numpy pass
 (each entry's position, unfolding row, trailing coordinates, subtensor and
-hull-screen slots) and keeps it with the immutable pattern.
+hull-screen slots) and keeps it with the immutable pattern.  The index also
+holds the pattern's one GF(p) Jacobian at the point of ``RANK_POINT_SEED``,
+built on first use, whose row ``p`` is entry ``p``'s: the rows every rank
+decision of a certificate reads.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -338,20 +341,6 @@ def unreduced_jacobian(
     return jac
 
 
-JacobianRows = Callable[[Sequence[Coord]], np.ndarray]
-
-
-def _gf_rows(coords: Sequence[Coord], shape: Shape, spec: RankSpec) -> JacobianRows:
-    """``rows(subset)``: the unreduced Jacobian over GF(RANK_PRIME) of a
-    subset of ``coords`` at the point of ``RANK_POINT_SEED``, as a row
-    selection of the Jacobian of all of ``coords``, built once.  One
-    certificate shares it across all of its rank decisions, the selection
-    check's included."""
-    row_of = {c: i for i, c in enumerate(coords)}
-    jac = unreduced_jacobian(shape, spec, coords, RANK_POINT_SEED, RANK_PRIME)
-    return lambda subset: jac[[row_of[c] for c in subset]]
-
-
 def _slot_lists(
     tail_dims: Sequence[int], weights: Sequence[int], trailing: np.ndarray
 ) -> tuple[list[list[int]], int]:
@@ -369,7 +358,7 @@ def _slot_lists(
 class PatternIndex:
     """A pattern's observed entries under one rank spec, indexed in one numpy
     pass.  Entry ``p`` is ``pattern.observed[p]``, which is also its row in
-    ``_gf_rows(pattern.observed, ...)``.
+    :attr:`jacobian`.
 
     * ``position``: entry -> ``p``;
     * ``rows[p]``: its 1-based j-unfolding row; ``trailing[p]``: its
@@ -378,10 +367,13 @@ class PatternIndex:
       with that tail, ascending, tails in ascending order: the subtensors of
       the constraint matrix;
     * ``at``: ``(row, tail)`` -> ``p``;
-    * :meth:`slots`: per entry, its hull-screen slots at given weights.
+    * :meth:`slots`: per entry, its hull-screen slots at given weights;
+    * :attr:`jacobian`: the unreduced Jacobian over GF(RANK_PRIME) at the
+      point of ``RANK_POINT_SEED``, built on first use, read-only.
     """
 
     def __init__(self, pattern: SamplingPattern, spec: RankSpec):
+        self._shape, self._spec, self._observed = pattern.shape, spec, pattern.observed
         observed, j = pattern.observed, spec.j
         rows, self.trailing = unfolding_indices(pattern.shape, j, observed)
         self.tail_dims = spec.tail_dims(pattern.shape)
@@ -400,6 +392,15 @@ class PatternIndex:
         if weights not in self._slots:
             self._slots[weights] = _slot_lists(self.tail_dims, weights, self.trailing)
         return self._slots[weights]
+
+    @functools.cached_property
+    def jacobian(self) -> np.ndarray:
+        """:func:`unreduced_jacobian` of the observed entries over
+        GF(RANK_PRIME) at the point of ``RANK_POINT_SEED``; row ``p`` is entry
+        ``p``'s.  Every rank decision of a certificate reads its rows here."""
+        jac = unreduced_jacobian(self._shape, self._spec, self._observed, RANK_POINT_SEED, RANK_PRIME)
+        jac.flags.writeable = False
+        return jac
 
 
 def pattern_index(pattern: SamplingPattern, spec: RankSpec) -> PatternIndex:

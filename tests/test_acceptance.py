@@ -34,7 +34,7 @@ from tensorcert.certifier import certify_finite, certify_unique, subpro_consiste
 from tensorcert.cli import EXIT_OK, main
 from tensorcert.constraint import ConstraintColumn, ConstraintMatrix, build_constraint
 from tensorcert.core import SamplingPattern, Shape, unfold_row, write_pattern
-from tensorcert.geometry import ModEchelon, RankSpec, _gf_rows, canonical_structure
+from tensorcert.geometry import ModEchelon, RankSpec, canonical_structure, pattern_index
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
@@ -153,10 +153,10 @@ SWEEP_CONFIGS = [
 
 
 def test_certifier_oracle_equivalence_sweep():
-    """Decided combinatorial verdicts match the generic-rank oracle on 200
-    random patterns across third- and fourth-order shapes."""
+    """The certifier decides 200 random patterns across third- and
+    fourth-order shapes, and its verdicts match the generic-rank oracle."""
     with Budget(600.0):
-        total = agreed = undecided = 0
+        total = agreed = 0
         for dims, j, ranks, p in SWEEP_CONFIGS:
             shape = Shape(dims=dims)
             spec = RankSpec(j=j, ranks=ranks)
@@ -172,17 +172,14 @@ def test_certifier_oracle_equivalence_sweep():
                     continue  # certificate preconditions unmet; not a verdict
                 valid += 1
                 total += 1
-                if cert.verdict == "undecided-search-exhausted":
-                    undecided += 1
-                    continue
+                assert cert.verdict in ("finite", "not-finite")
                 report = jacobian_rank(instance, pattern, mode="coreAndFactors")
                 assert report.tolerance == 1e-8
                 expected = "finite" if cert.verdict == "finite" else "infinite"
                 agreed += report.verdict == expected
             assert valid == 25, f"too few valid patterns for {dims} j={j} {ranks}"
         assert total >= 200
-        assert undecided / total < 0.05
-        assert agreed == total - undecided, "certifier disagrees with the oracle"
+        assert agreed == total, "certifier disagrees with the oracle"
 
 
 # Per sweep config, over all 40 draws: "finite" verdicts (with a witness,
@@ -334,30 +331,6 @@ def test_index_built_constraint_matches_per_entry_construction():
 
 
 @pytest.mark.parametrize("mode", ["A", "A+"])
-def test_selection_search_same_with_shared_rows(mode):
-    """On the first five draws of each sweep config, the selection search
-    returns the same selection (or the same refusal) whether the selection
-    check takes its first point's rows from the pattern's shared Jacobian,
-    as the certificates do, or builds them for each candidate."""
-    compared = 0
-    for dims, j, ranks, p in SWEEP_CONFIGS:
-        shape = Shape(dims=dims)
-        spec = RankSpec(j=j, ranks=ranks)
-        for trial in range(5):
-            pattern = sample_pattern(shape, p, seed=5, trial=trial)
-            rows = _gf_rows(pattern.observed, shape, spec)
-            outcomes = []
-            for given in (None, rows):
-                try:
-                    outcomes.append(find_T_selection(pattern, spec, mode=mode, seed=3, rows=given))
-                except AssumptionError as exc:
-                    outcomes.append((type(exc), str(exc)))
-            assert outcomes[0] == outcomes[1], (dims, j, ranks, trial)
-            compared += isinstance(outcomes[0], TSelection)
-    assert compared >= 20
-
-
-@pytest.mark.parametrize("mode", ["A", "A+"])
 def test_pinning_greedy_candidate_kept(mode):
     """On the first five draws of each sweep config, whenever the greedy
     candidate in the seed's order passes the admissibility check, the
@@ -405,8 +378,9 @@ def test_witness_search_starts_from_the_selection_echelon(monkeypatch):
     real_search = certifier._finite_search
     cases = collections.Counter()
 
-    def checking_search(pattern, spec, constraint, selection, rows, echelon):
-        designated = rows(selection.entries)
+    def checking_search(pattern, spec, constraint, selection, echelon):
+        index = pattern_index(pattern, spec)
+        designated = index.jacobian[[index.position[c] for c in selection.entries]]
         fresh = ModEchelon(designated.shape[1])
         for row in designated:
             fresh.push(row)
@@ -414,7 +388,7 @@ def test_witness_search_starts_from_the_selection_echelon(monkeypatch):
         clone = copy.deepcopy(echelon)
         assert not any(clone.push(row) for row in designated)
         cases[greedy_calls[-1]] += 1
-        return real_search(pattern, spec, constraint, selection, rows, echelon)
+        return real_search(pattern, spec, constraint, selection, echelon)
 
     monkeypatch.setattr(assumptions, "_greedy_candidate", counting_greedy)
     monkeypatch.setattr(certifier, "find_T_selection", counting_find)

@@ -20,13 +20,11 @@ from tensorcert.assumptions import (
     find_T_selection,
     hull_condition,
     minimal_hull,
-    select_T_entries,
     selection_pins_factors,
 )
 from tensorcert.certifier import certify_finite
-from tensorcert import geometry
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RankSpec, _gf_rows, factor_offsets, reaches_rank_mod_p
+from tensorcert.geometry import RankSpec, factor_offsets, pattern_index, reaches_rank_mod_p
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import generate_instance, jacobian_rank
 
@@ -251,38 +249,11 @@ PIN_CASES = [
 class TestSelectionPinsFactors:
     @pytest.mark.parametrize("dims,spec,entries,pins", PIN_CASES)
     def test_fixed_verdicts_agree_with_oracle(self, dims, spec, entries, pins):
-        """The same verdict from the selection's own Jacobian, from rows of a
-        superset pattern's shared Jacobian, and from the float oracle."""
+        """The same verdict from the selection's GF(p) Jacobian and from the
+        float oracle."""
         shape = Shape(dims=dims)
-        superset = _gf_rows(list(shape.coords()), shape, spec)
         assert selection_pins_factors(shape, spec, entries) == pins
-        assert selection_pins_factors(shape, spec, entries, rows=superset) == pins
         assert oracle_pins(shape, spec, entries) == pins
-
-    @pytest.mark.parametrize("dims,spec,entries,pins", PIN_CASES)
-    def test_given_rows_build_a_jacobian_only_on_a_shortfall(self, dims, spec, entries, pins, monkeypatch):
-        """With the certificate's rows given, the first point costs no
-        Jacobian build; only a shortfall there builds one, at the retry
-        point.  Without rows, the first point builds one of its own."""
-        shape = Shape(dims=dims)
-        superset = _gf_rows(list(shape.coords()), shape, spec)
-        offsets = factor_offsets(shape, spec)
-        target = offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
-        shortfall = not reaches_rank_mod_p(superset(entries)[:, offsets[0] :], target)
-        assert shortfall == (not pins)
-        builds = []
-
-        def counting(*args, original=geometry.unreduced_jacobian):
-            builds.append(args[-2])
-            return original(*args)
-
-        monkeypatch.setattr(assumptions, "unreduced_jacobian", counting)
-        monkeypatch.setattr(geometry, "unreduced_jacobian", counting)
-        selection_pins_factors(shape, spec, entries, rows=superset)
-        assert builds == ([assumptions._PIN_POINT_SEEDS[0]] if shortfall else [])
-        builds.clear()
-        selection_pins_factors(shape, spec, entries)
-        assert builds == [geometry.RANK_POINT_SEED] + ([assumptions._PIN_POINT_SEEDS[0]] if shortfall else [])
 
 
 class TestCheckAj:
@@ -338,57 +309,17 @@ class TestCheckAjPlus:
     def test_plus_needs_larger_selection(self):
         pattern = SamplingPattern.full((2, 2, 2))
         spec = RankSpec(j=1, ranks=(1, 1))
-        sel = select_T_entries(pattern, spec, mode="A")
+        sel = find_T_selection(pattern, spec, mode="A")
         with pytest.raises(AssumptionError):
             check_Aj_plus(pattern, spec, sel)
 
     def test_admissible_plus_selection_found_and_verified(self):
         pattern = SamplingPattern.full((3, 3, 3))
         spec = RankSpec(j=1, ranks=(1, 1))
-        sel = select_T_entries(pattern, spec, mode="A+")
+        sel = find_T_selection(pattern, spec, mode="A+")
         assert len(sel.entries) == selection_size(pattern.shape, spec, plus=True)
         ok, _ = check_Aj_plus(pattern, spec, sel)
         assert ok
-
-
-class TestSelectTEntries:
-    def test_selection_is_admissible_subset_of_pattern(self):
-        pattern = SamplingPattern.full((3, 3, 3))
-        spec = RankSpec(j=1, ranks=(1, 2))
-        sel = select_T_entries(pattern, spec)
-        assert len(sel.entries) == selection_size(pattern.shape, spec)
-        assert set(sel.entries) <= set(pattern.observed)
-        ok, _ = check_Aj(pattern, spec, sel)
-        assert ok
-
-    def test_infeasible_when_pattern_too_small(self):
-        pattern = SamplingPattern.from_coords((3, 3, 3), [(1, 1, 1), (2, 2, 2)])
-        spec = RankSpec(j=1, ranks=(1, 2))
-        with pytest.raises(SelectionInfeasibleError):
-            select_T_entries(pattern, spec)
-
-    def test_hint_verified_and_returned(self):
-        pattern = SamplingPattern.full((2, 2, 2))
-        spec = RankSpec(j=1, ranks=(1, 1))
-        good = select_T_entries(pattern, spec)
-        assert select_T_entries(pattern, spec, hint=good) == good
-
-    def test_bad_hint_rejected(self):
-        pattern = SamplingPattern.full((3, 3, 3))
-        spec = RankSpec(j=1, ranks=(1, 1))
-        bad = TSelection(
-            entries=((1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1), (1, 3, 1), (1, 1, 2)),
-            mode="A",
-        )
-        with pytest.raises(SelectionNotFoundError):
-            select_T_entries(pattern, spec, hint=bad)
-
-    def test_deterministic_for_fixed_seed(self):
-        pattern = SamplingPattern.full((3, 3, 3))
-        spec = RankSpec(j=1, ranks=(1, 2))
-        assert select_T_entries(pattern, spec, seed=7) == select_T_entries(
-            pattern, spec, seed=7
-        )
 
 
 class TestFindTSelection:
@@ -398,6 +329,27 @@ class TestFindTSelection:
         sel = find_T_selection(pattern, spec)
         ok, _ = check_Aj(pattern, spec, sel)
         assert ok
+
+    def test_selection_is_admissible_subset_of_pattern(self):
+        pattern = SamplingPattern.full((3, 3, 3))
+        spec = RankSpec(j=1, ranks=(1, 2))
+        for mode, checker in (("A", check_Aj), ("A+", check_Aj_plus)):
+            sel = find_T_selection(pattern, spec, mode=mode)
+            assert len(sel.entries) == selection_size(pattern.shape, spec, plus=mode == "A+")
+            assert set(sel.entries) <= set(pattern.observed)
+            ok, _ = checker(pattern, spec, sel)
+            assert ok
+
+    def test_infeasible_when_pattern_too_small(self):
+        pattern = SamplingPattern.from_coords((3, 3, 3), [(1, 1, 1), (2, 2, 2)])
+        spec = RankSpec(j=1, ranks=(1, 2))
+        with pytest.raises(SelectionInfeasibleError):
+            find_T_selection(pattern, spec)
+
+    def test_deterministic_for_fixed_seed(self):
+        pattern = SamplingPattern.full((3, 3, 3))
+        spec = RankSpec(j=1, ranks=(1, 2))
+        assert find_T_selection(pattern, spec, seed=7) == find_T_selection(pattern, spec, seed=7)
 
     def test_hull_shortfall_proves_nonexistence(self):
         # all nine observed entries lie in the hull ({1,2,3}, {1}) of budget
@@ -465,10 +417,12 @@ class TestFindTSelection:
                     pattern = sample_pattern(shape, (needed + 2) / shape.size, seed=13, trial=trial)
                     if pattern.num_observed < needed or math.comb(pattern.num_observed, needed) > 2000:
                         continue
-                    rows = _gf_rows(pattern.observed, shape, spec)
+                    index = pattern_index(pattern, spec)
                     exists = any(
                         hull_condition(shape, spec, combo, plus)[0]
-                        and reaches_rank_mod_p(rows(combo)[:, offsets[0] :], target)
+                        and reaches_rank_mod_p(
+                            index.jacobian[[index.position[c] for c in combo], offsets[0] :], target
+                        )
                         for combo in itertools.combinations(pattern.observed, needed)
                     )
                     try:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tensorcert import certifier
+from tensorcert import certifier, geometry
 from tensorcert.assumptions import (
     AssumptionError,
     SelectionInfeasibleError,
@@ -18,7 +18,6 @@ from tensorcert.certifier import (
     FiniteCertificate,
     _caps_worst,
     _finite_search,
-    _gf_rows,
     _IncrementalCounts,
     _rank_target,
     _support_masks,
@@ -35,7 +34,7 @@ from tensorcert.certifier import (
 )
 from tensorcert.constraint import build_constraint, m_count
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RANK_POINT_SEED, RANK_PRIME, RankSpec, core_dim, unreduced_jacobian
+from tensorcert.geometry import RANK_POINT_SEED, RANK_PRIME, RankSpec, core_dim, pattern_index, unreduced_jacobian
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import (
     appendix_c_pattern,
@@ -198,12 +197,11 @@ class TestGenericRankFinite:
         ]:
             pattern = SamplingPattern.full(dims)
             spec = RankSpec(j=j, ranks=ranks)
-            assert generic_rank_finite(pattern.observed, pattern.shape, spec)
+            assert generic_rank_finite(pattern, spec)
 
     def test_too_few_entries_is_infinite(self):
-        shape = Shape(dims=(3, 3, 3))
-        spec = RankSpec(j=1, ranks=(1, 2))
-        assert not generic_rank_finite([(1, 1, 1), (2, 2, 2)], shape, spec)
+        pattern = SamplingPattern.from_coords((3, 3, 3), [(1, 1, 1), (2, 2, 2)])
+        assert not generic_rank_finite(pattern, RankSpec(j=1, ranks=(1, 2)))
 
     def test_agrees_with_gauge_fixed_oracle(self):
         shape = Shape(dims=(3, 3, 3))
@@ -213,14 +211,14 @@ class TestGenericRankFinite:
             pattern = sample_pattern(shape, 0.65, seed=61, trial=trial)
             if pattern.num_observed == 0:
                 continue
-            mine = generic_rank_finite(pattern.observed, shape, spec)
+            mine = generic_rank_finite(pattern, spec)
             report = jacobian_rank(instance, pattern, mode="coreAndFactors")
             assert mine == (report.verdict == "finite")
 
 
-class TestGfRows:
-    """Rank decisions on row selections of one per-certificate GF(p)
-    Jacobian see the same matrices as a Jacobian built for the subset alone."""
+class TestIndexJacobian:
+    """Row selections of a pattern index's GF(p) Jacobian are the Jacobians
+    of the subsets, so every rank decision of a certificate can read them."""
 
     @pytest.mark.parametrize(
         "dims,spec",
@@ -233,19 +231,40 @@ class TestGfRows:
     def test_row_subsets_match_fresh_evaluation(self, dims, spec):
         shape = Shape(dims=dims)
         pattern = sample_pattern(shape, 0.9, seed=7, trial=0)
-        rows = _gf_rows(pattern.observed, shape, spec)
+        index = pattern_index(pattern, spec)
         rng = random.Random(3)
         verdicts = set()
         for _ in range(12):
             size = rng.randint(len(pattern.observed) // 2, len(pattern.observed))
             subset = sorted(rng.sample(pattern.observed, size))
             fresh_rows = unreduced_jacobian(shape, spec, subset, RANK_POINT_SEED, RANK_PRIME)
-            assert np.array_equal(rows(subset), fresh_rows)
-            fresh = generic_rank_finite(subset, shape, spec)
-            assert generic_rank_finite(subset, shape, spec, rows) == fresh
+            assert np.array_equal(index.jacobian[[index.position[c] for c in subset]], fresh_rows)
+            fresh = generic_rank_finite(SamplingPattern(shape, tuple(subset)), spec)
             assert fresh == (sum(prefix_independence_reference(fresh_rows)) >= _rank_target(shape, spec))
             verdicts.add(fresh)
         assert verdicts == {True, False}
+
+    def test_read_only(self):
+        jacobian = pattern_index(SamplingPattern.full((3, 3, 3)), RankSpec(j=1, ranks=(1, 2))).jacobian
+        assert not jacobian.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            jacobian[0, 0] = 1
+
+    def test_one_build_for_both_certificates(self, monkeypatch):
+        """check-finite then check-unique on one pattern object build its
+        Jacobian once."""
+        builds = []
+
+        def counting(*args, original=geometry.unreduced_jacobian):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "unreduced_jacobian", counting)
+        pattern = SamplingPattern.full((3, 3, 3))
+        spec = RankSpec(j=1, ranks=(1, 2))
+        assert certify_finite(pattern, spec).verdict == "finite"
+        assert certify_unique(pattern, spec).verdict == "unique"
+        assert len(builds) == 1
 
 
 def witness_is_confirmed(pattern, spec, constraint, selection, witness) -> bool:
@@ -293,9 +312,8 @@ class TestRankPrunedSearch:
         monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 10**9)
         shape = Shape(dims=dims)
         pattern = SamplingPattern.full(dims) if trial is None else sample_pattern(shape, 0.85, seed=17, trial=trial)
-        rows = _gf_rows(pattern.observed, shape, spec)
         echelon = selection_echelon(shape, spec)
-        selection = find_T_selection(pattern, spec, mode=mode, rows=rows, echelon=echelon)
+        selection = find_T_selection(pattern, spec, mode=mode, echelon=echelon)
         constraint = build_constraint(pattern, spec, selection)
         n = core_dim(shape, spec)
         expected = [
@@ -303,7 +321,7 @@ class TestRankPrunedSearch:
             for w in count_only_witnesses(constraint, spec, n)
             if witness_is_confirmed(pattern, spec, constraint, selection, w)
         ]
-        pruned = list(_finite_search(pattern, spec, constraint, selection, rows, echelon))
+        pruned = list(_finite_search(pattern, spec, constraint, selection, echelon))
         assert pruned == expected
 
     def test_replay_rejects_count_feasible_rank_dependent_witness(self):
@@ -356,7 +374,7 @@ class TestCertifyFinite:
         def no_jacobian(*args):
             raise AssertionError("the Jacobian was built")
 
-        monkeypatch.setattr(certifier, "_gf_rows", no_jacobian)
+        monkeypatch.setattr(geometry, "unreduced_jacobian", no_jacobian)
         pattern = SamplingPattern.from_coords((3, 3, 10**12), [(1, 1, 1), (2, 2, 5), (3, 1, 7)])
         with pytest.raises(SelectionInfeasibleError, match="only 3 are observed"):
             certify(pattern, RankSpec(j=1, ranks=(1, 2)))
@@ -397,7 +415,7 @@ class TestCertifyFinite:
         spec = RankSpec(j=1, ranks=(1, 2))
         cert = certify_finite(pattern, spec)
         assert cert.verdict == "not-finite"
-        assert not generic_rank_finite(pattern.observed, pattern.shape, spec)
+        assert not generic_rank_finite(pattern, spec)
 
     def test_agrees_with_oracle_on_random_patterns(self):
         shape = Shape(dims=(3, 3, 3))
@@ -410,8 +428,7 @@ class TestCertifyFinite:
                 cert = certify_finite(pattern, spec, seed=1)
             except AssumptionError:
                 continue
-            if cert.verdict == "undecided-search-exhausted":
-                continue
+            assert cert.verdict in ("finite", "not-finite")
             report = jacobian_rank(instance, pattern, mode="coreAndFactors")
             expected = "finite" if report.verdict == "finite" else "not-finite"
             assert cert.verdict == expected
