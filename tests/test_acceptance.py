@@ -34,7 +34,15 @@ from tensorcert.certifier import certify_finite, certify_unique, subpro_consiste
 from tensorcert.cli import EXIT_OK, main
 from tensorcert.constraint import ConstraintColumn, ConstraintMatrix, build_constraint
 from tensorcert.core import SamplingPattern, Shape, unfold_row, write_pattern
-from tensorcert.geometry import ModEchelon, RankSpec, canonical_structure, pattern_index
+from tensorcert.geometry import (
+    RANK_POINT_SEED,
+    RANK_PRIME,
+    ModEchelon,
+    RankSpec,
+    canonical_structure,
+    pattern_index,
+    unreduced_jacobian,
+)
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
@@ -328,6 +336,31 @@ def test_index_built_constraint_matches_per_entry_construction():
                     assert ours == ref, (dims, j, ranks, trial, z)
                 assert built == reference
     assert selections >= 30
+
+
+@pytest.mark.parametrize("mode", ["A", "A+"])
+def test_selection_search_agrees_with_a_fresh_jacobian(mode):
+    """On the first five draws of each sweep config, the selection search
+    reads its rows from the pattern index's Jacobian; they are the rows of a
+    Jacobian built for the selection alone, and the standalone admissibility
+    check, which builds its own, passes the selection."""
+    checker = check_Aj_plus if mode == "A+" else check_Aj
+    found = 0
+    for dims, j, ranks, p in SWEEP_CONFIGS:
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial in range(5):
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            try:
+                selection = find_T_selection(pattern, spec, mode=mode, seed=3)
+            except AssumptionError:
+                continue
+            index = pattern_index(pattern, spec)
+            fresh = unreduced_jacobian(shape, spec, list(selection.entries), RANK_POINT_SEED, RANK_PRIME)
+            assert np.array_equal(index.jacobian[[index.position[c] for c in selection.entries]], fresh)
+            assert checker(pattern, spec, selection) == (True, None), (dims, j, ranks, trial)
+            found += 1
+    assert found >= 35
 
 
 @pytest.mark.parametrize("mode", ["A", "A+"])

@@ -24,7 +24,7 @@ from tensorcert.assumptions import (
 )
 from tensorcert.certifier import certify_finite
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RankSpec, factor_offsets, pattern_index, reaches_rank_mod_p
+from tensorcert.geometry import RANK_POINT_SEED, RankSpec, factor_offsets, pattern_index, reaches_rank_mod_p
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import generate_instance, jacobian_rank
 
@@ -254,6 +254,27 @@ class TestSelectionPinsFactors:
         shape = Shape(dims=dims)
         assert selection_pins_factors(shape, spec, entries) == pins
         assert oracle_pins(shape, spec, entries) == pins
+
+    @pytest.mark.parametrize("dims,spec,entries,pins", PIN_CASES)
+    def test_one_jacobian_at_the_selection_point(self, dims, spec, entries, pins, monkeypatch):
+        """The verdict costs one Jacobian build, at the point of
+        RANK_POINT_SEED, and equals the rank of the same entries' rows in the
+        full pattern's index Jacobian, which the selection search reads."""
+        shape = Shape(dims=dims)
+        full = pattern_index(SamplingPattern.full(dims), spec)
+        offsets = factor_offsets(shape, spec)
+        target = offsets[-1] - offsets[0] - (len(spec.ranks) - 1)
+        rows = full.jacobian[[full.position[c] for c in entries], offsets[0] :]
+        assert reaches_rank_mod_p(rows, target) == pins
+        builds = []
+
+        def counting(*args, original=assumptions.unreduced_jacobian):
+            builds.append(args[-2])
+            return original(*args)
+
+        monkeypatch.setattr(assumptions, "unreduced_jacobian", counting)
+        assert selection_pins_factors(shape, spec, entries) == pins
+        assert builds == [RANK_POINT_SEED]
 
 
 class TestCheckAj:
