@@ -16,10 +16,12 @@ one compiled strong-component pass, and extends the matching by iterative
 alternating searches only for r >= 2 or to name a Hall witness, so no
 matching or defect test recurses on the size of the graph.  A graph made of
 equal disjoint blocks (many Monte Carlo trials at once) gets every block's
-verdict from the same one matching and one strong-component pass.  The
-exact defect is König's deficiency when T1 cannot be matched, and otherwise
-the least number of clones of a T1 node that fit on top of the matching,
-counted in one pass: every operation is polynomial.
+verdict from the same one matching and one strong-component pass, and
+``degrees_prove_margin`` proves the margin of many blocks from their degree
+counts alone, with no graph and no matching.  The exact defect is König's
+deficiency when T1 cannot be matched, and otherwise the least number of
+clones of a T1 node that fit on top of the matching, counted in one pass:
+every operation is polynomial.
 
 scipy is imported by the three functions that call it, on their first call:
 the hull screen in ``assumptions`` uses only the pure-Python alternating
@@ -42,6 +44,7 @@ __all__ = [
     "expansion_defect",
     "defect_at_least",
     "block_defects_at_least",
+    "degrees_prove_margin",
     "generalized_hall_subgraph",
     "lemma_match_subgraph",
     "lemma_omega_transform",
@@ -358,6 +361,38 @@ def block_defects_at_least(g: BipartiteGraph, blocks: int, r: int) -> np.ndarray
             adj = _tuples(g.indptr[b * x : (b + 1) * x + 1] - lo, g.indices[lo:hi] - b * y)
             ok[b] = _clone_shortfall(adj, _mate(matched[b * x : (b + 1) * x] - b * y, y), r) is None
     return ok
+
+
+def degrees_prove_margin(
+    size_t1: int, least_t1_degree: np.ndarray | int, t2_degrees: np.ndarray, r: int
+) -> np.ndarray:
+    """Per block, does the degree count alone prove |N(S)| >= |S| + r for
+    every nonempty S ⊆ T1?  Each block has ``size_t1`` T1 nodes; row b of
+    ``t2_degrees`` holds block b's T2 degrees (each at most ``size_t1``), and
+    ``least_t1_degree`` its least T1 degree (one value for every block, or
+    one per block).  True proves the margin; False decides nothing.
+
+    Proof: N(S) holds the neighbours of any node of S, and misses T2 node v
+    only if no node of S sees v, which takes |S| of the size_t1 - deg(v)
+    nodes that miss v.  So with s = |S| and y T2 nodes,
+    |N(S)| >= max(least T1 degree, y - #{v : size_t1 - deg(v) >= s}), and a
+    block where that is at least s + r for every s = 1..size_t1 passes.
+    """
+    if r < 0:
+        raise ValueError("defect threshold must be nonnegative")
+    t2_degrees = np.asarray(t2_degrees, dtype=np.intp)
+    if t2_degrees.ndim != 2:
+        raise ValueError("need one row of T2 degrees per block")
+    blocks, y = t2_degrees.shape
+    misses = size_t1 - t2_degrees
+    if misses.size and not (misses.min() >= 0 and misses.max() <= size_t1):
+        raise ValueError(f"a T2 degree lies outside 0..{size_t1}")
+    # missing[b, s]: how many T2 nodes of block b at least s T1 nodes miss.
+    offsets = np.arange(blocks)[:, None] * (size_t1 + 1)
+    counts = np.bincount((misses + offsets).ravel(), minlength=blocks * (size_t1 + 1)).reshape(blocks, size_t1 + 1)
+    missing = counts[:, ::-1].cumsum(axis=1)[:, ::-1]
+    covered = np.maximum(np.reshape(least_t1_degree, (-1, 1)), y - missing[:, 1:])
+    return (covered >= np.arange(1 + r, size_t1 + 1 + r)).all(axis=1)
 
 
 def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:

@@ -35,12 +35,16 @@ variation distance (j + 1) * 2**-53 <= n1 * 2**-53 of uniform.
 
 A chunk of trials is drawn at once: one bit generator whose state is reset
 to each trial's key, then Floyd's m steps over every column of the chunk,
-each step one gather and one scatter on a flat membership array.  The
-chunk's rows go into one array, each trial's rows offset past the previous
-trials' rows, and that disjoint union of column graphs is one CSR
-biadjacency on which ``hallgraph.block_defects_at_least`` gives every
-trial's verdict at r = 1 or r = 0 from one compiled Hopcroft-Karp matching
-and, for r = 1, one compiled strong-component pass.  A chunk holds at most
+each step one gather and one scatter on a flat membership array.  One sum
+over that array gives every trial's row degrees, from which
+``hallgraph.degrees_prove_margin`` proves, with no graph, each trial whose
+degrees force the margin; it never fails a trial.  Only the trials it
+leaves open get labels: their rows go into one array, each trial's rows
+offset past the previous open trials' rows, and that disjoint union of
+column graphs is one CSR biadjacency on which
+``hallgraph.block_defects_at_least`` gives every open trial's verdict at
+r = 1 or r = 0 from one compiled Hopcroft-Karp matching and, for r = 1, one
+compiled strong-component pass.  A chunk holds at most
 ``_CHUNK_SIZE`` edges and nodes and a membership array of at most
 ``_DRAW_BYTES`` bytes (or one trial's), so memory stays bounded whatever the
 trial count; ``sample_column_graph`` is the chunk of one trial, so the draws
@@ -58,7 +62,7 @@ from .core import SamplingPattern, Shape
 from .geometry import RankSpec
 from .assumptions import AssumptionError
 from .certifier import certify_finite
-from .hallgraph import BipartiteGraph, block_defects_at_least
+from .hallgraph import BipartiteGraph, block_defects_at_least, degrees_prove_margin
 from .hallgraph import defect_at_least  # noqa: F401  (still looked up here by callers and the benchmark's tracer)
 from .oracle import generate_instance, jacobian_rank
 
@@ -199,14 +203,14 @@ def sample_column_graph(
         raise ValueError("per-column count must be nonnegative")
     if per_column > n_rows:
         raise ValueError("cannot place more observations in a column than it has rows")
-    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=_draw_chunk(n_rows, n_cols, per_column, seed, trial, 1))
+    member = _draw_members(n_rows, n_cols, per_column, seed, trial, 1)
+    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=_labels(member, n_cols, per_column))
 
 
-def _draw_chunk(n_rows: int, n_cols: int, per_column: int, seed: int, first: int, count: int) -> np.ndarray:
+def _draw_members(n_rows: int, n_cols: int, per_column: int, seed: int, first: int, count: int) -> np.ndarray:
     """The column graphs of trials ``first .. first + count - 1`` as one
-    ``(count * n_cols, per_column)`` array: row ``i * n_cols + c`` holds, in
-    ascending order, the labels ``i * n_rows + v + 1`` of the rows v that
-    column c of trial ``first + i`` observes."""
+    ``(count * n_cols, n_rows)`` bool array: row ``i * n_cols + c`` marks
+    the rows that column c of trial ``first + i`` observes."""
     m = min(per_column, n_rows - per_column)
     keys = _trial_keys(seed, first, count)
     bit_gen = np.random.Philox(key=keys[0])
@@ -238,8 +242,19 @@ def _draw_chunk(n_rows: int, n_cols: int, per_column: int, seed: int, first: int
         flat[pick] = True
     if m < per_column:
         np.logical_not(member, out=member)
+    return member
+
+
+def _labels(member: np.ndarray, n_cols: int, per_column: int) -> np.ndarray:
+    """The trials of a membership array (as :func:`_draw_members` gives it,
+    ``per_column`` rows marked per column) as one ``(cols, per_column)``
+    array: row ``i * n_cols + c`` holds, in ascending order, the labels
+    ``i * n_rows + v + 1`` of the rows v that column c of the i-th trial
+    observes."""
+    cols, n_rows = member.shape
     labels = np.empty((cols, per_column), dtype=np.int32)
-    shift = np.arange(cols, dtype=np.intp) // n_cols * n_rows + 1 - base
+    col = np.arange(cols, dtype=np.intp)
+    shift = col // n_cols * n_rows + 1 - col * n_rows
     np.add(np.flatnonzero(member).reshape(cols, per_column), shift[:, None], out=labels, casting="same_kind")
     return labels
 
@@ -289,8 +304,9 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
 
 def _proper_passes(config: TrialConfig) -> int:
     """How many proper1 (margin 1 on n1 - 1 columns) or proper2 (margin 0
-    on n1 columns) trials pass, decided a chunk of trials at a time on the
-    disjoint union of their column graphs."""
+    on n1 columns) trials pass, decided a chunk of trials at a time: from
+    each trial's row degrees when they prove the margin, and otherwise on
+    the disjoint union of the column graphs of the trials they leave open."""
     n1, l = config.shape.dims[0], config.per_column_l
     r = 1 if config.prop == "proper1" else 0
     n_cols = n1 - r
@@ -298,9 +314,13 @@ def _proper_passes(config: TrialConfig) -> int:
     passes = 0
     for start in range(0, config.trials, per_chunk):
         count = min(per_chunk, config.trials - start)
-        adj = _draw_chunk(n1, n_cols, l, config.seed, start, count)
-        union = BipartiteGraph(size_t1=count * n_cols, size_t2=count * n1, adj=adj)
-        passes += int(block_defects_at_least(union, count, r).sum())
+        member = _draw_members(n1, n_cols, l, config.seed, start, count).reshape(count, n_cols, n1)
+        unproven = np.flatnonzero(~degrees_prove_margin(n_cols, l, member.sum(axis=1, dtype=np.int32), r))
+        passes += count - unproven.size
+        if unproven.size:
+            adj = _labels(member[unproven].reshape(-1, n1), n_cols, l)
+            union = BipartiteGraph(size_t1=unproven.size * n_cols, size_t2=unproven.size * n1, adj=adj)
+            passes += int(block_defects_at_least(union, unproven.size, r).sum())
     return passes
 
 

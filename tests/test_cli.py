@@ -320,6 +320,22 @@ class TestSimulate:
             _write_artifact({"value": float("nan")}, str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing/sim.json", "taken"])
+    def test_unwritable_out_names_the_requested_path(self, target, capsys, tmp_path):
+        """An --out in a missing directory, or one that is a directory, exits
+        1 with an error line naming the path given, not the hidden temporary
+        file beside it, and leaves no temporary file behind."""
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / target
+        code = main([
+            "simulate", "--dims", "8,4", "--property", "proper1",
+            "--trials", "2", "--per-column-l", "3", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(out)!r}\n"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     def test_rank_requires_j(self, capsys):
         code = main([
             "simulate", "--dims", "3,3,3", "--property", "finiteByCertifier",

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorcert.hallgraph import (
     BipartiteGraph,
@@ -15,6 +16,7 @@ from tensorcert.hallgraph import (
     _hopcroft_karp,
     block_defects_at_least,
     defect_at_least,
+    degrees_prove_margin,
     expansion_defect,
     generalized_hall_subgraph,
     lemma_match_subgraph,
@@ -426,6 +428,90 @@ class TestBlockDefects:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match="nonnegative"):
             block_defects_at_least(BipartiteGraph(size_t1=1, size_t2=1, adj=((1,),)), 1, -1)
+
+
+def degree_counts(parts: list[BipartiteGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Per part, its least T1 degree and its row of T2 degrees."""
+    least = np.array([min(map(len, part.adj)) for part in parts])
+    t2 = np.zeros((len(parts), parts[0].size_t2), dtype=int)
+    for b, part in enumerate(parts):
+        for nbrs in part.adj:
+            t2[b, [v - 1 for v in nbrs]] += 1
+    return least, t2
+
+
+@st.composite
+def dense_blocks(draw) -> tuple[list[BipartiteGraph], int]:
+    """One to four blocks of equal size whose T1 nodes keep each edge of the
+    complete graph with a per-block probability, so T1 degrees differ within
+    and between blocks, and a margin r in {0, 1, 2}."""
+    x = draw(st.integers(1, 6))
+    y = draw(st.integers(1, x + 4))
+    rng = draw(st.randoms(use_true_random=False))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        keep = draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+        adj = tuple(tuple(v for v in range(1, y + 1) if rng.random() < keep) for _ in range(x))
+        parts.append(BipartiteGraph(size_t1=x, size_t2=y, adj=adj))
+    return parts, draw(st.integers(0, 2))
+
+
+def complete(x: int, y: int) -> BipartiteGraph:
+    return BipartiteGraph(size_t1=x, size_t2=y, adj=(tuple(range(1, y + 1)),) * x)
+
+
+class TestDegreesProveMargin:
+    """The degree bound only ever proves a margin the exact tests confirm."""
+
+    # The first example loads scipy.
+    @settings(deadline=None)
+    @given(dense_blocks())
+    def test_never_claims_a_failing_block(self, case):
+        parts, r = case
+        least, t2 = degree_counts(parts)
+        proved = degrees_prove_margin(parts[0].size_t1, least, t2, r)
+        assert proved.dtype == bool and proved.shape == (len(parts),)
+        for part, ok in zip(parts, proved.tolist()):
+            if ok:
+                assert defect_at_least(part, r)[0] and clone_reference(part, r), (part.adj, r)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("x", [1, 2, 5])
+    def test_tight_complete_graphs(self, x, r):
+        """K(x, x + r) meets the margin with equality at S = T1, and the bound
+        proves it.  One T2 node fewer breaks the margin, and so does one
+        edge fewer when x = 1; the bound declines both.  For x >= 2 the
+        margin survives one missing edge, and the bound still proves it."""
+        full = complete(x, x + r)
+        short = complete(x, x + r - 1) if x + r > 1 else None
+        cut = BipartiteGraph(size_t1=x, size_t2=x + r, adj=(tuple(range(2, x + r + 1)),) + full.adj[1:])
+        cases = [(full, True), (cut, x >= 2)] + ([(short, False)] if short else [])
+        for g, holds in cases:
+            assert defect_at_least(g, r)[0] == clone_reference(g, r) == holds
+            assert degrees_prove_margin(x, *degree_counts([g]), r).tolist() == [holds], (g.adj, r)
+
+    def test_declines_a_margin_only_matching_sees(self):
+        """A perfect matching has margin 0, but degree 1 everywhere proves
+        nothing beyond single nodes."""
+        g = BipartiteGraph(size_t1=3, size_t2=3, adj=((1,), (2,), (3,)))
+        assert defect_at_least(g, 0)[0]
+        assert degrees_prove_margin(3, *degree_counts([g]), 0).tolist() == [False]
+
+    def test_least_degree_per_block_or_shared(self):
+        """Columns {1, 3}, {2, 3} and {3}, {1, 2, 3} have the same T2 degrees;
+        only the least T1 degree tells the first (margin 1) from the second."""
+        t2 = np.array([[1, 1, 2], [1, 1, 2]])
+        assert degrees_prove_margin(2, np.array([2, 1]), t2, 1).tolist() == [True, False]
+        assert degrees_prove_margin(2, 2, t2, 1).tolist() == [True, True]
+        assert degrees_prove_margin(2, 1, t2, 1).tolist() == [False, False]
+
+    def test_rejects_bad_degrees_and_threshold(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            degrees_prove_margin(2, 1, np.ones((1, 3), dtype=int), -1)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            degrees_prove_margin(2, 1, np.array([[3, 0, 0]]), 0)
+        with pytest.raises(ValueError, match="one row of T2 degrees per block"):
+            degrees_prove_margin(2, 1, np.ones(3, dtype=int), 0)
 
 
 class TestGeneralizedHallSubgraph:

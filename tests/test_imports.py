@@ -60,7 +60,8 @@ def test_check_sees_unused_and_used_names():
 
 
 # Runs in a fresh interpreter: prints the scipy modules loaded after the
-# numpy-only commands, then after a proper1 simulation.
+# numpy-only commands (a dense proper1 simulation among them), then after a
+# sparse proper1 simulation.
 _STARTUP_PROBE = """
 import json, sys
 import tensorcert, tensorcert.cli
@@ -73,6 +74,8 @@ runs = [
     ["bounds", "--d", "3", "--n", "12", "--j", "1", "--rank-range", "1:4", "--eps", "0.1"],
     ["simulate", "--dims", "3,3,3", "--property", "finiteByCertifier", "--trials", "2",
      "--p", "0.7", "--rank", "1,2", "--j", "1"],
+    ["simulate", "--dims", "64,4", "--property", "proper1", "--trials", "20",
+     "--per-column-l", "37", "--seed", "5"],
 ]
 codes = [main([*argv, "--out", out]) for argv in runs]
 scipy_after_numpy_only = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
@@ -90,7 +93,9 @@ print(json.dumps({
 def test_scipy_loaded_only_where_called(tmp_path):
     """A stray module-level scipy import would make every one-shot command
     pay for loading scipy; only the Hall-graph matching (proper1/proper2)
-    and the least-squares enumerator may load it."""
+    and the least-squares enumerator may load it.  A dense proper1 run,
+    whose every trial the degree bound proves, never reaches the matching;
+    a sparse one (8x4, l = 3) does."""
     pattern = tmp_path / "full.json"
     write_pattern(SamplingPattern.full((3, 3, 3)), pattern)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -100,6 +105,6 @@ def test_scipy_loaded_only_where_called(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen["codes"] == [0] * 6
+    assert seen["codes"] == [0] * 7
     assert seen["before"] == [], f"numpy-only commands loaded {seen['before']}"
     assert seen["csgraph"] and not seen["optimize"]

@@ -254,25 +254,35 @@ class TestEstimate:
     @pytest.mark.parametrize("prop", ["proper1", "proper2"])
     @pytest.mark.parametrize("n1", [2, 3, 5, 16, 64, 256])
     def test_batched_verdicts_equal_per_trial_test(self, monkeypatch, prop, n1):
-        """Every trial's verdict, read from the chunked disjoint unions,
-        equals the one-graph test on that trial's own column graph, with
-        chunks of three trials so that ten trials span four chunks, and with
-        the default chunk size."""
+        """Every trial's verdict, read from its chunk's degree bound or else
+        from the disjoint union of the chunk's unproven trials, equals the
+        one-graph test on that trial's own column graph, with chunks of three
+        trials so that ten trials span four chunks, and with the default chunk
+        size.  The bound decides some chunks wholly and some not at all (and,
+        from 16 rows up, some partly), and every union built fits a chunk."""
         r = 1 if prop == "proper1" else 0
-        verdicts = []
-        batched = montecarlo.block_defects_at_least
+        proofs, verdicts = [], []
+        bound, batched = montecarlo.degrees_prove_margin, montecarlo.block_defects_at_least
+
+        def recorded_bound(*args):
+            out = bound(*args)
+            proofs.append(out.tolist())
+            return out
 
         def recorded(g, blocks, r):
+            assert g.size_t1 + g.size_t2 + g.indices.size <= montecarlo._CHUNK_SIZE
             out = batched(g, blocks, r)
             verdicts.append(out.tolist())
             return out
 
+        monkeypatch.setattr(montecarlo, "degrees_prove_margin", recorded_bound)
         monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
         default = montecarlo._CHUNK_SIZE
-        outcomes = set()
+        outcomes, kinds = set(), set()
         for l in sorted({0, 1, 2, n1 // 2, n1}):
             for chunk_size, trials in ((3 * ((n1 - r) * (l + 1) + n1), 10), (default, 12)):
                 monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", chunk_size)
+                proofs.clear()
                 verdicts.clear()
                 config = TrialConfig(
                     shape=Shape(dims=(n1, 4)), prop=prop, trials=trials, seed=n1 + l, per_column_l=l
@@ -283,11 +293,18 @@ class TestEstimate:
                     for t in range(trials)
                 ]
                 if chunk_size != default:
-                    assert [len(v) for v in verdicts] == [3, 3, 3, 1]
-                assert sum(verdicts, []) == expected, (l, chunk_size)
+                    assert [len(p) for p in proofs] == [3, 3, 3, 1]
+                # Each union holds the unproven trials of one chunk, in order.
+                assert [len(v) for v in verdicts] == [p.count(False) for p in proofs if not all(p)]
+                matched = iter(sum(verdicts, []))
+                got = [proved or next(matched) for proved in sum(proofs, [])]
+                assert got == expected, (l, chunk_size)
                 assert (result.passes, result.fails, result.undecided) == (sum(expected), trials - sum(expected), 0)
                 outcomes.update(expected)
+                kinds.update("wholly" if all(p) else "partly" if any(p) else "not at all" for p in proofs)
         assert True in outcomes and False in outcomes
+        assert {"wholly", "not at all"} <= kinds
+        assert "partly" in kinds or n1 < 16
 
     @pytest.mark.parametrize("prop", ["proper1", "proper2"])
     def test_pass_rate_agrees_with_an_independent_sampler(self, prop):
@@ -311,18 +328,25 @@ class TestEstimate:
 
     def test_chunks_bound_the_union_size(self, monkeypatch):
         """64x4 proper1 at the closed-form count: 26 trials fit one chunk of
-        the default size, so 60 trials take three chunks."""
-        sizes = []
-        batched = montecarlo.block_defects_at_least
+        the default size, so 60 trials take three membership draws, each
+        chunk's union of all its trials would fit the chunk size, and the
+        degree bound proves every trial, so no union is built."""
+        draws = []
+        draw = montecarlo._draw_members
 
-        def recorded(g, blocks, r):
-            sizes.append((blocks, g.size_t1, g.size_t2, g.indices.size))
-            return batched(g, blocks, r)
+        def recorded(n_rows, n_cols, per_column, seed, first, count):
+            draws.append(count)
+            return draw(n_rows, n_cols, per_column, seed, first, count)
 
-        monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
-        estimate(TrialConfig(shape=Shape(dims=(64, 4)), prop="proper1", trials=60, seed=3, per_column_l=37))
-        assert [s[0] for s in sizes] == [26, 26, 8]
-        assert all(t1 + t2 + edges <= montecarlo._CHUNK_SIZE for _b, t1, t2, edges in sizes)
+        def unexpected(g, blocks, r):
+            raise AssertionError(f"union of {blocks} trials built")
+
+        monkeypatch.setattr(montecarlo, "_draw_members", recorded)
+        monkeypatch.setattr(montecarlo, "block_defects_at_least", unexpected)
+        result = estimate(TrialConfig(shape=Shape(dims=(64, 4)), prop="proper1", trials=60, seed=3, per_column_l=37))
+        assert draws == [26, 26, 8]
+        assert all(count * (63 * (37 + 1) + 64) <= montecarlo._CHUNK_SIZE for count in draws)
+        assert (result.passes, result.fails) == (60, 0)
 
     def test_membership_array_bounds_sparse_chunks(self, monkeypatch):
         """At 1024x4 with one row per column a chunk's union is small, but
