@@ -34,15 +34,19 @@ to pin the factor matrices: column supports include the designated rows of
 the column's own subtensor, so selections that concentrate several entries
 in one trailing column produce the tall supports that positive capacity
 requires.  The designated selection is existentially quantified, so the
-certifier retries a handful of alternative selections; when none yields a
-witness, the rank of the full pattern at the same point decides.  So
+certifier decides on the first selection: its witness, or else the rank of
+the full pattern at the same point.  A rank short of the target gives
+"not-finite" at once, with the count model's violating subset when the
+search ran to its end; a rank at the target gives "finite", and only then
+are a handful of alternative selections searched for a witness.  So
 :func:`certify_finite` always decides, and "undecided" comes only from
-:func:`certify_unique`: a node budget or the witness cap ran out.
+:func:`certify_unique` on a pattern whose rank reaches the target: a node
+budget or the witness cap ran out before a disjoint pair was found.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,7 +97,7 @@ class CertifierGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteCertificate:
-    verdict: str  # "finite" | "not-finite" | "undecided-search-exhausted"
+    verdict: str  # "finite" | "not-finite"
     num_free_core: int  # required witness size n
     witness_columns: Optional[tuple[int, ...]]
     violating_subset: Optional[tuple[int, ...]]
@@ -147,35 +151,41 @@ def thm3_upper_bound(constraint: ConstraintMatrix, column_subset: Iterable[int],
     return spec.product * m - spec.g(m)
 
 
-def _support_masks(constraint: ConstraintMatrix, columns: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Supports as bitmasks over the rows actually touched (remapped densely).
-
-    Returns (masks, row_labels); bit b corresponds to 1-based row row_labels[b].
-    The columns of one subtensor share their designated rows, so each set of
-    designated rows is mapped once.
+def _support_masks(constraint: ConstraintMatrix, columns: Sequence[int]) -> list[int]:
+    """Supports as bitmasks over the rows actually touched, remapped densely
+    in row order.  The columns of one subtensor share their designated rows,
+    so each set of designated rows is mapped once.
     """
     chosen = [constraint.columns[idx] for idx in columns]
     designated = {c.designated_rows for c in chosen}
     labels = sorted({c.free_row for c in chosen}.union(*designated))
     bit = {row: 1 << b for b, row in enumerate(labels)}
     designated_mask = {rows: sum(bit[row] for row in rows) for rows in designated}
-    return [designated_mask[c.designated_rows] | bit[c.free_row] for c in chosen], labels
+    return [designated_mask[c.designated_rows] | bit[c.free_row] for c in chosen]
 
 
-CAPS_CACHE_SIZE = 32  # capacity tables _caps_worst keeps, least recently used dropped
+CAPS_CACHE_SIZE = 32  # capacity tables _caps keeps, least recently used dropped
 
 
 @functools.lru_cache(maxsize=CAPS_CACHE_SIZE)
-def _caps_worst(width: int, spec: RankSpec) -> tuple[int, ...]:
-    """Capacity R*|W| - g(|W|) for every row set W, indexed by bitmask.
+def _caps(width: int, spec: RankSpec, n0: Optional[int] = None) -> tuple[int, ...]:
+    """Capacity of every row set W, indexed by bitmask: R*|W| - g(|W|), or
+    with ``n0`` the largest t in 0..n0 that the uniqueness relaxation
+    R*(t+1) - sum_sq*(t + 2 - n0)^+ <= R*|W| - g(|W|) lets W hold.
 
-    Built once per ``(width, spec)`` and kept in a process cache of the
-    ``CAPS_CACHE_SIZE`` most recently used tables, so a certificate's
-    searches and its dependence check share one table."""
+    A capacity depends on |W| alone, so one value per row count is expanded
+    by popcount.  Built once per ``(width, spec, n0)`` and kept in a process
+    cache of the ``CAPS_CACHE_SIZE`` most recently used tables, so a
+    certificate's searches and its dependence check share one table."""
     if width > ROW_SCAN_GUARD:
         raise CertifierGuardError(f"capacity table over {width} rows exceeds the guard")
     R = spec.product
     by_count = [R * w - spec.g(w) for w in range(width + 1)]
+    if n0 is not None:
+        by_count = [
+            next((t for t in range(n0) if R * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) > free), n0)
+            for free in by_count
+        ]
     return tuple(by_count[w.bit_count()] for w in range(1 << width))
 
 
@@ -223,9 +233,9 @@ def subset_condition_holds(
     columns = list(column_set)
     if not columns:
         return True, None
-    masks, _labels = _support_masks(constraint, columns)
+    masks = _support_masks(constraint, columns)
     width = max(m.bit_length() for m in masks)
-    counts = _IncrementalCounts(width, _caps_worst(width, spec))
+    counts = _IncrementalCounts(width, _caps(width, spec))
     for m in masks:
         counts.add(m)
     over = next((w for w in range(1, 1 << width) if counts.cnt[w] > counts.caps[w]), None)
@@ -280,14 +290,14 @@ def _witness_solutions(
     order: Sequence[int],
     target: int,
     counts: _IncrementalCounts,
-    node_budget: list[int],
+    node_budget: int,
     rank: Optional[tuple[ModEchelon, np.ndarray, int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield qualifying column sets of the target size (indices into `masks`),
     include-first depth-first so the first solution matches a greedy descent.
     With ``rank = (echelon, rows, slack)``, a column is included only when
     pushing ``rows[idx]`` leaves at most ``slack`` dependent rows.
-    Decrements node_budget[0]; raises when it hits zero."""
+    Each node spends one of ``node_budget``; raises when none is left."""
     chosen: list[int] = []
 
     def admit(idx: int) -> bool:
@@ -303,13 +313,14 @@ def _witness_solutions(
         return False
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
+        nonlocal node_budget
         if len(chosen) == target:
             yield tuple(sorted(chosen))
             return
         if target - len(chosen) > len(order) - i:
             return
-        node_budget[0] -= 1
-        if node_budget[0] <= 0:
+        node_budget -= 1
+        if node_budget <= 0:
             raise CertifierGuardError("witness search exceeded its node budget")
         idx = order[i]
         if admit(idx):
@@ -342,48 +353,16 @@ def _finite_search(
     shape = pattern.shape
     n = core_dim(shape, spec)
     columns = list(range(constraint.num_columns))
-    masks, _labels = _support_masks(constraint, columns)
+    masks = _support_masks(constraint, columns)
     width = max((m.bit_length() for m in masks), default=0)
-    counts = _IncrementalCounts(width, _caps_worst(width, spec))
+    counts = _IncrementalCounts(width, _caps(width, spec))
     order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
     slack = len(selection.entries) + n - _rank_target(shape, spec)
     if echelon.dependent > slack:
         return
     index = pattern_index(pattern, spec)
     free = index.jacobian[[index.at[c.free_row, c.base] for c in constraint.columns]]
-    yield from _witness_solutions(masks, order, n, counts, [WITNESS_NODE_BUDGET], (echelon, free, slack))
-
-
-def _certify_finite_once(
-    pattern: SamplingPattern, spec: RankSpec, selection: TSelection, echelon: ModEchelon
-) -> FiniteCertificate:
-    constraint = build_constraint(pattern, spec, selection)
-    n = core_dim(pattern.shape, spec)
-
-    def cert(verdict: str, witness=None, violating=None, reason: str = "") -> FiniteCertificate:
-        return FiniteCertificate(
-            verdict=verdict,
-            num_free_core=n,
-            witness_columns=witness,
-            violating_subset=violating,
-            selection=selection,
-            num_columns=constraint.num_columns,
-            reason=reason,
-        )
-
-    if constraint.num_columns < n:
-        return cert(
-            "not-finite",
-            reason=f"only {constraint.num_columns} constraint columns but {n} needed",
-        )
-    try:
-        witness = next(_finite_search(pattern, spec, constraint, selection, echelon), None)
-    except CertifierGuardError as exc:
-        return cert("undecided-search-exhausted", reason=str(exc))
-    if witness is not None:
-        return cert("finite", witness=witness)
-    _, violating = thm4_dependent(constraint, spec)
-    return cert("not-finite", violating=violating)
+    yield from _witness_solutions(masks, order, n, counts, WITNESS_NODE_BUDGET, (echelon, free, slack))
 
 
 def _check_assumptions(pattern: SamplingPattern, spec: RankSpec) -> None:
@@ -424,29 +403,38 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
 
 def _certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int) -> FiniteCertificate:
     """:func:`certify_finite` past its input checks."""
-    first: Optional[FiniteCertificate] = None
+    n = core_dim(pattern.shape, spec)
+    first = None
     for selection, echelon in _selections(pattern, spec, "A", seed):
-        result = _certify_finite_once(pattern, spec, selection, echelon)
-        if result.verdict == "finite":
-            return result
+        constraint = build_constraint(pattern, spec, selection)
+        decided = functools.partial(
+            FiniteCertificate,
+            num_free_core=n,
+            witness_columns=None,
+            violating_subset=None,
+            selection=selection,
+            num_columns=constraint.num_columns,
+        )
+        # Every A selection has target - n entries, so too few columns means
+        # fewer observed entries than the target rank.
+        if constraint.num_columns < n:
+            return decided("not-finite", reason=f"only {constraint.num_columns} constraint columns but {n} needed")
+        try:
+            witness, stopped = next(_finite_search(pattern, spec, constraint, selection, echelon), None), False
+        except CertifierGuardError:
+            witness, stopped = None, True
+        if witness is not None:
+            return decided("finite", witness_columns=witness)
         if first is None:
-            first = result
             # A witness's rows reach the target rank, so when all observed
-            # rows fall short no other selection can yield one.
+            # rows fall short no selection can yield one.
             if not generic_rank_finite(pattern, spec):
-                if first.verdict == "not-finite":
-                    return first
-                return replace(first, verdict="not-finite", reason="generic rank stays below the number of unknowns")
+                if stopped:
+                    return decided("not-finite", reason="generic rank stays below the number of unknowns")
+                return decided("not-finite", violating_subset=thm4_dependent(constraint, spec)[1])
+            first = decided
     assert first is not None
-    return FiniteCertificate(
-        verdict="finite",
-        num_free_core=first.num_free_core,
-        witness_columns=None,
-        violating_subset=None,
-        selection=first.selection,
-        num_columns=first.num_columns,
-        reason="decided by generic-rank evaluation; no combinatorial witness found",
-    )
+    return first("finite", reason="decided by generic-rank evaluation; no combinatorial witness found")
 
 
 def verify_finite_witness(
@@ -467,22 +455,6 @@ def verify_finite_witness(
     return ok and generic_rank_finite(SamplingPattern(pattern.shape, tuple(entries)), spec)
 
 
-def _caps_unique(width: int, spec: RankSpec, n0: int) -> list[int]:
-    """Largest t in 0..n0 a row set W may hold under the uniqueness relaxation
-    R*(t+1) - sum_sq*(t + 2 - n0)^+ <= R*|W| - g(|W|), indexed by bitmask."""
-    R = spec.product
-    sum_sq = spec.sum_sq
-    free = _caps_worst(width, spec)
-    caps = []
-    for w in range(1 << width):
-        lhs = free[w]
-        t = 0
-        while t < n0 and R * (t + 1) - sum_sq * max(0, t + 1 - n0 + 1) <= lhs:
-            t += 1
-        caps.append(t)
-    return caps
-
-
 def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> UniqueCertificate:
     """Sufficient uniqueness certification: a finiteness witness plus a
     disjoint second witness whose t'-subsets each involve at least
@@ -496,11 +468,11 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     for selection, echelon in _selections(pattern, spec, "A+", seed):
         constraint = build_constraint(pattern, spec, selection)
         columns = list(range(constraint.num_columns))
-        masks, _labels = _support_masks(constraint, columns)
+        masks = _support_masks(constraint, columns)
         width = max((m.bit_length() for m in masks), default=0)
 
         try:
-            caps_uni = _caps_unique(width, spec, n0)
+            caps_uni = _caps(width, spec, n0)
             finite_witnesses = _finite_search(pattern, spec, constraint, selection, echelon)
             for tried, witness in enumerate(finite_witnesses, start=1):
                 used = set(witness)
@@ -510,7 +482,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
                     order0 = sorted(remaining, key=lambda i: (-masks[i].bit_count(), i))
                     try:
                         witness0 = next(
-                            iter(_witness_solutions(masks, order0, n0, counts0, [SEARCH_NODE_GUARD])),
+                            iter(_witness_solutions(masks, order0, n0, counts0, SEARCH_NODE_GUARD)),
                             None,
                         )
                     except CertifierGuardError:
@@ -538,7 +510,8 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
             undecided = True
 
     finite_cert = _certify_finite(pattern, spec, seed)
-    verdict = "undecided-search-exhausted" if undecided else "not-certified"
+    # A guard leaves the answer open only on a finite pattern.
+    verdict = "undecided-search-exhausted" if undecided and finite_cert.verdict == "finite" else "not-certified"
     return UniqueCertificate(
         verdict=verdict,
         finite=finite_cert,

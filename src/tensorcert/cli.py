@@ -87,28 +87,19 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise SystemExit(f"error: bad {flag} list {text!r}: {exc}")
 
 
-def _cmd_check_finite(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace, unique: bool) -> int:
+    """``check-finite``, or with ``unique`` ``check-unique``, which exits
+    with EXIT_UNDECIDED on any verdict but "unique".  The certify function
+    is looked up when the command runs, not when the parser is built."""
     pattern = read_pattern(args.pattern)
     spec = RankSpec(j=args.j, ranks=_parse_ints(args.rank, "--rank"))
     try:
-        cert = certify_finite(pattern, spec, seed=args.seed)
+        cert = (certify_unique if unique else certify_finite)(pattern, spec, seed=args.seed)
     except AssumptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _write_artifact({"manifest": _manifest(args), "certificate": cert.to_dict()}, args.out)
-    return EXIT_OK
-
-
-def _cmd_check_unique(args: argparse.Namespace) -> int:
-    pattern = read_pattern(args.pattern)
-    spec = RankSpec(j=args.j, ranks=_parse_ints(args.rank, "--rank"))
-    try:
-        cert = certify_unique(pattern, spec, seed=args.seed)
-    except AssumptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    _write_artifact({"manifest": _manifest(args), "certificate": cert.to_dict()}, args.out)
-    return EXIT_OK if cert.verdict == "unique" else EXIT_UNDECIDED
+    return EXIT_UNDECIDED if unique and cert.verdict != "unique" else EXIT_OK
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -262,19 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write the artifact here (default stdout)")
 
-    p = sub.add_parser("check-finite", help="finite-completability certificate for a pattern")
-    p.add_argument("pattern", help="pattern JSON file")
-    p.add_argument("--rank", required=True, help="trailing rank components, comma list")
-    p.add_argument("--j", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_check_finite)
-
-    p = sub.add_parser("check-unique", help="uniqueness certificate for a pattern")
-    p.add_argument("pattern")
-    p.add_argument("--rank", required=True)
-    p.add_argument("--j", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_check_unique)
+    for command, what, unique in (
+        ("check-finite", "finite-completability", False),
+        ("check-unique", "uniqueness", True),
+    ):
+        p = sub.add_parser(command, help=f"{what} certificate for a pattern")
+        p.add_argument("pattern", help="pattern JSON file")
+        p.add_argument("--rank", required=True, help="trailing rank components, comma list")
+        p.add_argument("--j", type=int, required=True)
+        add_common(p)
+        p.set_defaults(func=functools.partial(_cmd_certify, unique=unique))
 
     p = sub.add_parser("bounds", help="sampling-probability bound curves as CSV")
     p.add_argument("--d", type=int, required=True)

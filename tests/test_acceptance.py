@@ -230,6 +230,36 @@ def test_sweep_witness_coverage_and_replay():
         assert digest.hexdigest() == SWEEP_CERTIFICATE_DIGEST
 
 
+def test_dependence_subset_built_only_when_reported(monkeypatch):
+    """Over the sweep's 320 draws, thm4_dependent runs once for each
+    "not-finite" certificate that reports its result (one with no reason)
+    and for no other certificate."""
+    calls = []
+    real_dependent = certifier.thm4_dependent
+
+    def counting_dependent(*args, **kwargs):
+        calls.append(args)
+        return real_dependent(*args, **kwargs)
+
+    monkeypatch.setattr(certifier, "thm4_dependent", counting_dependent)
+    reported = 0
+    for dims, j, ranks, p in SWEEP_CONFIGS:
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial in range(40):
+            pattern = sample_pattern(shape, p, seed=5, trial=trial)
+            before = len(calls)
+            try:
+                cert = certify_finite(pattern, spec, seed=3)
+            except AssumptionError:
+                assert len(calls) == before
+                continue
+            reports = cert.verdict == "not-finite" and not cert.reason
+            assert len(calls) - before == reports, (dims, j, ranks, trial)
+            reported += reports
+    assert len(calls) == reported == 12
+
+
 # SHA-256 over certify_unique's certificates and refusals at seed 3 on all 40
 # draws of sweep configs 0-6, in the line format of SWEEP_CERTIFICATE_DIGEST.
 # Config 7 takes seconds per pattern here (the second-witness search).

@@ -16,7 +16,7 @@ from tensorcert.assumptions import (
 from tensorcert.certifier import (
     CAPS_CACHE_SIZE,
     FiniteCertificate,
-    _caps_worst,
+    _caps,
     _finite_search,
     _IncrementalCounts,
     _rank_target,
@@ -97,9 +97,9 @@ COLUMN_ENUM_GUARD = 14
 def subset_condition_by_columns(cm, columns, spec):
     """Reference for the row scan: enumerate column subsets directly and
     return the first whose touched rows lack the capacity for it."""
-    masks, _labels = _support_masks(cm, columns)
+    masks = _support_masks(cm, columns)
     assert len(masks) <= COLUMN_ENUM_GUARD
-    caps = _caps_worst(max(m.bit_length() for m in masks), spec)
+    caps = _caps(max(m.bit_length() for m in masks), spec)
     for t in range(1, len(masks) + 1):
         for combo in itertools.combinations(range(len(masks)), t):
             union = 0
@@ -114,10 +114,10 @@ class TestSubsetCondition:
     def test_capacity_table_kept_and_bounded(self):
         """A (width, spec) table is built once, immutable, in a bounded cache."""
         spec = RankSpec(j=1, ranks=(1, 2))
-        table = _caps_worst(5, spec)
+        table = _caps(5, spec)
         assert isinstance(table, tuple) and len(table) == 32
-        assert _caps_worst(5, spec) is table
-        assert _caps_worst.cache_info().maxsize == CAPS_CACHE_SIZE
+        assert _caps(5, spec) is table
+        assert _caps.cache_info().maxsize == CAPS_CACHE_SIZE
 
     def test_single_column_threshold(self):
         # need R*s - g(s) >= 1; for ranks (1, 1) that first happens at s = 3.
@@ -279,7 +279,7 @@ def count_only_witnesses(constraint, spec, n):
     """Reference: every n-set of columns that passes the subset inequalities,
     in the search's include-first order, with no rank check and no cap."""
     columns = range(constraint.num_columns)
-    masks, _labels = _support_masks(constraint, columns)
+    masks = _support_masks(constraint, columns)
     order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
     for combo in itertools.combinations(order, n):
         if subset_condition_holds(constraint, combo, spec)[0]:
@@ -331,11 +331,11 @@ class TestRankPrunedSearch:
         assert cert.verdict == "finite" and cert.witness_columns is not None
         assert verify_finite_witness(pattern, spec, cert)
         constraint = build_constraint(pattern, spec, cert.selection)
-        masks, _labels = _support_masks(constraint, range(constraint.num_columns))
+        masks = _support_masks(constraint, range(constraint.num_columns))
         width = max(m.bit_length() for m in masks)
         order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
-        counts = _IncrementalCounts(width, _caps_worst(width, spec))
-        candidates = _witness_solutions(masks, order, cert.num_free_core, counts, [10**6])
+        counts = _IncrementalCounts(width, _caps(width, spec))
+        candidates = _witness_solutions(masks, order, cert.num_free_core, counts, 10**6)
         dependent = next(
             w for w in candidates if not witness_is_confirmed(pattern, spec, constraint, cert.selection, w)
         )
@@ -496,10 +496,36 @@ class TestCertifyUnique:
         monkeypatch.setattr(certifier, "_finite_search", counting_search)
         # No row set may hold a second-witness column, so every finite
         # witness is rejected.
-        monkeypatch.setattr(certifier, "_caps_unique", lambda width, spec, n0: [0] * (1 << width))
+        real_caps = certifier._caps
+        monkeypatch.setattr(
+            certifier, "_caps", lambda width, spec, n0=None: real_caps(width, spec) if n0 is None else (0,) * (1 << width)
+        )
         cert = certify_unique(SamplingPattern.full((4, 5, 5)), RankSpec(j=1, ranks=(1, 1)))
         assert cert.verdict == "undecided-search-exhausted"
         assert max(searched) == certifier.UNIQUE_WITNESS_CAP == 50
+
+    def test_not_finite_pattern_not_certified(self):
+        """The row sets of this pattern exceed the capacity-table guard, so
+        the second-witness search stops; the finite part decides the answer."""
+        pattern = sample_pattern(Shape((6, 6, 6)), 0.5, seed=5, trial=0)
+        cert = certify_unique(pattern, RankSpec(j=2, ranks=(2,)), seed=3)
+        assert cert.finite.verdict == "not-finite"
+        assert cert.finite.reason == "generic rank stays below the number of unknowns"
+        assert cert.verdict == "not-certified"
+
+    @pytest.mark.parametrize("ranks,width,n0", [((1, 1), 6, 5), ((1, 2), 9, 4), ((2, 2), 12, 14), ((2,), 7, 1)])
+    def test_unique_capacity_table_matches_per_mask_scan(self, ranks, width, n0):
+        """Largest t in 0..n0 with R*(t+1) - sum_sq*(t + 2 - n0)^+ within the
+        row set's capacity, taken mask by mask."""
+        spec = RankSpec(j=1, ranks=ranks)
+        free = _caps(width, spec)
+        expected = []
+        for w in range(1 << width):
+            t = 0
+            while t < n0 and spec.product * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) <= free[w]:
+                t += 1
+            expected.append(t)
+        assert _caps(width, spec, n0) == tuple(expected)
 
     def test_n0_formula(self):
         pattern = SamplingPattern.full((3, 3, 3))

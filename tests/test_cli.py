@@ -6,7 +6,8 @@ import pytest
 
 from tensorcert import cli
 from tensorcert.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, _write_artifact, build_parser, main
-from tensorcert.core import SamplingPattern, write_pattern
+from tensorcert.core import SamplingPattern, Shape, write_pattern
+from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import section_iib_pattern, section_iib_values
 
 
@@ -177,6 +178,19 @@ class TestParser:
         assert build_parser.cache_info().misses == 1
         assert build_parser.cache_info().hits == 2
 
+    def test_certify_function_looked_up_when_run(self, full_cube, tmp_path, monkeypatch):
+        """A wrapper put on ``cli.certify_finite`` or ``cli.certify_unique``
+        after the parser is built still sees every call."""
+        out = str(tmp_path / "cert.json")
+        assert main(["check-finite", full_cube, "--rank", "1,2", "--j", "1", "--out", out]) == EXIT_OK
+        called = []
+        for name in ("certify_finite", "certify_unique"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, name=name, **k: called.append(name) or real(*a, **k))
+        for command in ("check-finite", "check-unique"):
+            assert main([command, full_cube, "--rank", "1,2", "--j", "1", "--out", out]) == EXIT_OK
+        assert called == ["certify_finite", "certify_unique"]
+
 
 class TestCheckUnique:
     def test_fully_observed_unique(self, full_cube, tmp_path):
@@ -197,6 +211,19 @@ class TestCheckUnique:
         assert code == EXIT_UNDECIDED
         payload = json.loads(out.read_text())
         assert payload["certificate"]["verdict"] != "unique"
+
+    def test_not_finite_pattern_not_certified(self, tmp_path):
+        """A pattern whose finite part is "not-finite" is answered, not left
+        undecided, even though its row sets exceed the capacity-table guard."""
+        path = tmp_path / "sparse666.json"
+        write_pattern(sample_pattern(Shape((6, 6, 6)), 0.5, seed=5), path)
+        out = tmp_path / "cert.json"
+        code = main(["check-unique", str(path), "--rank", "2", "--j", "2", "--out", str(out)])
+        assert code == EXIT_UNDECIDED
+        payload = json.loads(out.read_text())
+        assert payload["certificate"]["verdict"] == "not-certified"
+        assert payload["certificate"]["finite"]["verdict"] == "not-finite"
+        assert sorted(payload["manifest"]["config"]) == ["command", "j", "out", "pattern", "rank", "seed"]
 
 
 class TestBounds:
