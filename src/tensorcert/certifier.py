@@ -39,13 +39,16 @@ the full pattern at the same point.  A rank short of the target gives
 "not-finite" at once, with the count model's violating subset when the
 search ran to its end; a rank at the target gives "finite", and only then
 are a handful of alternative selections searched for a witness.  So
-:func:`certify_finite` always decides, and "undecided" comes only from
-:func:`certify_unique` on a pattern whose rank reaches the target: a node
-budget or the witness cap ran out before a disjoint pair was found.
+:func:`certify_finite` always decides.  :func:`certify_unique` finds its
+first ``A+`` selection, decides the finite part as :func:`certify_finite`
+does, and searches the ``A+`` selections for a disjoint witness pair only
+when that part is "finite"; "undecided" means that a node budget or the
+witness cap ran out during that search.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -336,6 +339,14 @@ def _witness_solutions(
     yield from rec(0)
 
 
+def _search_columns(constraint: ConstraintMatrix) -> tuple[list[int], int, list[int]]:
+    """Support masks of every column, the number of rows they span, and the
+    search order: tallest support first, ties by column index."""
+    masks = _support_masks(constraint, range(constraint.num_columns))
+    width = max((m.bit_length() for m in masks), default=0)
+    return masks, width, sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+
+
 def _finite_search(
     pattern: SamplingPattern,
     spec: RankSpec,
@@ -352,11 +363,8 @@ def _finite_search(
     :func:`~tensorcert.geometry.pattern_index`."""
     shape = pattern.shape
     n = core_dim(shape, spec)
-    columns = list(range(constraint.num_columns))
-    masks = _support_masks(constraint, columns)
-    width = max((m.bit_length() for m in masks), default=0)
+    masks, width, order = _search_columns(constraint)
     counts = _IncrementalCounts(width, _caps(width, spec))
-    order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
     slack = len(selection.entries) + n - _rank_target(shape, spec)
     if echelon.dependent > slack:
         return
@@ -367,6 +375,9 @@ def _finite_search(
 
 def _check_assumptions(pattern: SamplingPattern, spec: RankSpec) -> None:
     spec.check_shape(pattern.shape)
+    for n, r in zip(spec.tail_dims(pattern.shape), spec.ranks):
+        if r > n:
+            raise AssumptionError(f"rank component {r} exceeds dimension {n}")
     if not check_Bj(pattern.shape, spec):
         raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
 
@@ -458,67 +469,50 @@ def verify_finite_witness(
 def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> UniqueCertificate:
     """Sufficient uniqueness certification: a finiteness witness plus a
     disjoint second witness whose t'-subsets each involve at least
-    R*t' - sum_sq*(t' - n0 + 1)^+ free core entries."""
+    R*t' - sum_sq*(t' - n0 + 1)^+ free core entries.
+
+    The first ``A+`` selection is found before anything else, so a pattern
+    with none is refused.  The finite part is then decided as by
+    :func:`certify_finite`, and only when it is "finite" are the ``A+``
+    selections searched for a disjoint witness pair, with the finite
+    search's masks and column order."""
     _check_assumptions(pattern, spec)
     _check_observed_count(pattern, spec, plus=True)
-    n = core_dim(pattern.shape, spec)
     n0 = pattern.shape.head_size(spec.j) - spec.sum_sq // spec.product
-
-    undecided = False
-    for selection, echelon in _selections(pattern, spec, "A+", seed):
+    selections = _selections(pattern, spec, "A+", seed)
+    first = next(selections)
+    finite = _certify_finite(pattern, spec, seed)
+    no_pair = functools.partial(
+        UniqueCertificate, finite=finite, witness_columns0=None, n0=n0, reason="no disjoint witness pair found"
+    )
+    if finite.verdict != "finite":
+        return no_pair("not-certified")
+    exhausted = False
+    for selection, echelon in itertools.chain([first], selections):
         constraint = build_constraint(pattern, spec, selection)
-        columns = list(range(constraint.num_columns))
-        masks = _support_masks(constraint, columns)
-        width = max((m.bit_length() for m in masks), default=0)
-
+        masks, width, order = _search_columns(constraint)
         try:
-            caps_uni = _caps(width, spec, n0)
-            finite_witnesses = _finite_search(pattern, spec, constraint, selection, echelon)
-            for tried, witness in enumerate(finite_witnesses, start=1):
+            caps0 = _caps(width, spec, n0)
+            witnesses = _finite_search(pattern, spec, constraint, selection, echelon)
+            for tried, witness in enumerate(witnesses, start=1):
                 used = set(witness)
-                remaining = [i for i in columns if i not in used]
-                if len(remaining) >= n0:
-                    counts0 = _IncrementalCounts(width, caps_uni)
-                    order0 = sorted(remaining, key=lambda i: (-masks[i].bit_count(), i))
-                    try:
-                        witness0 = next(
-                            iter(_witness_solutions(masks, order0, n0, counts0, SEARCH_NODE_GUARD)),
-                            None,
-                        )
-                    except CertifierGuardError:
-                        undecided = True
-                        witness0 = None
-                    if witness0 is not None:
-                        finite_part = FiniteCertificate(
-                            verdict="finite",
-                            num_free_core=n,
-                            witness_columns=witness,
-                            violating_subset=None,
-                            selection=selection,
-                            num_columns=constraint.num_columns,
-                        )
-                        return UniqueCertificate(
-                            verdict="unique",
-                            finite=finite_part,
-                            witness_columns0=witness0,
-                            n0=n0,
-                        )
+                order0 = [i for i in order if i not in used]
+                counts0 = _IncrementalCounts(width, caps0)
+                try:
+                    witness0 = next(_witness_solutions(masks, order0, n0, counts0, SEARCH_NODE_GUARD), None)
+                except CertifierGuardError:
+                    exhausted, witness0 = True, None
+                if witness0 is not None:
+                    part = FiniteCertificate(
+                        "finite", finite.num_free_core, witness, None, selection, constraint.num_columns
+                    )
+                    return UniqueCertificate(verdict="unique", finite=part, witness_columns0=witness0, n0=n0)
                 if tried >= UNIQUE_WITNESS_CAP:
-                    undecided = True
+                    exhausted = True
                     break
         except CertifierGuardError:
-            undecided = True
-
-    finite_cert = _certify_finite(pattern, spec, seed)
-    # A guard leaves the answer open only on a finite pattern.
-    verdict = "undecided-search-exhausted" if undecided and finite_cert.verdict == "finite" else "not-certified"
-    return UniqueCertificate(
-        verdict=verdict,
-        finite=finite_cert,
-        witness_columns0=None,
-        n0=n0,
-        reason="no disjoint witness pair found",
-    )
+            exhausted = True
+    return no_pair("undecided-search-exhausted" if exhausted else "not-certified")
 
 
 def subpro_consistency(

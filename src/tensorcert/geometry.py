@@ -17,8 +17,7 @@ over Q, and a random point of GF(p) shows a deficit that is not generic with
 probability at most deg/p (Schwartz-Zippel).  An echelon pivots each row at
 its last nonzero column, so the same pushes also rank the rows' parts in a
 trailing block of columns, such as the factor block.  :func:`probe_point`
-draws each GF(p) point once per ``(shape, spec, seed, modulus)`` and keeps
-the last ``POINT_CACHE_SIZE`` in a process cache, as read-only arrays.
+draws every point afresh, floats and residues alike, as one flat draw.
 
 One certificate asks the same questions of its pattern many times, so
 :func:`pattern_index` builds a :class:`PatternIndex` of it in one numpy pass
@@ -42,7 +41,7 @@ from .core import Coord, SamplingPattern, Shape, unfolding_indices
 __all__ = [
     "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
     "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "layout_columns", "probe_point",
-    "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "POINT_CACHE_SIZE", "ModEchelon", "reaches_rank_mod_p",
+    "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "ModEchelon", "reaches_rank_mod_p",
     "PatternIndex", "pattern_index",
 ]
 
@@ -51,7 +50,6 @@ __all__ = [
 RANK_PRIME = 268_435_399
 _DOT_CHUNK = (2**63 - RANK_PRIME) // (RANK_PRIME - 1) ** 2
 RANK_POINT_SEED = 0x7A57E  # the GF(RANK_PRIME) point of every certificate's ranks
-POINT_CACHE_SIZE = 16  # GF(p) points probe_point keeps, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -296,33 +294,19 @@ def _point_shapes(shape: Shape, spec: RankSpec) -> list[tuple[int, int]]:
     return [(shape.head_size(spec.j), spec.product), *zip(spec.ranks, spec.tail_dims(shape))]
 
 
-@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
-def _residue_point(shape: Shape, spec: RankSpec, seed: int, modulus: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    shapes = _point_shapes(shape, spec)
-    flat = np.random.default_rng(seed).integers(modulus, size=sum(a * b for a, b in shapes))
-    flat.flags.writeable = False  # shared by every caller; views inherit the flag
-    ends = itertools.accumulate(a * b for a, b in shapes)
-    core, *factors = [flat[end - a * b : end].reshape(a, b) for end, (a, b) in zip(ends, shapes)]
-    return core, tuple(factors)
-
-
 def probe_point(
     shape: Shape, spec: RankSpec, seed: int, modulus: Optional[int] = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), drawn in
-    that order from ``seed``: standard normal entries, or uniform residues
-    mod ``modulus`` when one is given.
-
-    A float point is drawn afresh on every call, into writable arrays (the
-    oracle writes its gauge pins into them).  A residue point is drawn once
-    per ``(shape, spec, seed, modulus)`` and kept in a process cache of the
-    ``POINT_CACHE_SIZE`` most recently used points; its arrays are
-    read-only views of one draw, shared by every caller."""
-    if modulus is not None:
-        core, factors = _residue_point(shape, spec, seed, modulus)
-        return core, list(factors)
+    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), drawn
+    afresh from ``seed`` as one flat draw split in that order: standard
+    normal entries, or uniform residues mod ``modulus`` when one is given.
+    The arrays are writable (the oracle writes its gauge pins into them)."""
+    shapes = _point_shapes(shape, spec)
+    sizes = [a * b for a, b in shapes]
     rng = np.random.default_rng(seed)
-    core, *factors = [rng.standard_normal(size) for size in _point_shapes(shape, spec)]
+    flat = rng.standard_normal(sum(sizes)) if modulus is None else rng.integers(modulus, size=sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    core, *factors = [flat[at : at + size].reshape(dims) for at, size, dims in zip(starts, sizes, shapes)]
     return core, factors
 
 

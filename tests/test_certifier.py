@@ -367,6 +367,13 @@ class TestCertifyFinite:
             certify_finite(pattern, RankSpec(j=1, ranks=(1, 2)))
 
     @pytest.mark.parametrize("certify", [certify_finite, certify_unique])
+    def test_trailing_rank_beyond_dimension_refused(self, certify):
+        """A fully observed tensor has one completion, so a trailing rank
+        larger than its dimension is refused, not answered "not-finite"."""
+        with pytest.raises(AssumptionError, match="^rank component 4 exceeds dimension 3$"):
+            certify(SamplingPattern.full((3, 3, 3)), RankSpec(j=2, ranks=(4,)))
+
+    @pytest.mark.parametrize("certify", [certify_finite, certify_unique])
     def test_too_few_entries_refused_before_the_jacobian(self, certify, monkeypatch):
         """A pattern with fewer entries than a selection needs is refused
         from its dimensions alone: its Jacobian could be too large to build."""
@@ -512,6 +519,25 @@ class TestCertifyUnique:
         assert cert.finite.verdict == "not-finite"
         assert cert.finite.reason == "generic rank stays below the number of unknowns"
         assert cert.verdict == "not-certified"
+
+    def test_not_finite_pattern_seeks_one_A_plus_selection(self, monkeypatch):
+        """The finite part is decided before the pair search, so a pattern
+        that is not finite seeks only the first A+ selection, which refuses
+        a pattern that has none."""
+        modes = []
+        real_find = certifier.find_T_selection
+
+        def counting_find(*args, **kwargs):
+            modes.append(kwargs["mode"])
+            return real_find(*args, **kwargs)
+
+        monkeypatch.setattr(certifier, "find_T_selection", counting_find)
+        for trial in range(6):
+            modes.clear()
+            pattern = sample_pattern(Shape((6, 6, 6)), 0.5, seed=5, trial=trial)
+            cert = certify_unique(pattern, RankSpec(j=2, ranks=(2,)), seed=3)
+            assert (cert.verdict, cert.finite.verdict) == ("not-certified", "not-finite")
+            assert modes.count("A+") == 1
 
     @pytest.mark.parametrize("ranks,width,n0", [((1, 1), 6, 5), ((1, 2), 9, 4), ((2, 2), 12, 14), ((2,), 7, 1)])
     def test_unique_capacity_table_matches_per_mask_scan(self, ranks, width, n0):

@@ -155,6 +155,18 @@ class TestLayoutBeyondMemory:
         assert not out.exists()
 
 
+class TestRankBeyondDimension:
+    """A trailing rank larger than its dimension is a failed precondition."""
+
+    @pytest.mark.parametrize("command", ["check-finite", "check-unique"])
+    def test_certificate_commands_refuse(self, command, full_cube, tmp_path, capsys):
+        out = tmp_path / "artifact.json"
+        code = main([command, full_cube, "--rank", "4", "--j", "2", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: rank component 4 exceeds dimension 3\n"
+        assert not out.exists()
+
+
 class TestParser:
     def test_calls_share_no_state(self, full_cube, tmp_path, capsys):
         """The reused parser gives each call fresh defaults: a second call

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensorcert.core import SamplingPattern, Shape, unfold_row
-from tensorcert import geometry
 from tensorcert.geometry import (
-    POINT_CACHE_SIZE,
     RANK_POINT_SEED,
     RANK_PRIME,
     ModEchelon,
@@ -288,28 +286,15 @@ class TestModularJacobian:
 
 
 class TestPointCache:
-    """probe_point keeps each residue point, read-only, in a bounded cache;
-    float points stay fresh and writable."""
+    """probe_point draws every point afresh, as one flat draw split into the
+    core and the factors in order."""
 
     def test_residue_point_drawn_once_and_read_only(self):
         shape, spec = Shape(dims=(4, 3, 3)), RankSpec(j=1, ranks=(2, 2))
         core, factors = probe_point(shape, spec, RANK_POINT_SEED, RANK_PRIME)
-        again, again_factors = probe_point(shape, spec, RANK_POINT_SEED, RANK_PRIME)
-        assert again is core and all(a is b for a, b in zip(again_factors, factors))
-        for array in (core, *factors):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0, 0] = 1
         total = core.size + sum(T.size for T in factors)
         flat = np.random.default_rng(RANK_POINT_SEED).integers(RANK_PRIME, size=total)
         assert np.array_equal(np.concatenate([core.ravel(), *(T.ravel() for T in factors)]), flat)
-
-    def test_cache_is_bounded(self):
-        shape, spec = Shape(dims=(3, 3, 3)), RankSpec(j=1, ranks=(1, 1))
-        for seed in range(POINT_CACHE_SIZE + 5):
-            probe_point(shape, spec, seed, RANK_PRIME)
-        info = geometry._residue_point.cache_info()
-        assert info.maxsize == POINT_CACHE_SIZE and info.currsize == POINT_CACHE_SIZE
 
     def test_generated_instances_are_fresh_and_writable(self):
         shape, spec = Shape(dims=(4, 3, 3)), RankSpec(j=1, ranks=(2, 2))

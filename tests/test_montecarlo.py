@@ -379,6 +379,16 @@ class TestEstimate:
         assert result.to_dict()["fraction"] is None
         assert result.interval == (0.0, 1.0)
 
+    def test_rank_beyond_dimension_is_undecided(self):
+        config = TrialConfig(
+            shape=Shape(dims=(3, 3, 3)),
+            prop="finiteByCertifier",
+            trials=2,
+            spec=RankSpec(j=2, ranks=(4,)),
+            p=1.0,
+        )
+        assert estimate(config).undecided == 2
+
     def test_certifier_and_oracle_properties_track_each_other(self):
         shared = dict(
             shape=Shape(dims=(3, 3, 3)),
