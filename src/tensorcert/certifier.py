@@ -6,7 +6,8 @@ worst-case capacity R*|W| - g(|W|) over the rows W the columns touch.  The
 subset condition is checked in its dual form — for every row set W, the
 number of columns supported inside W must not exceed the capacity of W —
 which is equivalent because dropping a row from W removes at least as much
-capacity as it can remove columns.
+capacity as it can remove columns.  A capacity depends on |W| alone, so the
+certifier keeps one value per row count and reads it by popcount.
 
 Counting is necessary but not sufficient for algebraic independence
 (coefficient vectors of same-subtensor constraints lie on a low-dimensional
@@ -27,7 +28,8 @@ it includes, and prunes a branch as soon as more rows are
 dependent than ``slack = |entries| - target`` allows (0 for an ``A``
 selection, sum n_i for an ``A+`` one).  Independence is inherited by
 subsets, so the pruning loses no witness, and every witness it yields is
-rank-confirmed.  Each selection's search has ``WITNESS_NODE_BUDGET`` nodes.
+rank-confirmed.  Each selection's search has ``WITNESS_NODE_BUDGET`` nodes
+and nests no calls, however many columns it steps past.
 
 Whether a witness exists depends on which observed entries were designated
 to pin the factor matrices: column supports include the designated rows of
@@ -151,7 +153,7 @@ def thm3_upper_bound(constraint: ConstraintMatrix, column_subset: Iterable[int],
     """Upper bound R*m - g(m) on the number of independent constraints the
     given columns can contribute."""
     m = m_count(constraint, column_subset)
-    return spec.product * m - spec.g(m)
+    return _caps(m, spec)[m]
 
 
 def _support_masks(constraint: ConstraintMatrix, columns: Sequence[int]) -> list[int]:
@@ -167,21 +169,10 @@ def _support_masks(constraint: ConstraintMatrix, columns: Sequence[int]) -> list
     return [designated_mask[c.designated_rows] | bit[c.free_row] for c in chosen]
 
 
-CAPS_CACHE_SIZE = 32  # capacity tables _caps keeps, least recently used dropped
-
-
-@functools.lru_cache(maxsize=CAPS_CACHE_SIZE)
-def _caps(width: int, spec: RankSpec, n0: Optional[int] = None) -> tuple[int, ...]:
-    """Capacity of every row set W, indexed by bitmask: R*|W| - g(|W|), or
-    with ``n0`` the largest t in 0..n0 that the uniqueness relaxation
-    R*(t+1) - sum_sq*(t + 2 - n0)^+ <= R*|W| - g(|W|) lets W hold.
-
-    A capacity depends on |W| alone, so one value per row count is expanded
-    by popcount.  Built once per ``(width, spec, n0)`` and kept in a process
-    cache of the ``CAPS_CACHE_SIZE`` most recently used tables, so a
-    certificate's searches and its dependence check share one table."""
-    if width > ROW_SCAN_GUARD:
-        raise CertifierGuardError(f"capacity table over {width} rows exceeds the guard")
+def _caps(width: int, spec: RankSpec, n0: Optional[int] = None) -> list[int]:
+    """Capacity of a row set W by its row count |W| = 0..width: R*|W| - g(|W|),
+    or with ``n0`` the largest t in 0..n0 that the uniqueness relaxation
+    R*(t+1) - sum_sq*(t + 2 - n0)^+ <= R*|W| - g(|W|) lets W hold."""
     R = spec.product
     by_count = [R * w - spec.g(w) for w in range(width + 1)]
     if n0 is not None:
@@ -189,41 +180,45 @@ def _caps(width: int, spec: RankSpec, n0: Optional[int] = None) -> tuple[int, ..
             next((t for t in range(n0) if R * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) > free), n0)
             for free in by_count
         ]
-    return tuple(by_count[w.bit_count()] for w in range(1 << width))
+    return by_count
 
 
 class _IncrementalCounts:
-    """Counts of chosen columns inside every row set, against their caps:
-    filled with every column for the subset condition, or kept incrementally
-    during witness search."""
+    """Counts of chosen columns inside every row set, against the capacities
+    of their row counts: filled with every column for the subset condition,
+    or kept incrementally during witness search."""
 
     def __init__(self, width: int, caps: Sequence[int]):
+        if width > ROW_SCAN_GUARD:
+            raise CertifierGuardError(f"row-set counts over {width} rows exceed the guard")
         self.full = (1 << width) - 1
         self.cnt = [0] * (1 << width)
         self.caps = caps
 
-    def _supersets(self, mask: int) -> Iterator[int]:
-        comp = self.full & ~mask
+    def _walk(self, mask: int, step: int) -> bool:
+        """Add ``step`` to the count of every row set that holds ``mask``.
+        With ``step`` 0, stop at the first one already at its capacity and
+        report whether there was none."""
+        cnt, caps, comp = self.cnt, self.caps, self.full & ~mask
         sub = comp
         while True:
-            yield sub | mask
-            if sub == 0:
-                break
+            w = sub | mask
+            if step:
+                cnt[w] += step
+            elif cnt[w] >= caps[w.bit_count()]:
+                return False
+            if not sub:
+                return True
             sub = (sub - 1) & comp
 
     def can_add(self, mask: int) -> bool:
-        for w in self._supersets(mask):
-            if self.cnt[w] + 1 > self.caps[w]:
-                return False
-        return True
+        return self._walk(mask, 0)
 
     def add(self, mask: int) -> None:
-        for w in self._supersets(mask):
-            self.cnt[w] += 1
+        self._walk(mask, 1)
 
     def remove(self, mask: int) -> None:
-        for w in self._supersets(mask):
-            self.cnt[w] -= 1
+        self._walk(mask, -1)
 
 
 def subset_condition_holds(
@@ -241,7 +236,7 @@ def subset_condition_holds(
     counts = _IncrementalCounts(width, _caps(width, spec))
     for m in masks:
         counts.add(m)
-    over = next((w for w in range(1, 1 << width) if counts.cnt[w] > counts.caps[w]), None)
+    over = next((w for w in range(1, 1 << width) if counts.cnt[w] > counts.caps[w.bit_count()]), None)
     if over is None:
         return True, None
     return False, tuple(c for c, m in zip(columns, masks) if m & ~over == 0)
@@ -300,8 +295,9 @@ def _witness_solutions(
     include-first depth-first so the first solution matches a greedy descent.
     With ``rank = (echelon, rows, slack)``, a column is included only when
     pushing ``rows[idx]`` leaves at most ``slack`` dependent rows.
-    Each node spends one of ``node_budget``; raises when none is left."""
-    chosen: list[int] = []
+    Each node spends one of ``node_budget``; raises when none is left.
+    Backing up resumes just past the last included position, so no call nests."""
+    chosen: list[int] = []  # positions in ``order`` of the included columns
 
     def admit(idx: int) -> bool:
         if not counts.can_add(masks[idx]):
@@ -315,28 +311,28 @@ def _witness_solutions(
         echelon.pop()
         return False
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal node_budget
+    i = 0
+    while True:
         if len(chosen) == target:
-            yield tuple(sorted(chosen))
+            yield tuple(sorted(order[p] for p in chosen))
+        elif target - len(chosen) <= len(order) - i:
+            node_budget -= 1
+            if node_budget <= 0:
+                raise CertifierGuardError("witness search exceeded its node budget")
+            idx = order[i]
+            if admit(idx):
+                counts.add(masks[idx])
+                chosen.append(i)
+            i += 1
+            continue
+        # Back up to the last inclusion and search on without it.
+        if not chosen:
             return
-        if target - len(chosen) > len(order) - i:
-            return
-        node_budget -= 1
-        if node_budget <= 0:
-            raise CertifierGuardError("witness search exceeded its node budget")
-        idx = order[i]
-        if admit(idx):
-            counts.add(masks[idx])
-            chosen.append(idx)
-            yield from rec(i + 1)
-            chosen.pop()
-            counts.remove(masks[idx])
-            if rank is not None:
-                rank[0].pop()
-        yield from rec(i + 1)
-
-    yield from rec(0)
+        i = chosen.pop()
+        counts.remove(masks[order[i]])
+        if rank is not None:
+            rank[0].pop()
+        i += 1
 
 
 def _search_columns(constraint: ConstraintMatrix) -> tuple[list[int], int, list[int]]:
@@ -491,8 +487,8 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     for selection, echelon in itertools.chain([first], selections):
         constraint = build_constraint(pattern, spec, selection)
         masks, width, order = _search_columns(constraint)
+        caps0 = _caps(width, spec, n0)
         try:
-            caps0 = _caps(width, spec, n0)
             witnesses = _finite_search(pattern, spec, constraint, selection, echelon)
             for tried, witness in enumerate(witnesses, start=1):
                 used = set(witness)

@@ -38,10 +38,11 @@ to each trial's key, then Floyd's m steps over every column of the chunk,
 each step one gather and one scatter on a flat membership array.  One sum
 over that array gives every trial's row degrees, from which
 ``hallgraph.degrees_prove_margin`` proves, with no graph, each trial whose
-degrees force the margin; it never fails a trial.  Only the trials it
-leaves open get labels: their rows go into one array, each trial's rows
-offset past the previous open trials' rows, and that disjoint union of
-column graphs is one CSR biadjacency on which
+degrees force the margin; it never fails a trial.  When the parameters alone
+show that no degrees can force it, neither the sum nor the bound is taken.
+Only the trials it leaves open get labels: their rows go into one array,
+each trial's rows offset past the previous open trials' rows, and that
+disjoint union of column graphs is one CSR biadjacency on which
 ``hallgraph.block_defects_at_least`` gives every open trial's verdict at
 r = 1 or r = 0 from one compiled Hopcroft-Karp matching and, for r = 1, one
 compiled strong-component pass.  A chunk holds at most
@@ -302,6 +303,15 @@ def _run_trial(config: TrialConfig, trial: int) -> Optional[bool]:
     return report.verdict == "finite"
 
 
+def _degrees_may_prove(n1: int, n_cols: int, l: int, r: int) -> bool:
+    """Whether any draw of n_cols columns, each observing l of n1 rows, can
+    have row degrees from which :func:`degrees_prove_margin` proves margin r.
+    The bound needs #{v : deg(v) >= x} >= n_cols - x + 1 + r for every x in
+    1..n_cols - l + r (and x <= n_cols), and the degrees sum to n_cols * l,
+    so at most min(n1, n_cols * l // x) rows reach x."""
+    return all(min(n1, n_cols * l // x) >= n_cols - x + 1 + r for x in range(1, min(n_cols, n_cols - l + r) + 1))
+
+
 def _proper_passes(config: TrialConfig) -> int:
     """How many proper1 (margin 1 on n1 - 1 columns) or proper2 (margin 0
     on n1 columns) trials pass, decided a chunk of trials at a time: from
@@ -311,11 +321,15 @@ def _proper_passes(config: TrialConfig) -> int:
     r = 1 if config.prop == "proper1" else 0
     n_cols = n1 - r
     per_chunk = max(1, min(_CHUNK_SIZE // (n_cols * (l + 1) + n1), _DRAW_BYTES // (n_cols * n1)))
+    provable = _degrees_may_prove(n1, n_cols, l, r)
     passes = 0
     for start in range(0, config.trials, per_chunk):
         count = min(per_chunk, config.trials - start)
         member = _draw_members(n1, n_cols, l, config.seed, start, count).reshape(count, n_cols, n1)
-        unproven = np.flatnonzero(~degrees_prove_margin(n_cols, l, member.sum(axis=1, dtype=np.int32), r))
+        if provable:
+            unproven = np.flatnonzero(~degrees_prove_margin(n_cols, l, member.sum(axis=1, dtype=np.int32), r))
+        else:
+            unproven = np.arange(count)
         passes += count - unproven.size
         if unproven.size:
             adj = _labels(member[unproven].reshape(-1, n1), n_cols, l)

@@ -14,7 +14,8 @@ from tensorcert.assumptions import (
     selection_echelon,
 )
 from tensorcert.certifier import (
-    CAPS_CACHE_SIZE,
+    SEARCH_NODE_GUARD,
+    CertifierGuardError,
     FiniteCertificate,
     _caps,
     _finite_search,
@@ -34,7 +35,15 @@ from tensorcert.certifier import (
 )
 from tensorcert.constraint import build_constraint, m_count
 from tensorcert.core import SamplingPattern, Shape
-from tensorcert.geometry import RANK_POINT_SEED, RANK_PRIME, RankSpec, core_dim, pattern_index, unreduced_jacobian
+from tensorcert.geometry import (
+    RANK_POINT_SEED,
+    RANK_PRIME,
+    ModEchelon,
+    RankSpec,
+    core_dim,
+    pattern_index,
+    unreduced_jacobian,
+)
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import (
     appendix_c_pattern,
@@ -42,6 +51,7 @@ from tensorcert.oracle import (
     jacobian_rank,
     section_iib_pattern,
 )
+from test_acceptance import Budget
 from test_geometry import prefix_independence_reference
 
 
@@ -105,20 +115,12 @@ def subset_condition_by_columns(cm, columns, spec):
             union = 0
             for i in combo:
                 union |= masks[i]
-            if caps[union] < t:
+            if caps[union.bit_count()] < t:
                 return False, tuple(columns[i] for i in combo)
     return True, None
 
 
 class TestSubsetCondition:
-    def test_capacity_table_kept_and_bounded(self):
-        """A (width, spec) table is built once, immutable, in a bounded cache."""
-        spec = RankSpec(j=1, ranks=(1, 2))
-        table = _caps(5, spec)
-        assert isinstance(table, tuple) and len(table) == 32
-        assert _caps(5, spec) is table
-        assert _caps.cache_info().maxsize == CAPS_CACHE_SIZE
-
     def test_single_column_threshold(self):
         # need R*s - g(s) >= 1; for ranks (1, 1) that first happens at s = 3.
         spec = RankSpec(j=1, ranks=(1, 1))
@@ -351,6 +353,148 @@ class TestRankPrunedSearch:
         assert not verify_finite_witness(pattern, spec, forged)
 
 
+def reference_caps(width, spec, n0=None):
+    """Reference: the capacity of every row set, indexed by bitmask."""
+    R = spec.product
+    by_count = [R * w - spec.g(w) for w in range(width + 1)]
+    if n0 is not None:
+        by_count = [
+            next((t for t in range(n0) if R * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) > free), n0)
+            for free in by_count
+        ]
+    return tuple(by_count[w.bit_count()] for w in range(1 << width))
+
+
+class ReferenceCounts:
+    """Reference: counts of chosen columns inside every row set, against a
+    per-mask capacity table."""
+
+    def __init__(self, width, caps):
+        self.full = (1 << width) - 1
+        self.cnt = [0] * (1 << width)
+        self.caps = caps
+
+    def _supersets(self, mask):
+        comp = self.full & ~mask
+        sub = comp
+        while True:
+            yield sub | mask
+            if sub == 0:
+                break
+            sub = (sub - 1) & comp
+
+    def can_add(self, mask):
+        return all(self.cnt[w] + 1 <= self.caps[w] for w in self._supersets(mask))
+
+    def add(self, mask):
+        for w in self._supersets(mask):
+            self.cnt[w] += 1
+
+    def remove(self, mask):
+        for w in self._supersets(mask):
+            self.cnt[w] -= 1
+
+
+def reference_witness_solutions(masks, order, target, counts, node_budget, rank=None):
+    """Reference: the include-first depth-first search written recursively,
+    one nested generator per position of ``order`` it steps past."""
+    chosen = []
+
+    def admit(idx):
+        if not counts.can_add(masks[idx]):
+            return False
+        if rank is None:
+            return True
+        echelon, rows, slack = rank
+        echelon.push(rows[idx])
+        if echelon.dependent <= slack:
+            return True
+        echelon.pop()
+        return False
+
+    def rec(i):
+        nonlocal node_budget
+        if len(chosen) == target:
+            yield tuple(sorted(chosen))
+            return
+        if target - len(chosen) > len(order) - i:
+            return
+        node_budget -= 1
+        if node_budget <= 0:
+            raise CertifierGuardError("witness search exceeded its node budget")
+        idx = order[i]
+        if admit(idx):
+            counts.add(masks[idx])
+            chosen.append(idx)
+            yield from rec(i + 1)
+            chosen.pop()
+            counts.remove(masks[idx])
+            if rank is not None:
+                rank[0].pop()
+        yield from rec(i + 1)
+
+    yield from rec(0)
+
+
+def search_outcome(solutions, cap=100):
+    """The first ``cap`` solutions a search yields, then "stopped" when it
+    ran out of nodes before it ended or reached the cap."""
+    out = []
+    try:
+        for witness in solutions:
+            out.append(witness)
+            if len(out) == cap:
+                break
+    except CertifierGuardError:
+        out.append("stopped")
+    return out
+
+
+class TestWitnessSearch:
+    """The iterative search visits the states of the recursive reference in
+    its order, and spends and exhausts its node budget at the same nodes."""
+
+    def test_matches_recursive_reference(self):
+        rng = random.Random(2024)
+        specs = [RankSpec(j=1, ranks=r) for r in [(1, 1), (1, 2), (2, 2), (2,), (3,)]]
+        kinds = set()
+        for _ in range(1500):
+            width = rng.randint(1, 7)
+            spec = rng.choice(specs)
+            n0 = rng.choice([None, rng.randint(0, 6)])
+            num_columns = rng.randint(0, 18)
+            masks = [rng.randint(1, (1 << width) - 1) for _ in range(num_columns)]
+            order = rng.sample(range(num_columns), rng.randint(0, num_columns))
+            target = rng.randint(0, 7)
+            budget = rng.choice([1, 3, 10, 40, 200, 10**6])
+            rank = ranks = None
+            if rng.random() < 0.5:
+                rows = np.array([[rng.randrange(3) for _ in range(4)] for _ in range(num_columns)], np.int64)
+                slack = rng.randint(0, 2)
+                rank, ranks = (ModEchelon(4), rows, slack), (ModEchelon(4), rows, slack)
+            counts = _IncrementalCounts(width, _caps(width, spec, n0))
+            mine = search_outcome(_witness_solutions(masks, order, target, counts, budget, rank))
+            reference = search_outcome(
+                reference_witness_solutions(
+                    masks, order, target, ReferenceCounts(width, reference_caps(width, spec, n0)), budget, ranks
+                )
+            )
+            assert mine == reference
+            if "stopped" not in mine and len(mine) < 100:
+                # A search that ran to its end has undone every inclusion.
+                assert not any(counts.cnt)
+                assert rank is None or rank[0].rank == rank[0].dependent == 0
+            kinds.add(("stopped" in mine, len(mine) > ("stopped" in mine), rank is not None))
+        assert len(kinds) == 8
+
+    def test_thousands_of_columns_nest_no_calls(self):
+        """3,000 columns that no row set can hold: every one is a node, and
+        the search ends with no witness."""
+        masks = [1] * 3000
+        counts = _IncrementalCounts(1, [0, 0])
+        assert list(_witness_solutions(masks, range(3000), 1, counts, SEARCH_NODE_GUARD)) == []
+
+
 class TestCertifyFinite:
     def test_zero_core_dim_pattern_is_finite(self):
         pattern = section_iib_pattern()
@@ -505,14 +649,14 @@ class TestCertifyUnique:
         # witness is rejected.
         real_caps = certifier._caps
         monkeypatch.setattr(
-            certifier, "_caps", lambda width, spec, n0=None: real_caps(width, spec) if n0 is None else (0,) * (1 << width)
+            certifier, "_caps", lambda width, spec, n0=None: real_caps(width, spec) if n0 is None else [0] * (width + 1)
         )
         cert = certify_unique(SamplingPattern.full((4, 5, 5)), RankSpec(j=1, ranks=(1, 1)))
         assert cert.verdict == "undecided-search-exhausted"
         assert max(searched) == certifier.UNIQUE_WITNESS_CAP == 50
 
     def test_not_finite_pattern_not_certified(self):
-        """The row sets of this pattern exceed the capacity-table guard, so
+        """The row sets of this pattern exceed the row-scan guard, so
         the second-witness search stops; the finite part decides the answer."""
         pattern = sample_pattern(Shape((6, 6, 6)), 0.5, seed=5, trial=0)
         cert = certify_unique(pattern, RankSpec(j=2, ranks=(2,)), seed=3)
@@ -542,16 +686,24 @@ class TestCertifyUnique:
     @pytest.mark.parametrize("ranks,width,n0", [((1, 1), 6, 5), ((1, 2), 9, 4), ((2, 2), 12, 14), ((2,), 7, 1)])
     def test_unique_capacity_table_matches_per_mask_scan(self, ranks, width, n0):
         """Largest t in 0..n0 with R*(t+1) - sum_sq*(t + 2 - n0)^+ within the
-        row set's capacity, taken mask by mask."""
+        row set's capacity, taken mask by mask and read by row count."""
         spec = RankSpec(j=1, ranks=ranks)
-        free = _caps(width, spec)
-        expected = []
+        caps = _caps(width, spec, n0)
+        assert len(caps) == width + 1
         for w in range(1 << width):
+            free = spec.product * w.bit_count() - spec.g(w.bit_count())
             t = 0
-            while t < n0 and spec.product * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) <= free[w]:
+            while t < n0 and spec.product * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) <= free:
                 t += 1
-            expected.append(t)
-        assert _caps(width, spec, n0) == tuple(expected)
+            assert caps[w.bit_count()] == t
+
+    def test_long_pair_search_answers(self):
+        """The second-witness search on this pattern steps past more columns
+        than a recursive search could nest calls for."""
+        pattern = sample_pattern(Shape((2, 2, 2, 30, 30)), 0.4, seed=5)
+        with Budget(10.0):
+            cert = certify_unique(pattern, RankSpec(j=3, ranks=(1, 1)), seed=3)
+        assert cert.verdict == "unique"
 
     def test_n0_formula(self):
         pattern = SamplingPattern.full((3, 3, 3))

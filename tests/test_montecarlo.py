@@ -292,6 +292,10 @@ class TestEstimate:
                     defect_at_least(sample_column_graph(n1, n1 - r, l, seed=n1 + l, trial=t), r)[0]
                     for t in range(trials)
                 ]
+                if not montecarlo._degrees_may_prove(n1, n1 - r, l, r):
+                    # The bound is skipped, so it proves no trial of any chunk.
+                    assert proofs == []
+                    proofs.extend([False] * len(v) for v in verdicts)
                 if chunk_size != default:
                     assert [len(p) for p in proofs] == [3, 3, 3, 1]
                 # Each union holds the unproven trials of one chunk, in order.
@@ -325,6 +329,32 @@ class TestEstimate:
         pooled = (ours + theirs) / (2 * trials)
         assert 0.05 < pooled < 0.95
         assert abs(ours - theirs) / trials <= 3.2905 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
+
+    @pytest.mark.parametrize("prop", ["proper1", "proper2"])
+    def test_skipped_bound_proves_no_trial(self, prop):
+        """Whenever the parameters rule out a degree proof, the bound proves
+        none of the drawn trials; and the rule leaves the bound to run on
+        parameters where it proves some."""
+        r = 1 if prop == "proper1" else 0
+        skipped = proved = 0
+        for n1 in range(2, 41):
+            n_cols = n1 - r
+            for l in range(n1 + 1):
+                member = montecarlo._draw_members(n1, n_cols, l, n1 * 100 + l, 0, 8).reshape(8, n_cols, n1)
+                proofs = montecarlo.degrees_prove_margin(n_cols, l, member.sum(axis=1), r)
+                if montecarlo._degrees_may_prove(n1, n_cols, l, r):
+                    proved += proofs.any()
+                else:
+                    assert not proofs.any(), (n1, l)
+                    skipped += 1
+        assert skipped > 0 and proved > 0
+
+    def test_degree_rule_at_the_benchmark_sizes(self):
+        """proper1 at the closed-form counts: at 256x4, l = 45 the degrees can
+        hold at most 197 rows of degree 58 or more where 199 are needed; at
+        64x4, l = 37 the rule leaves the bound to run."""
+        assert not montecarlo._degrees_may_prove(256, 255, 45, 1)
+        assert montecarlo._degrees_may_prove(64, 63, 37, 1)
 
     def test_chunks_bound_the_union_size(self, monkeypatch):
         """64x4 proper1 at the closed-form count: 26 trials fit one chunk of
