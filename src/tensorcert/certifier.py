@@ -45,7 +45,8 @@ are a handful of alternative selections searched for a witness.  So
 first ``A+`` selection, decides the finite part as :func:`certify_finite`
 does, and searches the ``A+`` selections for a disjoint witness pair only
 when that part is "finite"; "undecided" means that a node budget or the
-witness cap ran out during that search.
+witness cap ran out during that search, and the certificate's reason names
+each limit that did.
 """
 from __future__ import annotations
 
@@ -483,7 +484,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     )
     if finite.verdict != "finite":
         return no_pair("not-certified")
-    exhausted = False
+    limits: dict[str, None] = {}  # each limit that stopped a search, in the order it first did
     for selection, echelon in itertools.chain([first], selections):
         constraint = build_constraint(pattern, spec, selection)
         masks, width, order = _search_columns(constraint)
@@ -497,18 +498,26 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
                 try:
                     witness0 = next(_witness_solutions(masks, order0, n0, counts0, SEARCH_NODE_GUARD), None)
                 except CertifierGuardError:
-                    exhausted, witness0 = True, None
+                    limits[f"SEARCH_NODE_GUARD ({SEARCH_NODE_GUARD} nodes) ran out in a second-witness search"] = None
+                    witness0 = None
                 if witness0 is not None:
                     part = FiniteCertificate(
                         "finite", finite.num_free_core, witness, None, selection, constraint.num_columns
                     )
                     return UniqueCertificate(verdict="unique", finite=part, witness_columns0=witness0, n0=n0)
                 if tried >= UNIQUE_WITNESS_CAP:
-                    exhausted = True
+                    limits[f"UNIQUE_WITNESS_CAP ({UNIQUE_WITNESS_CAP} finite witnesses) reached on an A+ selection"] = None
                     break
         except CertifierGuardError:
-            exhausted = True
-    return no_pair("undecided-search-exhausted" if exhausted else "not-certified")
+            # The finite search builds the row-set counts, which ROW_SCAN_GUARD
+            # refuses past that many rows, before it spends a node.
+            if width > ROW_SCAN_GUARD:
+                limits[f"ROW_SCAN_GUARD ({ROW_SCAN_GUARD} rows) refused an A+ selection's {width} rows"] = None
+            else:
+                limits[f"WITNESS_NODE_BUDGET ({WITNESS_NODE_BUDGET} nodes) ran out in an A+ selection's finite search"] = None
+    if limits:
+        return no_pair("undecided-search-exhausted", reason=f"no disjoint witness pair found; {'; '.join(limits)}")
+    return no_pair("not-certified")
 
 
 def subpro_consistency(

@@ -14,18 +14,21 @@ drawn 2-D array.  Matchings come from scipy's compiled Hopcroft-Karp on that
 CSR; the defect test decides r = 0 from that one base matching and r = 1 from
 one compiled strong-component pass, and extends the matching by iterative
 alternating searches only for r >= 2 or to name a Hall witness, so no
-matching or defect test recurses on the size of the graph.  A graph made of
-equal disjoint blocks (many Monte Carlo trials at once) gets every block's
-verdict from the same one matching and one strong-component pass, and
-``degrees_prove_margin`` proves the margin of many blocks from their degree
-counts alone, with no graph and no matching.  The exact defect is König's
-deficiency when T1 cannot be matched, and otherwise the least number of
-clones of a T1 node that fit on top of the matching, counted in one pass:
-every operation is polynomial.
+matching or defect test recurses on the size of the graph.  The exact
+defect is König's deficiency when T1 cannot be matched, and otherwise the
+least number of clones of a T1 node that fit on top of the matching,
+counted in one pass: every operation is polynomial.
 
-scipy is imported by the three functions that call it, on their first call:
-the hull screen in ``assumptions`` uses only the pure-Python alternating
-search, so loading this module costs numpy alone.
+Two tests need no graph and no scipy, for the Monte Carlo trials:
+``degrees_prove_margin`` proves the margin of many trials from their
+degree counts alone, and ``member_defect_at_least`` decides r = 0 or
+r = 1 exactly on one trial's bool membership array, matching T1 nodes
+one at a time over T2 sets packed into Python ints.
+
+scipy is imported on first call by ``max_matching``, ``defect_at_least``,
+``expansion_defect`` and the subgraph constructions, the functions that
+run its matching: the hull screen in ``assumptions`` uses only the
+pure-Python alternating search, so loading this module costs numpy alone.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ __all__ = [
     "max_matching",
     "expansion_defect",
     "defect_at_least",
-    "block_defects_at_least",
+    "member_defect_at_least",
     "degrees_prove_margin",
     "generalized_hall_subgraph",
     "lemma_match_subgraph",
@@ -209,20 +212,17 @@ def max_matching(g: BipartiteGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
 # Expansion defect
 
 
-def _alternating_graph(
-    indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int, blocks: int
-) -> csr_array:
+def _alternating_graph(indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int) -> csr_array:
     """Directed graph on the T1 nodes (0..x-1), the T2 nodes (x..) and one
-    sink per block (last): every T1 node points to its neighbours, every
-    matched T2 node to its mate, every free T2 node to its block's sink, and
-    each sink to every T1 node of its block.  The graph is ``blocks`` equal,
-    consecutive components, and a T1 node reaches its block's sink iff an
-    alternating path from it ends in a free T2 node."""
+    sink (last): every T1 node points to its neighbours, every matched T2
+    node to its mate, every free T2 node to the sink, and the sink to every
+    T1 node.  A T1 node reaches the sink iff an alternating path from it
+    ends in a free T2 node."""
     from scipy.sparse import csr_array
 
     x = indptr.size - 1
-    sinks = x + size_t2
-    mates = sinks + np.arange(size_t2, dtype=np.int32) // (size_t2 // blocks)
+    sink = x + size_t2
+    mates = np.full(size_t2, sink, dtype=np.int32)
     rows = np.flatnonzero(matched >= 0).astype(np.int32)
     mates[matched[rows]] = rows
     edges = indptr[-1]
@@ -230,41 +230,32 @@ def _alternating_graph(
         (
             np.ones(edges + size_t2 + x),
             np.concatenate((indices + x, mates, np.arange(x, dtype=np.int32))),
-            np.concatenate(
-                (
-                    indptr,
-                    np.arange(1, size_t2 + 1, dtype=np.int32) + edges,
-                    np.arange(1, blocks + 1, dtype=np.int32) * (x // blocks) + edges + size_t2,
-                )
-            ),
+            np.concatenate((indptr, np.arange(1, size_t2 + 1, dtype=np.int32) + edges, [edges + size_t2 + x])),
         ),
-        shape=(sinks + blocks, sinks + blocks),
+        shape=(sink + 1, sink + 1),
     )
 
 
-def _clone_fits(graph: csr_array, x: int, blocks: int) -> np.ndarray:
-    """Per T1 node u of a matching that saturates u's block, given its
+def _clone_fits(graph: csr_array, x: int) -> np.ndarray:
+    """Per T1 node u of a T1-saturating matching, given its
     :func:`_alternating_graph`: can a clone of u (same neighbours) be matched
-    too?  It can iff u reaches its block's sink, and as that sink reaches
-    every T1 node of the block, iff u shares the sink's strong component: one
-    compiled linear-time call decides every u of every block, whatever the
-    depth of the alternating paths."""
+    too?  It can iff u reaches the sink, and as the sink reaches every T1
+    node, iff u shares the sink's strong component: one compiled linear-time
+    call decides every u, whatever the depth of the alternating paths."""
     from scipy.sparse.csgraph import connected_components
 
     _, labels = connected_components(graph, directed=True, connection="strong")
-    return labels[:x] == np.repeat(labels[-blocks:], x // blocks)
+    return labels[:x] == labels[-1]
 
 
-def _misfits(
-    indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int, matched: np.ndarray, blocks: int = 1
-) -> np.ndarray:
+def _misfits(indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int, matched: np.ndarray) -> np.ndarray:
     """Per T1 node, given a maximum matching: is it unmatched, or, for
-    r >= 1 in a block the matching saturates, does no clone of it fit?  A
-    block passes the test at r <= 1 iff none of its nodes is a misfit, and
-    passes it at r >= 2 only if so."""
+    r >= 1 when the matching saturates T1, does no clone of it fit?  The
+    graph passes the test at r <= 1 iff no node is a misfit, and passes it
+    at r >= 2 only if so."""
     misfit = matched < 0
-    if r >= 1 and not misfit.reshape(blocks, -1).any(axis=1).all():
-        misfit |= ~_clone_fits(_alternating_graph(indptr, indices, matched, size_t2, blocks), indptr.size - 1, blocks)
+    if r >= 1 and not misfit.any():
+        misfit = ~_clone_fits(_alternating_graph(indptr, indices, matched, size_t2), indptr.size - 1)
     return misfit
 
 
@@ -300,8 +291,7 @@ def _defect_at_least(
     indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Matching-based exact test of |N(S)| >= |S| + r for all nonempty S, on a
-    CSR biadjacency: the one-block case of :func:`block_defects_at_least`,
-    plus a Hall witness.
+    CSR biadjacency, with a Hall witness.
 
     Given a T1-saturating matching, node u survives r clones of itself being
     matched iff no subset containing u is tighter than r.  One compiled base
@@ -333,34 +323,91 @@ def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int
     return _defect_at_least(g.indptr, g.indices, g.size_t2, r)
 
 
-def block_defects_at_least(g: BipartiteGraph, blocks: int, r: int) -> np.ndarray:
-    """Per block, the verdict of :func:`defect_at_least` at r, for a graph
-    made of ``blocks`` equal, consecutive components: block b (from 0) holds
-    T1 nodes b*x + 1..(b + 1)*x and T2 nodes b*y + 1..(b + 1)*y, with
-    x = size_t1 / blocks and y = size_t2 / blocks.  A split that is not
-    even, or an edge between two blocks, is refused.
+def member_defect_at_least(member: np.ndarray, r: int) -> bool:
+    """The verdict of :func:`defect_at_least` at r = 0 or r = 1 on the graph
+    in which T1 node u + 1 sees T2 node v + 1 iff ``member[u, v]``, read
+    from that ``(size_t1, size_t2)`` bool array (one Monte Carlo trial's
+    draw) with no graph and no scipy.
 
-    A maximum matching of the union is one of every block, so one compiled
-    matching decides r = 0 for every block, and one compiled
-    strong-component pass, with a sink per block, decides r = 1.  For
-    r >= 2, each block that passes r = 1 runs the clone searches of
-    :func:`defect_at_least` on its part of that matching.
+    Each T1 node's T2 set is packed into one Python int, bit v for T2 node
+    v + 1, so each set operation below is word-parallel.  A greedy pass
+    matches each T1 node to its lowest free T2 node, and each node it leaves
+    unmatched gets one breadth-first alternating search, keyed by T2 index;
+    one that fails means no matching saturates T1, so the margin is below
+    0.  With T1 matched, the margin is 1 or more iff every T1 node reaches a
+    free T2 node by an alternating path (a clone of it then fits on top of
+    the matching).  Sweeps back from the free T2 nodes decide that: a node
+    that sees a marked T2 node is marked, and so is its mate, until a sweep
+    marks no node.  Each sweep is one AND per unmarked node, and a graph
+    takes one sweep more than the longest chain of marks that runs against
+    the node order.
     """
-    if r < 0:
-        raise ValueError("defect threshold must be nonnegative")
-    if blocks < 1 or g.size_t1 % blocks or g.size_t2 % blocks:
-        raise ValueError(f"cannot split {g.size_t1} T1 and {g.size_t2} T2 nodes into {blocks} equal blocks")
-    x, y = g.size_t1 // blocks, g.size_t2 // blocks
-    if (np.repeat(np.arange(blocks), np.diff(g.indptr[::x])) != g.indices // y).any():
-        raise ValueError("an edge joins two blocks")
-    matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
-    ok = ~_misfits(g.indptr, g.indices, g.size_t2, r, matched, blocks).reshape(blocks, x).any(axis=1)
-    if r >= 2:
-        for b in np.flatnonzero(ok).tolist():
-            lo, hi = g.indptr[b * x], g.indptr[(b + 1) * x]
-            adj = _tuples(g.indptr[b * x : (b + 1) * x + 1] - lo, g.indices[lo:hi] - b * y)
-            ok[b] = _clone_shortfall(adj, _mate(matched[b * x : (b + 1) * x] - b * y, y), r) is None
-    return ok
+    if r not in (0, 1):
+        raise ValueError(f"member_defect_at_least decides r = 0 or r = 1, not {r}")
+    if member.ndim != 2:
+        raise ValueError("need one row of T2 membership per T1 node")
+    size_t1, size_t2 = member.shape
+    width = (size_t2 + 7) // 8
+    packed = np.packbits(member, axis=1, bitorder="little").tobytes()
+    sets = [int.from_bytes(packed[at : at + width], "little") for at in range(0, size_t1 * width, width)]
+    matching = _bitset_matching(member, sets)
+    if matching is None:
+        return False
+    if r == 0:
+        return True
+    matched, marked = matching
+    pending = range(size_t1)
+    while pending:
+        left = []
+        for u in pending:
+            if sets[u] & marked:
+                marked |= 1 << matched[u]
+            else:
+                left.append(u)
+        if len(left) == len(pending):
+            return False
+        pending = left
+    return True
+
+
+def _bitset_matching(member: np.ndarray, sets: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """A T1-saturating matching of the graph of :func:`member_defect_at_least`,
+    given its T2 sets packed as ints: per T1 node its 0-based T2 index, and
+    the bitset of the free T2 nodes; None when no matching saturates T1."""
+    matched = [-1] * len(sets)
+    mate = [-1] * member.shape[1]  # 0-based T2 index -> T1 node
+    free = (1 << member.shape[1]) - 1
+    unmatched = []
+    for u, row in enumerate(sets):
+        open_rows = row & free
+        if open_rows:
+            v = (open_rows & -open_rows).bit_length() - 1
+            matched[u], mate[v] = v, u
+            free ^= 1 << v
+        else:
+            unmatched.append(u)
+    for root in unmatched:
+        reached_from: dict[int, int] = {}  # T2 index -> T1 node that reached it
+        queue = [root]
+        for w in queue:
+            hit = sets[w] & free
+            if hit:
+                v = (hit & -hit).bit_length() - 1
+                free ^= 1 << v
+                # Flip the path: w takes v, and each node before it on the
+                # path takes the T2 node its successor was entered by.
+                while w >= 0:
+                    matched[w], v = v, matched[w]
+                    mate[matched[w]] = w
+                    w = reached_from[v] if v >= 0 else -1
+                break
+            for v in np.flatnonzero(member[w]).tolist():
+                if v not in reached_from:
+                    reached_from[v] = w
+                    queue.append(mate[v])
+        else:
+            return None
+    return matched, free
 
 
 def degrees_prove_margin(

@@ -34,22 +34,22 @@ probability within 2 * 2**-53 of 1 / (j + 1), so one pick is within total
 variation distance (j + 1) * 2**-53 <= n1 * 2**-53 of uniform.
 
 A chunk of trials is drawn at once: one bit generator whose state is reset
-to each trial's key, then Floyd's m steps over every column of the chunk,
-each step one gather and one scatter on a flat membership array.  One sum
-over that array gives every trial's row degrees, from which
+to each trial's key, each trial's block U scaled into the chunk's step-major
+picks as soon as it is drawn, then Floyd's m steps over every column of the
+chunk, each step one gather and one scatter on a flat membership array.  One
+sum over that array gives every trial's row degrees, from which
 ``hallgraph.degrees_prove_margin`` proves, with no graph, each trial whose
 degrees force the margin; it never fails a trial.  When the parameters alone
 show that no degrees can force it, neither the sum nor the bound is taken.
-Only the trials it leaves open get labels: their rows go into one array,
-each trial's rows offset past the previous open trials' rows, and that
-disjoint union of column graphs is one CSR biadjacency on which
-``hallgraph.block_defects_at_least`` gives every open trial's verdict at
-r = 1 or r = 0 from one compiled Hopcroft-Karp matching and, for r = 1, one
-compiled strong-component pass.  A chunk holds at most
-``_CHUNK_SIZE`` edges and nodes and a membership array of at most
+Each trial it leaves open is decided exactly at r = 1 or r = 0 by
+``hallgraph.member_defect_at_least`` on that trial's slice of the membership
+array: a matching that loops over the columns in Python, with each column's
+rows packed into one int so that every set operation is word-parallel, and
+for r = 1 sweeps back from the free rows.  No graph is built and scipy is
+never loaded.  The picks and the membership array of a chunk hold at most
 ``_DRAW_BYTES`` bytes (or one trial's), so memory stays bounded whatever the
 trial count; ``sample_column_graph`` is the chunk of one trial, so the draws
-do not depend on the chunking.  No step loops over edges in Python.
+do not depend on the chunking.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ from .core import SamplingPattern, Shape
 from .geometry import RankSpec
 from .assumptions import AssumptionError
 from .certifier import certify_finite
-from .hallgraph import BipartiteGraph, block_defects_at_least, degrees_prove_margin
+from .hallgraph import BipartiteGraph, degrees_prove_margin, member_defect_at_least
 from .hallgraph import defect_at_least  # noqa: F401  (still looked up here by callers and the benchmark's tracer)
 from .oracle import generate_instance, jacobian_rank
 
@@ -83,13 +83,15 @@ PROPERTIES = ("proper1", "proper2", "perColumnCount", "finiteByCertifier", "fini
 # Two-sided 99% normal quantile for the Wilson score interval.
 WILSON_Z_99 = 2.5758293035489004
 
-# Most edges plus nodes in the union graph of one chunk of proper1/proper2
-# trials.
-_CHUNK_SIZE = 1 << 16
-
-# Most bytes in the Floyd membership array of one chunk (one bool per column
-# and row), unless a single trial needs more.
+# Most bytes in the Floyd draw of one chunk (a pick per step, in the least
+# unsigned type that holds a row index, and one bool per row, for each
+# column), unless a single trial needs more.
 _DRAW_BYTES = 1 << 22
+
+# Most doubles drawn into one buffer at a time (or one column's m), so that a
+# large trial's block needs no large temporary: the trial's picks are all
+# that it keeps of it.
+_PIECE_DOUBLES = 1 << 11
 
 # Seeds and trial indices are the two unsigned 64-bit words of a Philox key.
 _KEY_WORD_LIMIT = 1 << 64
@@ -205,7 +207,7 @@ def sample_column_graph(
     if per_column > n_rows:
         raise ValueError("cannot place more observations in a column than it has rows")
     member = _draw_members(n_rows, n_cols, per_column, seed, trial, 1)
-    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=_labels(member, n_cols, per_column))
+    return BipartiteGraph(size_t1=n_cols, size_t2=n_rows, adj=np.nonzero(member)[1].reshape(n_cols, per_column) + 1)
 
 
 def _draw_members(n_rows: int, n_cols: int, per_column: int, seed: int, first: int, count: int) -> np.ndarray:
@@ -220,44 +222,37 @@ def _draw_members(n_rows: int, n_cols: int, per_column: int, seed: int, first: i
     zero = np.zeros(4, dtype=np.uint64)
     words = {"counter": zero, "key": keys[0]}
     state = {"bit_generator": "Philox", "state": words, "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    block = np.empty((count, n_cols, m))
+    cols = count * n_cols
+    # picks[k, c]: step k's pick for column c, floor(U[c, k] * (j + 1)) (the
+    # cast truncates a positive product), scaled as U is drawn and kept in
+    # the least type that holds a row index, so that no chunk-sized array of
+    # doubles or of 8-byte indices is held.
+    picks = np.empty((m, cols), dtype=np.min_scalar_type(n_rows - 1))
+    steps = np.arange(n_rows - m + 1, n_rows + 1, dtype=np.float64)
+    # A trial's stream runs on from one piece of its block to the next.
+    rows = max(1, _PIECE_DOUBLES // max(m, 1))
+    block = np.empty((min(rows, n_cols), m))
     for i in range(count):
         words["key"] = keys[i]
         bit_gen.state = state
-        gen.random(out=block[i])
-    cols = count * n_cols
-    # picks[k, c]: step k's pick for column c, floor(u * (j + 1)) (the cast
-    # truncates a positive product), then as a flat index into member.
-    picks = np.empty((m, cols), dtype=np.intp)
-    steps = np.arange(n_rows - m + 1, n_rows + 1, dtype=np.float64)
-    np.multiply(block.reshape(cols, m).T, steps[:, None], out=picks, casting="unsafe")
+        for c in range(i * n_cols, (i + 1) * n_cols, rows):
+            piece = block[: min(rows, (i + 1) * n_cols - c)]
+            gen.random(out=piece)
+            np.multiply(piece, steps, out=picks[:, c : c + len(piece)].T, casting="unsafe")
     base = np.arange(0, cols * n_rows, n_rows, dtype=np.intp)
-    picks += base
+    pick = np.empty(cols, dtype=np.intp)
     member = np.zeros((cols, n_rows), dtype=bool)
     flat = member.reshape(-1)
-    for k, pick in enumerate(picks):
-        # Row j = n_rows - m + k is in no set yet: it joins the sets that
-        # already hold their pick, then every pick joins its set (a pick of
-        # j itself finds j absent and adds it here).
-        member[:, n_rows - m + k] = flat[pick]
+    for j, step in zip(range(n_rows - m, n_rows), picks):
+        # Each pick as a flat index into member.  Row j is in no set yet: it
+        # joins the sets that already hold their pick, then every pick joins
+        # its set (a pick of j itself finds j absent and adds it here).
+        np.add(step, base, out=pick)
+        member[:, j] = flat[pick]
         flat[pick] = True
     if m < per_column:
         np.logical_not(member, out=member)
     return member
-
-
-def _labels(member: np.ndarray, n_cols: int, per_column: int) -> np.ndarray:
-    """The trials of a membership array (as :func:`_draw_members` gives it,
-    ``per_column`` rows marked per column) as one ``(cols, per_column)``
-    array: row ``i * n_cols + c`` holds, in ascending order, the labels
-    ``i * n_rows + v + 1`` of the rows v that column c of the i-th trial
-    observes."""
-    cols, n_rows = member.shape
-    labels = np.empty((cols, per_column), dtype=np.int32)
-    col = np.arange(cols, dtype=np.intp)
-    shift = col // n_cols * n_rows + 1 - col * n_rows
-    np.add(np.flatnonzero(member).reshape(cols, per_column), shift[:, None], out=labels, casting="same_kind")
-    return labels
 
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z_99) -> tuple[float, float]:
@@ -315,26 +310,23 @@ def _degrees_may_prove(n1: int, n_cols: int, l: int, r: int) -> bool:
 def _proper_passes(config: TrialConfig) -> int:
     """How many proper1 (margin 1 on n1 - 1 columns) or proper2 (margin 0
     on n1 columns) trials pass, decided a chunk of trials at a time: from
-    each trial's row degrees when they prove the margin, and otherwise on
-    the disjoint union of the column graphs of the trials they leave open."""
+    each trial's row degrees when they prove the margin, and otherwise from
+    the trial's own slice of the chunk's membership array."""
     n1, l = config.shape.dims[0], config.per_column_l
     r = 1 if config.prop == "proper1" else 0
     n_cols = n1 - r
-    per_chunk = max(1, min(_CHUNK_SIZE // (n_cols * (l + 1) + n1), _DRAW_BYTES // (n_cols * n1)))
+    pick_bytes = np.min_scalar_type(n1 - 1).itemsize * min(l, n1 - l)
+    per_chunk = max(1, _DRAW_BYTES // (n_cols * (n1 + pick_bytes)))
     provable = _degrees_may_prove(n1, n_cols, l, r)
     passes = 0
     for start in range(0, config.trials, per_chunk):
         count = min(per_chunk, config.trials - start)
         member = _draw_members(n1, n_cols, l, config.seed, start, count).reshape(count, n_cols, n1)
         if provable:
-            unproven = np.flatnonzero(~degrees_prove_margin(n_cols, l, member.sum(axis=1, dtype=np.int32), r))
+            unproven = np.flatnonzero(~degrees_prove_margin(n_cols, l, member.sum(axis=1, dtype=np.int32), r)).tolist()
         else:
-            unproven = np.arange(count)
-        passes += count - unproven.size
-        if unproven.size:
-            adj = _labels(member[unproven].reshape(-1, n1), n_cols, l)
-            union = BipartiteGraph(size_t1=unproven.size * n_cols, size_t2=unproven.size * n1, adj=adj)
-            passes += int(block_defects_at_least(union, unproven.size, r).sum())
+            unproven = range(count)
+        passes += count - len(unproven) + sum(member_defect_at_least(member[t], r) for t in unproven)
     return passes
 
 

@@ -285,6 +285,31 @@ def test_unique_certificates_pinned():
         assert digest.hexdigest() == UNIQUE_CERTIFICATE_DIGEST
 
 
+@pytest.mark.parametrize("config", [0, 5, 6])
+def test_unique_verdicts_are_sound(config):
+    """The first "unique" certificate of a sweep config (pattern seed 5,
+    certificate seed 3) is borne out numerically: given the entries of a
+    generic instance drawn at another seed, 48 least-squares starts find one
+    completion, the generating tensor."""
+    dims, j, ranks, p = SWEEP_CONFIGS[config]
+    shape, spec = Shape(dims=dims), RankSpec(j=j, ranks=ranks)
+    for trial in range(40):
+        pattern = sample_pattern(shape, p, seed=5, trial=trial)
+        try:
+            if certify_unique(pattern, spec, seed=3).verdict == "unique":
+                break
+        except AssumptionError:
+            continue
+    else:
+        pytest.fail(f"no unique verdict in config {config}")
+    instance = generate_instance(shape, spec, seed=11)
+    values = {c: float(instance.tensor[tuple(i - 1 for i in c)]) for c in pattern.observed}
+    with Budget(10.0):
+        result = enumerate_completions(pattern, values, spec, starts=48, seed=0)
+    assert result.converged >= 1 and result.num_clusters == 1, (trial, result.converged, result.num_clusters)
+    assert np.abs(result.completions[0] - instance.tensor).max() < 1e-6 * (1 + np.abs(instance.tensor).max())
+
+
 def test_selection_admissibility_matches_rank_oracle():
     """The designated-selection admissibility check agrees with a
     factors-only generic-rank oracle on 200 random selections."""

@@ -654,6 +654,37 @@ class TestCertifyUnique:
         cert = certify_unique(SamplingPattern.full((4, 5, 5)), RankSpec(j=1, ranks=(1, 1)))
         assert cert.verdict == "undecided-search-exhausted"
         assert max(searched) == certifier.UNIQUE_WITNESS_CAP == 50
+        assert "UNIQUE_WITNESS_CAP (50 finite witnesses) reached on an A+ selection" in cert.reason.split("; ")
+
+    def test_exhausted_reason_names_the_finite_budget(self):
+        """On this pattern every pair search ends without a pair, and the
+        "undecided" comes from the 500-node finite searches of later A+
+        selections; the reason says so."""
+        pattern = sample_pattern(Shape((3, 3, 30, 30)), 0.3, seed=5)
+        with Budget(10.0):
+            cert = certify_unique(pattern, RankSpec(j=2, ranks=(2, 1)), seed=3)
+        assert cert.verdict == "undecided-search-exhausted"
+        assert cert.reason == (
+            "no disjoint witness pair found; WITNESS_NODE_BUDGET (500 nodes) ran out in an A+ selection's finite search"
+        )
+
+    def test_exhausted_reason_names_the_row_scan_guard(self):
+        """The fully observed 6x6x6 pattern at j = 2 is finite, but its 36
+        unfolding rows exceed the row-scan guard, so no A+ selection can be
+        searched."""
+        cert = certify_unique(SamplingPattern.full((6, 6, 6)), RankSpec(j=2, ranks=(2,)), seed=3)
+        assert (cert.verdict, cert.finite.verdict) == ("undecided-search-exhausted", "finite")
+        assert cert.reason == "no disjoint witness pair found; ROW_SCAN_GUARD (16 rows) refused an A+ selection's 36 rows"
+
+    def test_exhausted_reason_names_the_pair_search_guard(self, monkeypatch):
+        """With a pair-search guard of one node, no second witness can be
+        found, and the reason names that guard first."""
+        monkeypatch.setattr(certifier, "SEARCH_NODE_GUARD", 1)
+        cert = certify_unique(SamplingPattern.full((3, 3, 3)), RankSpec(j=1, ranks=(1, 2)))
+        assert cert.verdict == "undecided-search-exhausted"
+        assert cert.reason.startswith(
+            "no disjoint witness pair found; SEARCH_NODE_GUARD (1 nodes) ran out in a second-witness search"
+        )
 
     def test_not_finite_pattern_not_certified(self):
         """The row sets of this pattern exceed the row-scan guard, so

@@ -14,7 +14,6 @@ from tensorcert.hallgraph import (
     _alternating_graph,
     _clone_fits,
     _hopcroft_karp,
-    block_defects_at_least,
     defect_at_least,
     degrees_prove_margin,
     expansion_defect,
@@ -22,7 +21,9 @@ from tensorcert.hallgraph import (
     lemma_match_subgraph,
     lemma_omega_transform,
     max_matching,
+    member_defect_at_least,
 )
+from tensorcert.montecarlo import _draw_members
 
 
 def brute_matching_size(g: BipartiteGraph) -> int:
@@ -314,7 +315,7 @@ class TestCloneFits:
         matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
         if (matched < 0).any():
             return None
-        return _clone_fits(_alternating_graph(g.indptr, g.indices, matched, g.size_t2, 1), g.size_t1, 1).tolist()
+        return _clone_fits(_alternating_graph(g.indptr, g.indices, matched, g.size_t2), g.size_t1).tolist()
 
     def check(self, g: BipartiteGraph) -> bool:
         fits = self.fits(g)
@@ -359,75 +360,110 @@ class TestCloneFits:
         assert all(self.fits(g))
 
 
-def disjoint_union(parts: list[BipartiteGraph]) -> BipartiteGraph:
-    """Equal-sized graphs side by side: part b's labels shifted past the
-    labels of the parts before it."""
-    x, y = parts[0].size_t1, parts[0].size_t2
-    adj = tuple(tuple(v + b * y for v in nbrs) for b, part in enumerate(parts) for nbrs in part.adj)
-    return BipartiteGraph(size_t1=x * len(parts), size_t2=y * len(parts), adj=adj)
+def membership(g: BipartiteGraph) -> np.ndarray:
+    """The graph as the bool array :func:`member_defect_at_least` reads:
+    row u - 1 marks the T2 nodes that T1 node u sees."""
+    member = np.zeros((g.size_t1, g.size_t2), dtype=bool)
+    for u, nbrs in enumerate(g.adj):
+        member[u, [v - 1 for v in nbrs]] = True
+    return member
 
 
-class TestBlockDefects:
-    """Per-block verdicts on a disjoint union equal the one-graph test on each
-    block, from one matching and one strong-component pass."""
+def chain_graph(n: int, extra: tuple[tuple[int, ...], ...], r: int, order: list[int], labels: list[int]) -> BipartiteGraph:
+    """On T2 nodes 1..n + 1 + r, chain node i (i = 1..n) sees T2 nodes i,
+    i + 1 and i + 2 (those that exist) and the closing node sees 1 and 2,
+    which leaves margin r.  Then come the ``extra`` nodes, each seeing a few
+    of the first T2 nodes, and the T1 nodes are put in ``order`` and the T2
+    nodes renamed by ``labels``.  A greedy pass in the original order
+    matches chain node i to T2 node i, so the closing node's search walks
+    the length of the chain to a free T2 node; an extra node can then find
+    none, a Hall violator that shows only after that augmentation."""
+    size_t2 = n + 1 + r
+    base = [tuple(range(i, min(i + 2, size_t2) + 1)) for i in range(1, n + 1)] + [(1, 2)] + list(extra)
+    adj = [tuple(labels[v - 1] for v in base[u]) for u in order]
+    return BipartiteGraph(size_t1=len(adj), size_t2=size_t2, adj=adj)
 
-    def test_random_unions_agree_with_each_block(self):
+
+@st.composite
+def chains(draw) -> BipartiteGraph:
+    n = draw(st.integers(1, 40))
+    extra = draw(st.lists(st.sets(st.integers(1, min(n + 1, 4)), min_size=1, max_size=2).map(tuple), max_size=3))
+    r = draw(st.integers(0, 1))
+    order = draw(st.permutations(range(n + len(extra))))
+    # Keep the chain's T2 order most of the time: that is where the greedy
+    # pass goes wrong at the start and needs the longest search.
+    labels = draw(st.one_of(st.just(list(range(1, n + 2 + r))), st.permutations(range(1, n + 2 + r))))
+    return chain_graph(n, tuple(extra), r, list(order), list(labels))
+
+
+@st.composite
+def drawn_trials(draw) -> BipartiteGraph:
+    """One trial of the Monte Carlo draw: n1 - r columns of l rows each, with
+    l up to n1 / 4 half the time, where trials fail often."""
+    n1 = draw(st.integers(2, 48))
+    r = draw(st.integers(0, 1))
+    l = draw(st.one_of(st.integers(0, n1 // 4), st.integers(0, n1)))
+    member = _draw_members(n1, n1 - r, l, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**64 - 1)), 1)
+    return BipartiteGraph(size_t1=n1 - r, size_t2=n1, adj=np.nonzero(member)[1].reshape(n1 - r, l) + 1)
+
+
+class TestMemberDefect:
+    """The word-parallel test on a membership array agrees exactly with
+    :func:`defect_at_least` at r = 0 and r = 1."""
+
+    # The first example loads scipy.
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(drawn_trials(), chains()))
+    def test_agrees_with_defect_at_least(self, g):
+        for r in (0, 1):
+            assert member_defect_at_least(membership(g), r) == defect_at_least(g, r)[0], (g.adj, r)
+
+    def test_random_graphs_agree_with_each_reference(self):
         rng = random.Random(808)
         verdicts = set()
-        for _ in range(60):
+        for _ in range(200):
             x = rng.randint(1, 12)
             y = x + rng.randint(0, 4)
             low = rng.randint(0, 4)
-            parts = [
-                BipartiteGraph(
-                    size_t1=x,
-                    size_t2=y,
-                    adj=tuple(tuple(rng.sample(range(1, y + 1), min(y, rng.randint(low, low + 2)))) for _ in range(x)),
-                )
-                for _ in range(rng.randint(1, 7))
-            ]
-            union = disjoint_union(parts)
-            for r in range(4):
-                got = block_defects_at_least(union, len(parts), r)
-                assert got.dtype == bool and got.shape == (len(parts),)
-                expected = [defect_at_least(part, r)[0] for part in parts]
-                assert got.tolist() == expected, ([p.adj for p in parts], r)
-                assert expected == [clone_reference(part, r) for part in parts]
-                verdicts.update((r, ok) for ok in expected)
-        assert verdicts == {(r, ok) for r in range(4) for ok in (True, False)}
+            adj = tuple(tuple(rng.sample(range(1, y + 1), min(y, rng.randint(low, low + 2)))) for _ in range(x))
+            g = BipartiteGraph(size_t1=x, size_t2=y, adj=adj)
+            for r in (0, 1):
+                got = member_defect_at_least(membership(g), r)
+                assert got == defect_at_least(g, r)[0] == clone_reference(g, r), (adj, r)
+                verdicts.add((r, got))
+        assert verdicts == {(r, ok) for r in (0, 1) for ok in (True, False)}
 
-    def test_one_block_is_defect_at_least(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            g = random_graph(rng)
-            for r in range(3):
-                assert block_defects_at_least(g, 1, r).tolist() == [defect_at_least(g, r)[0]]
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_long_augmenting_paths(self, n):
+        """The chain has margin r, and the closing node's search, after the
+        chain's greedy matching or before it, is about n / 2 steps long; with
+        two more nodes that see T2 nodes 1 and 2 alone, and as many T2 nodes
+        as T1 nodes, the test fails after that augmentation."""
+        labels = list(range(1, n + 4))
+        for order in (list(range(n + 1)), list(range(n + 1))[::-1]):
+            for r in (0, 1):
+                g = chain_graph(n, (), r, order, labels)
+                assert [member_defect_at_least(membership(g), t) for t in (0, 1)] == [True, r == 1]
+                assert [defect_at_least(g, t)[0] for t in (0, 1)] == [True, r == 1]
+            g = chain_graph(n, ((1,), (2,)), 2, order + [n + 1, n + 2], labels)
+            assert member_defect_at_least(membership(g), 0) == defect_at_least(g, 0)[0] == False
+            assert member_defect_at_least(membership(g), 1) == defect_at_least(g, 1)[0] == False
 
-    def test_tight_block_beside_loose_ones(self):
-        """A block whose T2 nodes are all matched keeps its sink isolated, so
-        none of its clones fit; its neighbours' verdicts do not change."""
+    def test_tight_and_loose_graphs(self):
+        """All T2 nodes matched leaves no clone a free node: margin 0 only."""
         loose = BipartiteGraph(size_t1=2, size_t2=3, adj=((1, 2), (2, 3)))
         tight = BipartiteGraph(size_t1=2, size_t2=3, adj=((1, 2), (1, 2)))
-        union = disjoint_union([loose, tight, loose])
-        assert block_defects_at_least(union, 3, 0).tolist() == [True, True, True]
-        assert block_defects_at_least(union, 3, 1).tolist() == [True, False, True]
-        assert block_defects_at_least(union, 3, 2).tolist() == [False, False, False]
+        assert [member_defect_at_least(membership(g), 0) for g in (loose, tight)] == [True, True]
+        assert [member_defect_at_least(membership(g), 1) for g in (loose, tight)] == [True, False]
 
-    def test_rejects_edge_between_blocks(self):
-        g = BipartiteGraph(size_t1=4, size_t2=6, adj=((1, 2), (2, 3), (4, 5), (3, 6)))
-        with pytest.raises(ValueError, match="joins two blocks"):
-            block_defects_at_least(g, 2, 1)
-        assert block_defects_at_least(g, 1, 1).tolist() == [defect_at_least(g, 1)[0]]
+    @pytest.mark.parametrize("r", [-1, 2])
+    def test_rejects_other_thresholds(self, r):
+        with pytest.raises(ValueError, match="r = 0 or r = 1"):
+            member_defect_at_least(np.ones((1, 2), dtype=bool), r)
 
-    @pytest.mark.parametrize("blocks", [0, 3, 4])
-    def test_rejects_uneven_split(self, blocks):
-        g = BipartiteGraph(size_t1=6, size_t2=8, adj=((1,),) * 6)
-        with pytest.raises(ValueError, match="equal blocks"):
-            block_defects_at_least(g, blocks, 0)
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            block_defects_at_least(BipartiteGraph(size_t1=1, size_t2=1, adj=((1,),)), 1, -1)
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="one row of T2 membership per T1 node"):
+            member_defect_at_least(np.ones((1, 2, 2), dtype=bool), 0)
 
 
 def degree_counts(parts: list[BipartiteGraph]) -> tuple[np.ndarray, np.ndarray]:

@@ -61,7 +61,7 @@ def test_check_sees_unused_and_used_names():
 
 # Runs in a fresh interpreter: prints the scipy modules loaded after the
 # numpy-only commands (a dense proper1 simulation among them), then after a
-# sparse proper1 simulation.
+# sparse proper1 simulation, whose trials reach the exact decision.
 _STARTUP_PROBE = """
 import json, sys
 import tensorcert, tensorcert.cli
@@ -84,18 +84,17 @@ codes.append(main(["simulate", "--dims", "8,4", "--property", "proper1", "--tria
 print(json.dumps({
     "codes": codes,
     "before": scipy_after_numpy_only,
-    "csgraph": "scipy.sparse.csgraph" in sys.modules,
-    "optimize": "scipy.optimize" in sys.modules,
+    "after": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
 }))
 """
 
 
 def test_scipy_loaded_only_where_called(tmp_path):
     """A stray module-level scipy import would make every one-shot command
-    pay for loading scipy; only the Hall-graph matching (proper1/proper2)
-    and the least-squares enumerator may load it.  A dense proper1 run,
-    whose every trial the degree bound proves, never reaches the matching;
-    a sparse one (8x4, l = 3) does."""
+    pay for loading scipy; only the least-squares enumerator may load it.  A
+    dense proper1 run, whose every trial the degree bound proves, decides no
+    trial on its graph; a sparse one (8x4, l = 3) decides every trial
+    exactly, and loads no scipy either."""
     pattern = tmp_path / "full.json"
     write_pattern(SamplingPattern.full((3, 3, 3)), pattern)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -107,4 +106,4 @@ def test_scipy_loaded_only_where_called(tmp_path):
     seen = json.loads(proc.stdout)
     assert seen["codes"] == [0] * 7
     assert seen["before"] == [], f"numpy-only commands loaded {seen['before']}"
-    assert seen["csgraph"] and not seen["optimize"]
+    assert seen["after"] == [], f"the sparse proper1 simulation loaded {seen['after']}"

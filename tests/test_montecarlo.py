@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from tensorcert import montecarlo
 from tensorcert.core import Shape
 from tensorcert.geometry import RankSpec
-from tensorcert.hallgraph import BipartiteGraph, block_defects_at_least, defect_at_least
+from tensorcert.hallgraph import BipartiteGraph, defect_at_least
 from tensorcert.montecarlo import (
     PROPERTIES,
     TrialConfig,
@@ -255,54 +255,54 @@ class TestEstimate:
     @pytest.mark.parametrize("n1", [2, 3, 5, 16, 64, 256])
     def test_batched_verdicts_equal_per_trial_test(self, monkeypatch, prop, n1):
         """Every trial's verdict, read from its chunk's degree bound or else
-        from the disjoint union of the chunk's unproven trials, equals the
+        from its own slice of the chunk's membership array, equals the
         one-graph test on that trial's own column graph, with chunks of three
-        trials so that ten trials span four chunks, and with the default chunk
+        trials so that ten trials span four chunks, and with the default draw
         size.  The bound decides some chunks wholly and some not at all (and,
-        from 16 rows up, some partly), and every union built fits a chunk."""
+        from 16 rows up, some partly), and each slice decided is the trial's
+        own column graph."""
         r = 1 if prop == "proper1" else 0
-        proofs, verdicts = [], []
-        bound, batched = montecarlo.degrees_prove_margin, montecarlo.block_defects_at_least
+        proofs, decided = [], []
+        bound, decide = montecarlo.degrees_prove_margin, montecarlo.member_defect_at_least
 
         def recorded_bound(*args):
             out = bound(*args)
             proofs.append(out.tolist())
             return out
 
-        def recorded(g, blocks, r):
-            assert g.size_t1 + g.size_t2 + g.indices.size <= montecarlo._CHUNK_SIZE
-            out = batched(g, blocks, r)
-            verdicts.append(out.tolist())
+        def recorded(member, r):
+            out = decide(member, r)
+            decided.append((member.copy(), out))
             return out
 
         monkeypatch.setattr(montecarlo, "degrees_prove_margin", recorded_bound)
-        monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
-        default = montecarlo._CHUNK_SIZE
+        monkeypatch.setattr(montecarlo, "member_defect_at_least", recorded)
+        default = montecarlo._DRAW_BYTES
         outcomes, kinds = set(), set()
         for l in sorted({0, 1, 2, n1 // 2, n1}):
-            for chunk_size, trials in ((3 * ((n1 - r) * (l + 1) + n1), 10), (default, 12)):
-                monkeypatch.setattr(montecarlo, "_CHUNK_SIZE", chunk_size)
+            for draw_bytes, trials in ((3 * (n1 - r) * (n1 + np.min_scalar_type(n1 - 1).itemsize * min(l, n1 - l)), 10), (default, 12)):
+                monkeypatch.setattr(montecarlo, "_DRAW_BYTES", draw_bytes)
                 proofs.clear()
-                verdicts.clear()
+                decided.clear()
                 config = TrialConfig(
                     shape=Shape(dims=(n1, 4)), prop=prop, trials=trials, seed=n1 + l, per_column_l=l
                 )
                 result = estimate(config)
-                expected = [
-                    defect_at_least(sample_column_graph(n1, n1 - r, l, seed=n1 + l, trial=t), r)[0]
-                    for t in range(trials)
-                ]
+                graphs = [sample_column_graph(n1, n1 - r, l, seed=n1 + l, trial=t) for t in range(trials)]
+                expected = [defect_at_least(g, r)[0] for g in graphs]
+                chunks = [3, 3, 3, 1] if draw_bytes != default else [trials]
                 if not montecarlo._degrees_may_prove(n1, n1 - r, l, r):
                     # The bound is skipped, so it proves no trial of any chunk.
                     assert proofs == []
-                    proofs.extend([False] * len(v) for v in verdicts)
-                if chunk_size != default:
-                    assert [len(p) for p in proofs] == [3, 3, 3, 1]
-                # Each union holds the unproven trials of one chunk, in order.
-                assert [len(v) for v in verdicts] == [p.count(False) for p in proofs if not all(p)]
-                matched = iter(sum(verdicts, []))
-                got = [proved or next(matched) for proved in sum(proofs, [])]
-                assert got == expected, (l, chunk_size)
+                    proofs.extend([False] * count for count in chunks)
+                assert [len(p) for p in proofs] == chunks
+                # The open trials are decided in order, each on its own graph.
+                open_trials = [t for t, proved in enumerate(sum(proofs, [])) if not proved]
+                assert len(decided) == len(open_trials)
+                for t, (member, verdict) in zip(open_trials, decided):
+                    assert tuple(tuple(np.flatnonzero(row) + 1) for row in member) == graphs[t].adj
+                    assert verdict == expected[t], (l, draw_bytes, t)
+                assert all(expected[t] for t, proved in enumerate(sum(proofs, [])) if proved)
                 assert (result.passes, result.fails, result.undecided) == (sum(expected), trials - sum(expected), 0)
                 outcomes.update(expected)
                 kinds.update("wholly" if all(p) else "partly" if any(p) else "not at all" for p in proofs)
@@ -323,9 +323,8 @@ class TestEstimate:
         ours = estimate(config).passes
         rng = np.random.default_rng(17)
         rows = np.array([rng.choice(n1, size=l, replace=False) for _ in range(trials * n_cols)])
-        rows += np.repeat(np.arange(trials) * n1 + 1, n_cols)[:, None]
-        union = BipartiteGraph(size_t1=trials * n_cols, size_t2=trials * n1, adj=rows)
-        theirs = int(block_defects_at_least(union, trials, r).sum())
+        graphs = [BipartiteGraph(size_t1=n_cols, size_t2=n1, adj=g + 1) for g in rows.reshape(trials, n_cols, l)]
+        theirs = sum(defect_at_least(g, r)[0] for g in graphs)
         pooled = (ours + theirs) / (2 * trials)
         assert 0.05 < pooled < 0.95
         assert abs(ours - theirs) / trials <= 3.2905 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
@@ -356,11 +355,11 @@ class TestEstimate:
         assert not montecarlo._degrees_may_prove(256, 255, 45, 1)
         assert montecarlo._degrees_may_prove(64, 63, 37, 1)
 
-    def test_chunks_bound_the_union_size(self, monkeypatch):
-        """64x4 proper1 at the closed-form count: 26 trials fit one chunk of
-        the default size, so 60 trials take three membership draws, each
-        chunk's union of all its trials would fit the chunk size, and the
-        degree bound proves every trial, so no union is built."""
+    def test_chunks_bound_the_draw_size(self, monkeypatch):
+        """64x4 proper1 at the closed-form count: a trial's draw holds 63
+        columns of 27 one-byte picks and 64 bools, so 731 trials fit the
+        default draw size and 2000 trials take three draws; the degree bound
+        proves every trial, so none is decided on its membership array."""
         draws = []
         draw = montecarlo._draw_members
 
@@ -368,31 +367,39 @@ class TestEstimate:
             draws.append(count)
             return draw(n_rows, n_cols, per_column, seed, first, count)
 
-        def unexpected(g, blocks, r):
-            raise AssertionError(f"union of {blocks} trials built")
+        def unexpected(member, r):
+            raise AssertionError("a trial's membership array was decided")
 
         monkeypatch.setattr(montecarlo, "_draw_members", recorded)
-        monkeypatch.setattr(montecarlo, "block_defects_at_least", unexpected)
-        result = estimate(TrialConfig(shape=Shape(dims=(64, 4)), prop="proper1", trials=60, seed=3, per_column_l=37))
-        assert draws == [26, 26, 8]
-        assert all(count * (63 * (37 + 1) + 64) <= montecarlo._CHUNK_SIZE for count in draws)
-        assert (result.passes, result.fails) == (60, 0)
+        monkeypatch.setattr(montecarlo, "member_defect_at_least", unexpected)
+        result = estimate(TrialConfig(shape=Shape(dims=(64, 4)), prop="proper1", trials=2000, seed=3, per_column_l=37))
+        assert draws == [731, 731, 538]
+        assert all(count * 63 * (64 + 27) <= montecarlo._DRAW_BYTES for count in draws)
+        assert (result.passes, result.fails) == (2000, 0)
 
     def test_membership_array_bounds_sparse_chunks(self, monkeypatch):
-        """At 1024x4 with one row per column a chunk's union is small, but
-        the draw's membership array holds one bool per column and row, so it
-        limits the chunk to four trials (4 MiB)."""
-        blocks = []
-        batched = montecarlo.block_defects_at_least
+        """At 1024x4 with one row per column a trial's draw is mostly its
+        membership array, one bool per column and row, plus one two-byte
+        pick per column, so the draw size limits a chunk to three trials
+        (4 MiB), and every trial is decided on its own membership array."""
+        draws, decided = [], []
+        draw, decide = montecarlo._draw_members, montecarlo.member_defect_at_least
 
-        def recorded(g, blocks_in_g, r):
-            blocks.append(blocks_in_g)
-            return batched(g, blocks_in_g, r)
+        def recorded_draw(n_rows, n_cols, per_column, seed, first, count):
+            draws.append(count)
+            return draw(n_rows, n_cols, per_column, seed, first, count)
 
-        monkeypatch.setattr(montecarlo, "block_defects_at_least", recorded)
-        estimate(TrialConfig(shape=Shape(dims=(1024, 4)), prop="proper2", trials=10, seed=3, per_column_l=1))
-        assert blocks == [4, 4, 2]
-        assert all(b * 1024 * 1024 <= montecarlo._DRAW_BYTES for b in blocks)
+        def recorded(member, r):
+            decided.append(member.shape)
+            return decide(member, r)
+
+        monkeypatch.setattr(montecarlo, "_draw_members", recorded_draw)
+        monkeypatch.setattr(montecarlo, "member_defect_at_least", recorded)
+        result = estimate(TrialConfig(shape=Shape(dims=(1024, 4)), prop="proper2", trials=10, seed=3, per_column_l=1))
+        assert draws == [3, 3, 3, 1]
+        assert all(count * 1024 * (1024 + 2) <= montecarlo._DRAW_BYTES for count in draws)
+        assert decided == [(1024, 1024)] * 10
+        assert (result.passes, result.fails) == (0, 10)
 
     def test_no_decided_trial_gives_no_fraction(self):
         config = TrialConfig(
