@@ -14,8 +14,11 @@ each entry is a T1 node, each trailing coordinate ``(i, x)`` offers ``w_i``
 T2 slots, and an entry is adjacent to every slot of each of its trailing
 coordinates.  A set of entries then sees exactly the slots of its smallest
 hull, so the screen is decided by one matching that saturates every entry,
-and a Hall witness, when there is none, spans an overdrawn hull.  The sets
-that pass are the independent sets of a transversal matroid.
+and a Hall witness, when there is none, spans an overdrawn hull.  The
+matching grows one entry at a time by the alternating search of
+:mod:`~tensorcert.hallgraph`, over each entry's slots packed into one int
+(:meth:`~tensorcert.geometry.PatternIndex.slots`).  The sets that pass are
+the independent sets of a transversal matroid.
 
 Pinning also asks the factor block of the selection's Jacobian to reach rank
 ``target = sum n_i r_i - (d - j - 1)``.  The factor row of an entry is
@@ -48,13 +51,13 @@ from .geometry import (
     RANK_PRIME,
     ModEchelon,
     RankSpec,
-    _slot_lists,
+    _slot_sets,
     factor_offsets,
     pattern_index,
     reaches_rank_mod_p,
     unreduced_jacobian,
 )
-from .hallgraph import _alternating_search
+from .hallgraph import _augment
 
 __all__ = [
     "HullSpec",
@@ -134,16 +137,6 @@ def _per_dim_weights(spec: RankSpec, plus: bool) -> tuple[int, ...]:
     return tuple(r + 1 for r in spec.ranks) if plus else spec.ranks
 
 
-def _slot_graph(
-    shape: Shape, spec: RankSpec, entries: Sequence[Coord], plus: bool
-) -> tuple[list[list[int]], list[int]]:
-    """Per entry, the T2 slot labels (from 1) of its trailing coordinates, and
-    an empty matching over those slots (slot label -> entry, -1 when free)."""
-    trailing = unfolding_indices(shape, spec.j, entries)[1]
-    adj, size = _slot_lists(spec.tail_dims(shape), _per_dim_weights(spec, plus), trailing)
-    return adj, [-1] * size
-
-
 def hull_condition(
     shape: Shape, spec: RankSpec, entries: Sequence[Coord], plus: bool = False
 ) -> tuple[bool, Optional[HullSpec]]:
@@ -161,11 +154,13 @@ def hull_condition(
     reached through few distinct co-coordinates contributes fewer effective
     variables than its full height."""
     entries = [shape.check_coord(c) for c in entries]
-    adj, mate = _slot_graph(shape, spec, entries, plus)
+    trailing = unfolding_indices(shape, spec.j, entries)[1]
+    slots, size = _slot_sets(spec.tail_dims(shape), _per_dim_weights(spec, plus), trailing)
+    mate, free = [-1] * size, (1 << size) - 1
     for u in range(len(entries)):
-        witness = _alternating_search(adj, mate, u)
-        if witness is not None:
-            return False, minimal_hull(spec.j, [entries[w - 1] for w in witness])
+        free, missed = _augment(slots, mate, free, u)
+        if missed is not None:
+            return False, minimal_hull(spec.j, [entries[w] for w in missed])
     return True, None
 
 
@@ -276,11 +271,12 @@ def _greedy_candidate(
     every entry of a prefix that passes."""
     needed = _selection_size(pattern.shape, spec, plus)
     slots, size = pattern_index(pattern, spec).slots(_per_dim_weights(spec, plus))
-    adj = [slots[p] for p in order]
-    mate = [-1] * size
+    sets = [slots[p] for p in order]
+    mate, free = [-1] * size, (1 << size) - 1
     chosen: list[int] = []
     for u, p in enumerate(order):
-        if _alternating_search(adj, mate, u) is None:
+        free, missed = _augment(sets, mate, free, u)
+        if missed is None:
             chosen.append(p)
             if len(chosen) == needed:
                 return tuple(chosen)

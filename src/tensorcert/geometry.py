@@ -325,18 +325,17 @@ def unreduced_jacobian(
     return jac
 
 
-def _slot_lists(
+def _slot_sets(
     tail_dims: Sequence[int], weights: Sequence[int], trailing: np.ndarray
-) -> tuple[list[list[int]], int]:
+) -> tuple[list[int], int]:
     """The hull screen's slots (see :mod:`~tensorcert.assumptions`) of the
-    entries at 0-based trailing indices ``trailing``, and the slot count
-    plus one: value ``t`` of trailing slot ``s`` owns ``weights[s]``
-    consecutive labels, numbered from 1 slot by slot, and an entry holds
-    the labels of each of its trailing values."""
-    sizes = [n * w for n, w in zip(tail_dims, weights)]
-    starts = itertools.accumulate(sizes, initial=1)
-    labels = [start + t[:, None] * w + np.arange(w) for start, w, t in zip(starts, weights, trailing.T)]
-    return np.concatenate(labels, axis=1).tolist(), 1 + sum(sizes)
+    entries at 0-based trailing indices ``trailing``, each entry's packed
+    into one int, and the slot count: value ``t`` of trailing slot ``s``
+    owns ``weights[s]`` consecutive bits, numbered from 0 slot by slot, and
+    an entry holds the bits of each of its trailing values."""
+    starts = list(itertools.accumulate((n * w for n, w in zip(tail_dims, weights)), initial=0))
+    sets = [sum(((1 << w) - 1) << (start + t * w) for start, w, t in zip(starts, weights, row)) for row in trailing.tolist()]
+    return sets, starts[-1]
 
 
 class PatternIndex:
@@ -351,7 +350,8 @@ class PatternIndex:
       with that tail, ascending, tails in ascending order: the subtensors of
       the constraint matrix;
     * ``at``: ``(row, tail)`` -> ``p``;
-    * :meth:`slots`: per entry, its hull-screen slots at given weights;
+    * :meth:`slots`: per entry, its hull-screen slots at given weights,
+      packed into one int;
     * :attr:`jacobian`: the unreduced Jacobian over GF(RANK_PRIME) at the
       point of ``RANK_POINT_SEED``, built on first use, read-only.
     """
@@ -369,12 +369,12 @@ class PatternIndex:
         for p, tail in enumerate(tails):
             groups.setdefault(tail, []).append(p)
         self.groups = dict(sorted(groups.items()))
-        self._slots: dict[tuple[int, ...], tuple[list[list[int]], int]] = {}
+        self._slots: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
-    def slots(self, weights: tuple[int, ...]) -> tuple[list[list[int]], int]:
-        """:func:`_slot_lists` of every entry, built once per weights."""
+    def slots(self, weights: tuple[int, ...]) -> tuple[list[int], int]:
+        """:func:`_slot_sets` of every entry, built once per weights."""
         if weights not in self._slots:
-            self._slots[weights] = _slot_lists(self.tail_dims, weights, self.trailing)
+            self._slots[weights] = _slot_sets(self.tail_dims, weights, self.trailing)
         return self._slots[weights]
 
     @functools.cached_property

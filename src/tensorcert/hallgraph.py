@@ -9,36 +9,29 @@ greedy pass deletes every edge whose loss keeps the margin, tested by
 matching r + 1 clones of its T1 node on top of a matching of the others; the
 result is inclusion-minimal, and minimality forces degree r + 1.
 
-A graph is kept as one CSR biadjacency, built in one numpy pass from a
-drawn 2-D array.  Matchings come from scipy's compiled Hopcroft-Karp on that
-CSR; the defect test decides r = 0 from that one base matching and r = 1 from
-one compiled strong-component pass, and extends the matching by iterative
-alternating searches only for r >= 2 or to name a Hall witness, so no
-matching or defect test recurses on the size of the graph.  The exact
+A graph keeps only its neighbour lists.  Every matching runs on one
+primitive, :func:`_search`: an iterative depth-first alternating search over
+the T2 sets packed into Python ints (bit v - 1 for T2 node v), so each step
+is one word-parallel AND and no search recurses on the size of the graph.
+``_match`` is Kuhn's algorithm: a greedy pass gives each T1 node its lowest
+free T2 node, and one search per node it leaves makes the matching maximum.
+The defect test decides r = 0 from that matching, r = 1 from one walk that
+grows the set of T2 nodes from which an alternating path reaches a free one,
+and r >= 2 by counting the clones of each node that fit on top.  The exact
 defect is König's deficiency when T1 cannot be matched, and otherwise the
-least number of clones of a T1 node that fit on top of the matching,
-counted in one pass: every operation is polynomial.
+least number of clones of a T1 node that fit on top of the matching: every
+operation is polynomial.
 
-Two tests need no graph and no scipy, for the Monte Carlo trials:
-``degrees_prove_margin`` proves the margin of many trials from their
-degree counts alone, and ``member_defect_at_least`` decides r = 0 or
-r = 1 exactly on one trial's bool membership array, matching T1 nodes
-one at a time over T2 sets packed into Python ints.
-
-scipy is imported on first call by ``max_matching``, ``defect_at_least``,
-``expansion_defect`` and the subgraph constructions, the functions that
-run its matching: the hull screen in ``assumptions`` uses only the
-pure-Python alternating search, so loading this module costs numpy alone.
+Two tests need no graph, for the Monte Carlo trials: ``degrees_prove_margin``
+proves the margin of many trials from their degree counts alone, and
+``member_defect_at_least`` runs the defect test on one trial's bool
+membership array, packed row by row.  The module loads numpy alone.
 """
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 __all__ = [
     "BipartiteGraph",
@@ -62,18 +55,15 @@ class HallPreconditionError(ValueError):
 
 
 class BipartiteGraph:
-    """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2), kept as a
-    CSR biadjacency: T1 node u's 0-based T2 indices are
-    ``indices[indptr[u - 1]:indptr[u]]``, sorted and duplicate-free.
+    """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2): ``adj``
+    holds each T1 node's neighbours as a sorted, duplicate-free tuple of ints.
 
     Neighbour lists may be given in any order and with repeats; a 2-D integer
     array (one row per T1 node, all of one degree) is checked in one pass
-    instead and must not repeat a neighbour within a row.  ``adj``, the
-    neighbour lists as sorted tuples of ints, is built on first read; equality
-    and hashing go through it.  A graph is immutable: its attributes cannot
-    be reassigned and its CSR arrays are read-only."""
+    instead and must not repeat a neighbour within a row.  A graph is
+    immutable: its attributes cannot be reassigned."""
 
-    __slots__ = ("size_t1", "size_t2", "indptr", "indices", "_adj")
+    __slots__ = ("size_t1", "size_t2", "adj")
 
     def __init__(self, size_t1: int, size_t2: int, adj: Sequence[Iterable[int]] | np.ndarray) -> None:
         if size_t1 < 1 or size_t2 < 1:
@@ -88,9 +78,7 @@ class BipartiteGraph:
                 raise ValueError("neighbor index out of range")
             if not ascending and (rows[:, 1:] == rows[:, :-1]).any():
                 raise ValueError("repeated neighbor in an array row")
-            cached = None
-            indptr = np.arange(size_t1 + 1, dtype=np.int32) * rows.shape[1]
-            indices = rows.astype(np.int32).ravel() - 1
+            cleaned = tuple(map(tuple, rows.tolist()))
         else:
             cleaned = []
             for nbrs in adj:
@@ -98,11 +86,8 @@ class BipartiteGraph:
                 if ns and not (1 <= ns[0] and ns[-1] <= size_t2):
                     raise ValueError("neighbor index out of range")
                 cleaned.append(ns)
-            cached = tuple(cleaned)
-            indptr, indices = _csr(cached)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        for name, value in zip(self.__slots__, (size_t1, size_t2, indptr, indices, cached)):
+            cleaned = tuple(cleaned)
+        for name, value in zip(self.__slots__, (size_t1, size_t2, cleaned)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -113,12 +98,6 @@ class BipartiteGraph:
 
     def __reduce__(self) -> tuple:
         return BipartiteGraph, (self.size_t1, self.size_t2, self.adj)
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            object.__setattr__(self, "_adj", _tuples(self.indptr, self.indices))
-        return self._adj
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -132,282 +111,199 @@ class BipartiteGraph:
         return f"BipartiteGraph(size_t1={self.size_t1}, size_t2={self.size_t2}, adj={self.adj})"
 
 
-def _csr(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of 1-based neighbour lists, 0-based indices."""
-    indptr = np.fromiter(itertools.accumulate(map(len, adj), initial=0), dtype=np.int32, count=len(adj) + 1)
-    indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32, count=indptr[-1]) - 1
-    return indptr, indices
+def _adj_sets(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Each T1 node's T2 set packed into one int: bit v - 1 for T2 node v."""
+    return [sum(1 << (v - 1) for v in nbrs) for nbrs in adj]
 
 
-def _tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The 1-based neighbour lists of a CSR biadjacency."""
-    flat = (indices + 1).tolist()
-    return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(indptr.tolist()))
+def _member_sets(member: np.ndarray) -> list[int]:
+    """:func:`_adj_sets` of the graph in which T1 node u + 1 sees T2 node
+    v + 1 iff ``member[u, v]``, packed from the bool array in one pass."""
+    width = (member.shape[1] + 7) // 8
+    packed = np.packbits(member, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[at : at + width], "little") for at in range(0, member.shape[0] * width, width)]
 
 
 # ---------------------------------------------------------------------------
 # Matching
 
 
-def _hopcroft_karp(indptr: np.ndarray, indices: np.ndarray, size_t2: int) -> np.ndarray:
-    """Maximum matching (Hopcroft-Karp, compiled in scipy) of a CSR
-    biadjacency: per T1 node its matched 0-based T2 index, or -1."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
+def _search(sets: Sequence[int], mate: list[int], target: int, root: int) -> tuple[bool, list[int]]:
+    """Depth-first search for an alternating path from T1 node ``root`` to a
+    T1 node whose T2 set meets ``target``.  T1 nodes are 0-based, T2 nodes
+    are the bits of ``sets``, and ``mate`` maps each T2 node to its T1 node
+    (-1 when free).  ``target`` must hold every free T2 node, so each T2
+    node the search steps to has a mate; each step takes the lowest T2 node
+    the search has not seen.  ``root`` may already hold several T2 nodes:
+    clones of one node share its id.
 
-    graph = csr_array((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(indptr.size - 1, size_t2))
-    return maximum_bipartite_matching(graph, perm_type="column")
-
-
-def _mate(matched: np.ndarray, size_t2: int) -> list[int]:
-    """The matching as :func:`_alternating_search` keeps it: T2 label -> T1
-    node, -1 when free."""
-    mate = np.full(size_t2 + 1, -1)
-    rows = np.flatnonzero(matched >= 0)
-    mate[matched[rows] + 1] = rows
-    return mate.tolist()
-
-
-def _alternating_search(adj: Sequence[Sequence[int]], mate: list[int], root: int) -> Optional[tuple[int, ...]]:
-    """Breadth-first search for an alternating path from T1 node ``root`` to a
-    free T2 node; on success the path is flipped into ``mate`` (T2 label ->
-    T1 node, -1 when free) and None is returned.  ``root`` may already hold
-    several T2 nodes: clones of one vertex share its id.
-
-    On failure returns the Hall witness: root plus the mates of every T2 node
-    reached, whose neighbourhood is exactly the reached T2 nodes.
+    Returns (True, path) on success: the T2 nodes stepped to, in order, then
+    the lowest target node the last T1 node on the path sees.  On failure
+    returns (False, reached): root and the mates of every T2 node seen,
+    sorted, a set whose neighbourhood is exactly the T2 nodes seen.
     """
-    reached_from: dict[int, int] = {}  # T2 label -> T1 node that reached it
-    via = {root: 0}  # T1 node -> T2 label it was entered through (0 for root)
-    queue = [root]
-    for w in queue:
-        for v in adj[w]:
-            if v in reached_from:
-                continue
-            reached_from[v] = w
-            m = mate[v]
-            if m < 0:
-                while v:
-                    w = reached_from[v]
-                    mate[v] = w
-                    v = via[w]
-                return None
-            if m not in via:
-                via[m] = v
-                queue.append(m)
-    return tuple(sorted(w + 1 for w in via))
+    hit = sets[root] & target
+    nodes, path, seen = [root], [], 0
+    while not hit:
+        fresh = sets[nodes[-1]] & ~seen
+        if fresh:
+            low = fresh & -fresh
+            seen |= low
+            v = low.bit_length() - 1
+            w = mate[v]
+            path.append(v)
+            nodes.append(w)
+            hit = sets[w] & target
+        elif path:
+            nodes.pop()
+            path.pop()
+        else:
+            reached = {root}
+            while seen:
+                low = seen & -seen
+                reached.add(mate[low.bit_length() - 1])
+                seen ^= low
+            return False, sorted(reached)
+    path.append((hit & -hit).bit_length() - 1)
+    return True, path
+
+
+def _augment(sets: Sequence[int], mate: list[int], free: int, root: int) -> tuple[int, Optional[list[int]]]:
+    """Match ``root`` (or one more clone of it) by a :func:`_search` for a
+    free T2 node, flipping the path into ``mate``.  Returns the free set
+    left and None, or ``free`` as it was and the T1 nodes the failed search
+    reached."""
+    found, nodes = _search(sets, mate, free, root)
+    if not found:
+        return free, nodes
+    w = root
+    for v in nodes:
+        mate[v], w = w, mate[v]
+    return free ^ (1 << nodes[-1]), None
+
+
+def _match(sets: Sequence[int], size_t2: int) -> tuple[list[int], int, dict[int, list[int]]]:
+    """Kuhn's maximum matching: a greedy pass gives each T1 node its lowest
+    free T2 node, and each node it leaves gets one :func:`_augment`; a node
+    that fails then has no augmenting path in any later matching either.
+    Returns ``mate`` (T2 node -> T1 node, -1 when free), the free T2 set,
+    and per T1 node left unmatched, ascending, the nodes its search reached:
+    a set S with |N(S)| = |S| - 1."""
+    mate = [-1] * size_t2
+    free = (1 << size_t2) - 1
+    left = []
+    for u, row in enumerate(sets):
+        hit = row & free
+        if hit:
+            low = hit & -hit
+            free ^= low
+            mate[low.bit_length() - 1] = u
+        else:
+            left.append(u)
+    misses = {}
+    for u in left:
+        free, missed = _augment(sets, mate, free, u)
+        if missed is not None:
+            misses[u] = missed
+    return mate, free, misses
 
 
 def max_matching(g: BipartiteGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Maximum-cardinality matching (Hopcroft-Karp).
+    """Maximum-cardinality matching (Kuhn's algorithm).
 
     Returns (size, pairs) with pairs as (t1, t2), sorted by t1.
     """
-    matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2).tolist()
-    pairs = tuple((u + 1, v + 1) for u, v in enumerate(matched) if v >= 0)
-    return len(pairs), pairs
+    mate = _match(_adj_sets(g.adj), g.size_t2)[0]
+    pairs = sorted((u + 1, v + 1) for v, u in enumerate(mate) if u >= 0)
+    return len(pairs), tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
 # Expansion defect
 
 
-def _alternating_graph(indptr: np.ndarray, indices: np.ndarray, matched: np.ndarray, size_t2: int) -> csr_array:
-    """Directed graph on the T1 nodes (0..x-1), the T2 nodes (x..) and one
-    sink (last): every T1 node points to its neighbours, every matched T2
-    node to its mate, every free T2 node to the sink, and the sink to every
-    T1 node.  A T1 node reaches the sink iff an alternating path from it
-    ends in a free T2 node."""
-    from scipy.sparse import csr_array
-
-    x = indptr.size - 1
-    sink = x + size_t2
-    mates = np.full(size_t2, sink, dtype=np.int32)
-    rows = np.flatnonzero(matched >= 0).astype(np.int32)
-    mates[matched[rows]] = rows
-    edges = indptr[-1]
-    return csr_array(
-        (
-            np.ones(edges + size_t2 + x),
-            np.concatenate((indices + x, mates, np.arange(x, dtype=np.int32))),
-            np.concatenate((indptr, np.arange(1, size_t2 + 1, dtype=np.int32) + edges, [edges + size_t2 + x])),
-        ),
-        shape=(sink + 1, sink + 1),
-    )
-
-
-def _clone_fits(graph: csr_array, x: int) -> np.ndarray:
-    """Per T1 node u of a T1-saturating matching, given its
-    :func:`_alternating_graph`: can a clone of u (same neighbours) be matched
-    too?  It can iff u reaches the sink, and as the sink reaches every T1
-    node, iff u shares the sink's strong component: one compiled linear-time
-    call decides every u, whatever the depth of the alternating paths."""
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    return labels[:x] == labels[-1]
-
-
-def _misfits(indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int, matched: np.ndarray) -> np.ndarray:
-    """Per T1 node, given a maximum matching: is it unmatched, or, for
-    r >= 1 when the matching saturates T1, does no clone of it fit?  The
-    graph passes the test at r <= 1 iff no node is a misfit, and passes it
-    at r >= 2 only if so."""
-    misfit = matched < 0
-    if r >= 1 and not misfit.any():
-        misfit = ~_clone_fits(_alternating_graph(indptr, indices, matched, size_t2), indptr.size - 1)
-    return misfit
-
-
-def _fit_clones(
-    adj: Sequence[Sequence[int]], mate: list[int], root: int, cap: int
-) -> tuple[int, Optional[tuple[int, ...]]]:
+def _clones(sets: Sequence[int], mate: list[int], free: int, root: int, cap: int) -> tuple[int, Optional[list[int]]]:
     """How many clones of node ``root`` (same neighbours) can be matched one
     after another on top of ``mate``, a matching of the other nodes (and
-    perhaps of ``root``), counting up to ``cap``?  Searches on a copy of
+    perhaps of ``root``), counting up to ``cap``?  Augments a copy of
     ``mate``.  Each success augments a maximum matching, so a count below
     the cap is exact, and it comes with the failed search's Hall witness: a
     set S containing root with |N(S)| = |S| + count - 1 when root is
     unmatched in ``mate``, |S| + count when it is matched."""
     trial = list(mate)
     for count in range(cap):
-        witness = _alternating_search(adj, trial, root)
-        if witness is not None:
-            return count, witness
+        free, missed = _augment(sets, trial, free, root)
+        if missed is not None:
+            return count, missed
     return cap, None
 
 
-def _clone_shortfall(adj: Sequence[Sequence[int]], mate: list[int], r: int) -> Optional[tuple[int, ...]]:
-    """Given a T1-saturating matching: the Hall witness of the first node of
-    which fewer than r clones fit on top, or None when every node takes r."""
-    for u in range(len(adj)):
-        witness = _fit_clones(adj, mate, u, r)[1]
-        if witness is not None:
-            return witness
+def _clone_misfit(sets: Sequence[int], mate: list[int], free: int) -> Optional[list[int]]:
+    """Given a T1-saturating matching: the Hall witness (|N(S)| = |S|) of the
+    first T1 node no clone of which fits on top, or None when every node
+    takes one.  A clone of u fits iff u's set meets ``good``, the T2 nodes
+    from which an alternating path leads to a free one.  It starts as the
+    free set, and the T1 nodes are walked in order: a node whose set meets
+    it adds its own T2 node, and any other runs one :func:`_search` for it,
+    whose whole path joins it on success."""
+    matched = [0] * len(sets)
+    for v, u in enumerate(mate):
+        if u >= 0:
+            matched[u] = v
+    good = free
+    for u, row in enumerate(sets):
+        if not row & good:
+            found, nodes = _search(sets, mate, good, u)
+            if not found:
+                return nodes
+            for v in nodes:
+                good |= 1 << v
+        good |= 1 << matched[u]
     return None
 
 
-def _defect_at_least(
-    indptr: np.ndarray, indices: np.ndarray, size_t2: int, r: int
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Matching-based exact test of |N(S)| >= |S| + r for all nonempty S, on a
-    CSR biadjacency, with a Hall witness.
+def _shortfall(sets: Sequence[int], size_t2: int, r: int) -> Optional[list[int]]:
+    """Exact test of |N(S)| >= |S| + r for every nonempty S ⊆ T1 (r >= 0):
+    None when it holds, else a set S (0-based) with |N(S)| < |S| + r.
 
-    Given a T1-saturating matching, node u survives r clones of itself being
-    matched iff no subset containing u is tighter than r.  One compiled base
-    matching decides r = 0 and one compiled strong-component pass decides
-    r = 1 for every node at once; only for r >= 2, or to name the Hall
-    witness of a node that fails, does an alternating search run, from that
-    node on a copy of the base matching.
-    """
+    A maximum matching decides r = 0, the walk of :func:`_clone_misfit`
+    decides r = 1, and for r >= 2 each node must take r clones on top."""
     if r < 0:
         raise ValueError("defect threshold must be nonnegative")
-    matched = _hopcroft_karp(indptr, indices, size_t2)
-    misfits = np.flatnonzero(_misfits(indptr, indices, size_t2, r, matched))
-    if misfits.size:
-        return False, _alternating_search(_tuples(indptr, indices), _mate(matched, size_t2), int(misfits[0]))
-    if r <= 1:
-        return True, None
-    witness = _clone_shortfall(_tuples(indptr, indices), _mate(matched, size_t2), r)
-    return witness is None, witness
+    mate, free, misses = _match(sets, size_t2)
+    if misses:
+        return next(iter(misses.values()))
+    if r == 0:
+        return None
+    if r == 1:
+        return _clone_misfit(sets, mate, free)
+    for u in range(len(sets)):
+        missed = _clones(sets, mate, free, u, r)[1]
+        if missed is not None:
+            return missed
+    return None
 
 
 def defect_at_least(g: BipartiteGraph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact boolean test ``expansion_defect(g) >= r`` (r >= 0) with witness.
 
-    Works on the graph's CSR and never builds ``g.adj``: one compiled
-    matching decides r = 0, and one compiled strong-component pass, linear in
-    the edges whatever the depth of the alternating paths, decides r = 1.  On
-    a failure the witness is a subset S with |N(S)| - |S| < r.
+    On a failure the witness is a subset S with |N(S)| - |S| < r.
     """
-    return _defect_at_least(g.indptr, g.indices, g.size_t2, r)
+    missed = _shortfall(_adj_sets(g.adj), g.size_t2, r)
+    return missed is None, None if missed is None else tuple(u + 1 for u in missed)
 
 
 def member_defect_at_least(member: np.ndarray, r: int) -> bool:
     """The verdict of :func:`defect_at_least` at r = 0 or r = 1 on the graph
     in which T1 node u + 1 sees T2 node v + 1 iff ``member[u, v]``, read
     from that ``(size_t1, size_t2)`` bool array (one Monte Carlo trial's
-    draw) with no graph and no scipy.
-
-    Each T1 node's T2 set is packed into one Python int, bit v for T2 node
-    v + 1, so each set operation below is word-parallel.  A greedy pass
-    matches each T1 node to its lowest free T2 node, and each node it leaves
-    unmatched gets one breadth-first alternating search, keyed by T2 index;
-    one that fails means no matching saturates T1, so the margin is below
-    0.  With T1 matched, the margin is 1 or more iff every T1 node reaches a
-    free T2 node by an alternating path (a clone of it then fits on top of
-    the matching).  Sweeps back from the free T2 nodes decide that: a node
-    that sees a marked T2 node is marked, and so is its mate, until a sweep
-    marks no node.  Each sweep is one AND per unmarked node, and a graph
-    takes one sweep more than the longest chain of marks that runs against
-    the node order.
-    """
+    draw) with no graph: the same test, on sets packed with
+    ``np.packbits``."""
     if r not in (0, 1):
         raise ValueError(f"member_defect_at_least decides r = 0 or r = 1, not {r}")
     if member.ndim != 2:
         raise ValueError("need one row of T2 membership per T1 node")
-    size_t1, size_t2 = member.shape
-    width = (size_t2 + 7) // 8
-    packed = np.packbits(member, axis=1, bitorder="little").tobytes()
-    sets = [int.from_bytes(packed[at : at + width], "little") for at in range(0, size_t1 * width, width)]
-    matching = _bitset_matching(member, sets)
-    if matching is None:
-        return False
-    if r == 0:
-        return True
-    matched, marked = matching
-    pending = range(size_t1)
-    while pending:
-        left = []
-        for u in pending:
-            if sets[u] & marked:
-                marked |= 1 << matched[u]
-            else:
-                left.append(u)
-        if len(left) == len(pending):
-            return False
-        pending = left
-    return True
-
-
-def _bitset_matching(member: np.ndarray, sets: Sequence[int]) -> Optional[tuple[list[int], int]]:
-    """A T1-saturating matching of the graph of :func:`member_defect_at_least`,
-    given its T2 sets packed as ints: per T1 node its 0-based T2 index, and
-    the bitset of the free T2 nodes; None when no matching saturates T1."""
-    matched = [-1] * len(sets)
-    mate = [-1] * member.shape[1]  # 0-based T2 index -> T1 node
-    free = (1 << member.shape[1]) - 1
-    unmatched = []
-    for u, row in enumerate(sets):
-        open_rows = row & free
-        if open_rows:
-            v = (open_rows & -open_rows).bit_length() - 1
-            matched[u], mate[v] = v, u
-            free ^= 1 << v
-        else:
-            unmatched.append(u)
-    for root in unmatched:
-        reached_from: dict[int, int] = {}  # T2 index -> T1 node that reached it
-        queue = [root]
-        for w in queue:
-            hit = sets[w] & free
-            if hit:
-                v = (hit & -hit).bit_length() - 1
-                free ^= 1 << v
-                # Flip the path: w takes v, and each node before it on the
-                # path takes the T2 node its successor was entered by.
-                while w >= 0:
-                    matched[w], v = v, matched[w]
-                    mate[matched[w]] = w
-                    w = reached_from[v] if v >= 0 else -1
-                break
-            for v in np.flatnonzero(member[w]).tolist():
-                if v not in reached_from:
-                    reached_from[v] = w
-                    queue.append(mate[v])
-        else:
-            return None
-    return matched, free
+    return _shortfall(_member_sets(member), member.shape[1], r) is None
 
 
 def degrees_prove_margin(
@@ -447,24 +343,27 @@ def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
 
     If a maximum matching of size ν leaves T1 nodes free, the defect is
     ν - |T1| (König), and the witness is every T1 node that an alternating
-    path reaches from a free one: one search from a virtual root that sees
-    every free node's neighbours.  Otherwise the defect is the least number
-    of clones that fit on top of the matching, over all T1 nodes.  The
-    strong-component pass of :func:`defect_at_least` finds a node that takes
-    none; if there is none, one pass counts each node's clones on a copy of
-    the base matching, stopping at the least count so far, and the witness
-    is the Hall set of the search that set the final least count.
+    path reaches from a free one: one search from a virtual root whose set
+    is the union of the free nodes' sets.  Otherwise the defect is the least
+    number of clones that fit on top of the matching, over all T1 nodes.
+    The walk of :func:`_clone_misfit` finds a node that takes none; if there
+    is none, one pass counts each node's clones on a copy of the matching,
+    stopping at the least count so far, and the witness is the Hall set of
+    the search that set the final least count.
     """
-    matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
-    mate = _mate(matched, g.size_t2)
-    free = np.flatnonzero(matched < 0).tolist()
-    if free:
-        root = tuple(itertools.chain.from_iterable(g.adj[u] for u in free))
-        reached = _alternating_search(g.adj + (root,), mate, g.size_t1)
-        return -len(free), tuple(sorted({u + 1 for u in free}.union(reached[:-1])))
-    misfits = np.flatnonzero(_misfits(g.indptr, g.indices, g.size_t2, 1, matched))
-    if misfits.size:
-        return 0, _alternating_search(g.adj, mate, int(misfits[0]))
+    sets = _adj_sets(g.adj)
+    mate, free, misses = _match(sets, g.size_t2)
+    if misses:
+        root = 0
+        for u in misses:
+            root |= sets[u]
+        # The search fails (the matching is maximum); the virtual root,
+        # node size_t1, sorts last among the nodes it reached.
+        reached = _search([*sets, root], mate, free, g.size_t1)[1]
+        return -len(misses), tuple(sorted({u + 1 for u in misses}.union(w + 1 for w in reached[:-1])))
+    missed = _clone_misfit(sets, mate, free)
+    if missed is not None:
+        return 0, tuple(u + 1 for u in missed)
     # Every node takes one clone, so the pass can stop at a count of 1, and
     # none takes more than size_t2 - size_t1, so the first node sets a count
     # and a witness.
@@ -472,9 +371,9 @@ def expansion_defect(g: BipartiteGraph) -> tuple[int, tuple[int, ...]]:
     for u in range(g.size_t1):
         if best == 1:
             break
-        count, found = _fit_clones(g.adj, mate, u, best)
-        if found is not None:
-            best, witness = count, found
+        count, missed = _clones(sets, mate, free, u, best)
+        if missed is not None:
+            best, witness = count, tuple(w + 1 for w in missed)
     return best, witness
 
 
@@ -508,29 +407,38 @@ def _thin(g: BipartiteGraph, r: int, s0: Optional[frozenset[int]] = None) -> Bip
     minimal graph is that matching alone, of degree 1.
     """
     # One view of the graph per property: the whole graph, whose matching
-    # must take r + 1 clones of u, and its part inside S0, which must match u.
-    views = [(list(g.adj), r + 1)]
+    # must take r + 1 clones of u, and its part inside S0, which must match
+    # u.  Deleting an edge clears one bit of u's set in every view.
+    kept = _adj_sets(g.adj)
+    views, copies = [kept], [r + 1]
     if s0 is not None:
-        views.append(([tuple(v for v in nbrs if v in s0) for nbrs in g.adj], 1))
-    mates = [_mate(_hopcroft_karp(*_csr(adj), g.size_t2), g.size_t2) for adj, _ in views]
-    kept = views[0][0]
-    for u, nbrs in enumerate(g.adj):
-        for mate in mates:
-            for v in nbrs:
-                if mate[v] == u:
-                    mate[v] = -1
-        for v in nbrs:
-            if len(kept[u]) == r + 1:
-                break
-            rows = [adj[u] for adj, _ in views]
-            for adj, _ in views:
-                adj[u] = tuple(w for w in adj[u] if w != v)
-            if not all(_fit_clones(adj, mate, u, copies)[0] == copies for (adj, copies), mate in zip(views, mates)):
-                for (adj, _), row in zip(views, rows):
-                    adj[u] = row
-        for (adj, _), mate in zip(views, mates):
-            _alternating_search(adj, mate, u)
-    return BipartiteGraph(size_t1=g.size_t1, size_t2=g.size_t2, adj=kept)
+        inside = sum(1 << (v - 1) for v in s0)
+        views.append([row & inside for row in kept])
+        copies.append(1)
+    mates, frees = [], []
+    for view in views:
+        mate, free, _ = _match(view, g.size_t2)
+        mates.append(mate)
+        frees.append(free)
+    for u in range(g.size_t1):
+        for k, mate in enumerate(mates):
+            v = mate.index(u)
+            mate[v] = -1
+            frees[k] |= 1 << v
+        edges = kept[u]
+        while edges and kept[u].bit_count() > r + 1:
+            bit = edges & -edges
+            edges ^= bit
+            rows = [view[u] for view in views]
+            for view in views:
+                view[u] &= ~bit
+            if any(_clones(view, mate, free, u, c)[0] < c for view, mate, free, c in zip(views, mates, frees, copies)):
+                for view, row in zip(views, rows):
+                    view[u] = row
+        for k, (view, mate) in enumerate(zip(views, mates)):
+            frees[k] = _augment(view, mate, frees[k], u)[0]
+    adj = [tuple(v for v in nbrs if kept[u] >> (v - 1) & 1) for u, nbrs in enumerate(g.adj)]
+    return BipartiteGraph(size_t1=g.size_t1, size_t2=g.size_t2, adj=adj)
 
 
 def generalized_hall_subgraph(g: BipartiteGraph, r: int) -> BipartiteGraph:
@@ -557,7 +465,8 @@ def lemma_match_subgraph(g: BipartiteGraph, r: int, s0: Sequence[int]) -> Bipart
         raise HallPreconditionError(f"S0 label {outside[0]} is outside 1..{g.size_t2}")
     if len(s0) != g.size_t1:
         raise HallPreconditionError("S0 must have exactly one node per T1 node")
-    ok, witness = _defect_at_least(*_csr([tuple(v for v in nbrs if v in s0) for nbrs in g.adj]), g.size_t2, 0)
+    inside = BipartiteGraph(g.size_t1, g.size_t2, [tuple(v for v in nbrs if v in s0) for nbrs in g.adj])
+    ok, witness = defect_at_least(inside, 0)
     if not ok:
         raise HallPreconditionError("some subset has too few S0-neighbors", witness=witness)
     ok, witness = defect_at_least(g, r)

@@ -45,11 +45,12 @@ Each trial it leaves open is decided exactly at r = 1 or r = 0 by
 ``hallgraph.member_defect_at_least`` on that trial's slice of the membership
 array: a matching that loops over the columns in Python, with each column's
 rows packed into one int so that every set operation is word-parallel, and
-for r = 1 sweeps back from the free rows.  No graph is built and scipy is
-never loaded.  The picks and the membership array of a chunk hold at most
-``_DRAW_BYTES`` bytes (or one trial's), so memory stays bounded whatever the
-trial count; ``sample_column_graph`` is the chunk of one trial, so the draws
-do not depend on the chunking.
+for r = 1 one walk that grows the set of rows from which an alternating path
+reaches a free row.  No graph is built and scipy is never loaded.  The picks
+and the membership array of a chunk hold at most ``_DRAW_BYTES`` bytes (or
+one trial's), so memory stays bounded whatever the trial count;
+``sample_column_graph`` is the chunk of one trial, so the draws do not
+depend on the chunking.
 """
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ from tensorcert.assumptions import (
     SelectionNotFoundError,
     TSelection,
     _greedy_candidate,
+    _seed_order,
     check_Aj,
     check_Aj_plus,
     check_Bj,
@@ -27,6 +28,8 @@ from tensorcert.core import SamplingPattern, Shape
 from tensorcert.geometry import RANK_POINT_SEED, RankSpec, factor_offsets, pattern_index, reaches_rank_mod_p
 from tensorcert.montecarlo import sample_pattern
 from tensorcert.oracle import generate_instance, jacobian_rank
+
+from test_hallgraph import alternating_search_reference
 
 
 def hull_weights(spec: RankSpec, plus: bool) -> tuple[int, ...]:
@@ -63,6 +66,35 @@ def reference_greedy(shape: Shape, spec: RankSpec, plus: bool, order):
             if len(chosen) == needed:
                 return tuple(chosen)
     return None
+
+
+def slot_labels(shape: Shape, spec: RankSpec, plus: bool, entries) -> tuple[list[list[int]], int]:
+    """Per entry its hull-screen slot labels, numbered from 1: value x of
+    trailing dimension s owns w_s consecutive labels.  Also the label count
+    plus one, the length of a matching indexed by label."""
+    weights = hull_weights(spec, plus)
+    starts = list(itertools.accumulate((n * w for n, w in zip(spec.tail_dims(shape), weights)), initial=1))
+    labels = [
+        [start + (x - 1) * w + k for start, w, x in zip(starts, weights, c[spec.j :]) for k in range(w)]
+        for c in entries
+    ]
+    return labels, starts[-1]
+
+
+def reference_screen(shape: Shape, spec: RankSpec, plus: bool, entries):
+    """The screen and the selection greedy as the breadth-first search over
+    label lists ran them: the positions that pass in turn, up to the
+    selection size, and the minimal hull of the first entry that fails."""
+    adj, size = slot_labels(shape, spec, plus, entries)
+    mate = [-1] * size
+    kept, first_hull = [], None
+    for u in range(len(entries)):
+        witness = alternating_search_reference(adj, mate, u)
+        if witness is None:
+            kept.append(u)
+        elif first_hull is None:
+            first_hull = minimal_hull(spec.j, [entries[w - 1] for w in witness])
+    return kept, first_hull
 
 
 def greedy_over(pattern: SamplingPattern, spec: RankSpec, plus: bool, order):
@@ -185,6 +217,36 @@ class TestHullCondition:
                 assert ours == reference_greedy(shape, spec, plus, order)
                 found += ours is not None
         assert found
+
+    def test_packed_search_keeps_reference_positions_and_witnesses(self):
+        """On seeded random patterns and entry orders, the greedy keeps
+        exactly the positions the breadth-first search over label lists
+        kept, and the screen returns the same first overdrawn hull, which
+        holds more entries than its budget."""
+        cases = HULL_CASES + [
+            ((3, 6, 6), RankSpec(j=1, ranks=(2, 2))),
+            ((3, 3, 12, 12), RankSpec(j=2, ranks=(2, 1))),
+        ]
+        rng = random.Random(97)
+        kinds = set()
+        for _ in range(120):
+            dims, spec = rng.choice(cases)
+            shape, plus = Shape(dims=dims), rng.random() < 0.5
+            pattern = sample_pattern(shape, rng.choice([0.2, 0.5, 0.9]), seed=rng.randrange(2**32))
+            if not pattern.num_observed:
+                continue
+            order = _seed_order(pattern, rng.randrange(4))
+            entries = [pattern.observed[p] for p in order]
+            kept, hull = reference_screen(shape, spec, plus, entries)
+            needed = selection_size(shape, spec, plus)
+            expected = tuple(order[u] for u in kept[:needed]) if len(kept) >= needed else None
+            assert _greedy_candidate(pattern, spec, plus, order) == expected
+            ok, witness = hull_condition(shape, spec, entries, plus)
+            assert (ok, witness) == (hull is None, hull)
+            if witness is not None:
+                assert witness.count(entries) > witness.budget(hull_weights(spec, plus))
+            kinds.add((expected is None, ok))
+        assert kinds == {(True, True), (True, False), (False, False)}
 
     @pytest.mark.parametrize("dims,p", [((2, 10, 10), 0.3), ((10, 10, 10), 0.07)])
     def test_large_trailing_dims_decided(self, dims, p):

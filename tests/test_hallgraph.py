@@ -11,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from tensorcert.hallgraph import (
     BipartiteGraph,
     HallPreconditionError,
-    _alternating_graph,
-    _clone_fits,
-    _hopcroft_karp,
+    _adj_sets,
+    _augment,
+    _clone_misfit,
+    _clones,
+    _match,
+    _member_sets,
     defect_at_least,
     degrees_prove_margin,
     expansion_defect,
@@ -24,6 +27,8 @@ from tensorcert.hallgraph import (
     member_defect_at_least,
 )
 from tensorcert.montecarlo import _draw_members
+
+from test_acceptance import Budget
 
 
 def brute_matching_size(g: BipartiteGraph) -> int:
@@ -50,6 +55,33 @@ def brute_defect(g: BipartiteGraph) -> int:
             if best is None or value < best:
                 best = value
     return best
+
+
+def alternating_search_reference(adj, mate: list[int], root: int) -> Optional[tuple[int, ...]]:
+    """Reference: the breadth-first alternating search over 1-based neighbour
+    tuples that the packed depth-first search replaced.  On success it flips
+    the path into ``mate`` (T2 label -> T1 node, -1 when free) and returns
+    None; on failure it returns the Hall witness, root plus the mates of
+    every T2 node reached, 1-based."""
+    reached_from: dict[int, int] = {}  # T2 label -> T1 node that reached it
+    via = {root: 0}  # T1 node -> T2 label it was entered through (0 for root)
+    queue = [root]
+    for w in queue:
+        for v in adj[w]:
+            if v in reached_from:
+                continue
+            reached_from[v] = w
+            m = mate[v]
+            if m < 0:
+                while v:
+                    w = reached_from[v]
+                    mate[v] = w
+                    v = via[w]
+                return None
+            if m not in via:
+                via[m] = v
+                queue.append(m)
+    return tuple(sorted(w + 1 for w in via))
 
 
 def kuhn_matching_size(adj: list[tuple[int, ...]]) -> int:
@@ -109,8 +141,8 @@ class TestBipartiteGraph:
 
     def test_array_rows_equal_tuple_graph(self):
         """Unsorted rows and the same rows sorted (the drawn case, which
-        skips the sort) build the tuple graph's CSR, and the caller's array
-        is left as it was."""
+        skips the sort) build the tuple graph, and the caller's array is
+        left as it was."""
         rng = np.random.default_rng(5)
         for n1, n2, degree in [(1, 1, 1), (6, 9, 4), (5, 3, 3), (4, 7, 0)]:
             rows = np.stack([rng.permutation(n2)[:degree] + 1 for _ in range(n1)])
@@ -120,7 +152,6 @@ class TestBipartiteGraph:
                 from_array = BipartiteGraph(size_t1=n1, size_t2=n2, adj=adj)
                 assert from_array == from_tuples
                 assert hash(from_array) == hash(from_tuples)
-                assert from_array.indices.tolist() == from_tuples.indices.tolist()
                 assert all(type(v) is int for nbrs in from_array.adj for v in nbrs)
             assert (rows == given).all()
 
@@ -141,33 +172,32 @@ class TestBipartiteGraph:
             BipartiteGraph(size_t1=3, size_t2=3, adj=np.array([[1, 2], [2, 3]]))
 
     def test_zero_width_array(self):
-        """Columns that observe no row: an empty CSR, no matching, and a
+        """Columns that observe no row: empty sets, no matching, and a
         failed defect test whose witness is the first column."""
         g = BipartiteGraph(size_t1=3, size_t2=4, adj=np.zeros((3, 0), dtype=np.int64))
-        assert g.indptr.tolist() == [0, 0, 0, 0] and g.indices.size == 0
         assert g.adj == ((), (), ())
+        assert _adj_sets(g.adj) == [0, 0, 0]
         assert max_matching(g) == (0, ())
         for r in range(3):
             assert defect_at_least(g, r) == (False, (1,))
 
-    def test_csr_matches_neighbor_lists(self):
-        g = BipartiteGraph(size_t1=3, size_t2=5, adj=((5, 1), (), (2, 2, 4)))
-        assert g.indptr.tolist() == [0, 2, 2, 4]
-        assert g.indices.tolist() == [0, 4, 1, 3]
+    def test_packed_sets_match_neighbor_lists(self):
+        """Both packers set bit v - 1 for T2 node v: from the neighbour
+        lists, and from the membership array the Monte Carlo trials read."""
+        g = BipartiteGraph(size_t1=3, size_t2=9, adj=((5, 1, 9), (), (2, 2, 4)))
+        assert _adj_sets(g.adj) == [0b100010001, 0, 0b1010]
+        assert _member_sets(membership(g)) == _adj_sets(g.adj)
 
     @pytest.mark.parametrize("adj", [((1, 2), (2, 3)), np.array([[1, 2], [2, 3]])])
     def test_immutable(self, adj):
-        """Neither the sizes nor the CSR can change under the cached ``adj``
-        that equality and hashing read."""
+        """Neither the sizes nor ``adj``, which equality and hashing read,
+        can change."""
         g = BipartiteGraph(size_t1=2, size_t2=3, adj=adj)
-        for name in ("size_t1", "size_t2", "indptr", "indices", "_adj"):
+        for name in ("size_t1", "size_t2", "adj"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
             with pytest.raises(AttributeError):
                 delattr(g, name)
-        for arr in (g.indptr, g.indices):
-            with pytest.raises(ValueError):
-                arr[0] = 1
         assert g.adj == ((1, 2), (2, 3))
         assert pickle.loads(pickle.dumps(g)) == g
 
@@ -273,8 +303,7 @@ class TestExpansionDefect:
         assert expansion_defect(g) == (n, tuple(range(1, n + 1)))
 
     def test_exact_value_on_large_staircase(self):
-        n = 5000
-        g = BipartiteGraph(size_t1=n, size_t2=n + 2, adj=tuple((i + 1, i + 2) for i in range(1, n + 1)))
+        g = staircase(5000)
         defect, witness = expansion_defect(g)
         assert defect == 1
         assert witness_margin(g, witness) == 1
@@ -285,10 +314,11 @@ class TestExpansionDefect:
         g = BipartiteGraph(size_t1=4, size_t2=5, adj=((1,), (1, 2), (2,), (3, 4, 5)))
         assert expansion_defect(g) == (-1, (1, 2, 3))
 
-    def test_large_staircase_needs_no_recursion(self):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_large_staircase_needs_no_recursion(self, reverse):
         # T1 node i sees T2 nodes i+1 and i+2, so the defect is exactly 1.
         n = 5000
-        g = BipartiteGraph(size_t1=n, size_t2=n + 2, adj=tuple((i + 1, i + 2) for i in range(1, n + 1)))
+        g = staircase(n, reverse)
         size, pairs = max_matching(g)
         assert size == n
         assert all(v in g.adj[u - 1] for u, v in pairs)
@@ -300,22 +330,38 @@ class TestExpansionDefect:
         assert witness_margin(g, witness) < 2
 
 
+def staircase(n: int, reverse: bool = False) -> BipartiteGraph:
+    """T1 node i (i = 1..n) sees T2 nodes i + 1 and i + 2: margin exactly 1.
+    ``reverse`` lists the T1 nodes from n down to 1."""
+    adj = [(i + 1, i + 2) for i in range(1, n + 1)]
+    return BipartiteGraph(size_t1=n, size_t2=n + 2, adj=adj[::-1] if reverse else adj)
+
+
 def clone_fits_reference(g: BipartiteGraph) -> list[bool]:
     """Per T1 node: does a matching still saturate T1 plus one copy of it?"""
     return [kuhn_matching_size(list(g.adj) + [g.adj[u]]) == g.size_t1 + 1 for u in range(g.size_t1)]
 
 
 class TestCloneFits:
-    """The r = 1 clone-fit set, read off one strong-component pass, equals the
-    per-node augmenting-path reference on every kind of graph it sees."""
+    """The r = 1 clone-fit set, one clone counted per node on the base
+    matching, equals the per-node augmenting-path reference on every kind
+    of graph it sees, and the r = 1 walk fails exactly when a node is left
+    out, naming a tight set through the first one."""
 
     @staticmethod
     def fits(g: BipartiteGraph) -> Optional[list[bool]]:
         """The clone-fit set, or None when no matching saturates T1."""
-        matched = _hopcroft_karp(g.indptr, g.indices, g.size_t2)
-        if (matched < 0).any():
+        sets = _adj_sets(g.adj)
+        mate, free, misses = _match(sets, g.size_t2)
+        if misses:
             return None
-        return _clone_fits(_alternating_graph(g.indptr, g.indices, matched, g.size_t2), g.size_t1).tolist()
+        fits = [_clones(sets, mate, free, u, 1)[0] == 1 for u in range(g.size_t1)]
+        misfit = _clone_misfit(sets, mate, free)
+        assert (misfit is None) == all(fits)
+        if misfit is not None:
+            assert fits.index(False) in misfit
+            assert witness_margin(g, tuple(u + 1 for u in misfit)) == 0
+        return fits
 
     def check(self, g: BipartiteGraph) -> bool:
         fits = self.fits(g)
@@ -358,6 +404,34 @@ class TestCloneFits:
         g = BipartiteGraph(size_t1=n + 3, size_t2=n + 4, adj=linked)
         assert self.check(g)
         assert all(self.fits(g))
+
+
+class TestAugment:
+    """One packed depth-first search serves every matching.  Augmenting T1
+    nodes one by one, in order, matches the same nodes as the breadth-first
+    reference it replaced and names the same witnesses: the nodes matched
+    before a failure are the same, and the failed search reaches exactly
+    the nodes that could trade places with it, whatever the matching."""
+
+    def test_agrees_with_breadth_first_reference(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(300):
+            n1 = rng.randint(1, 30)
+            n2 = max(1, n1 + rng.randint(-3, 3))
+            adj = tuple(tuple(rng.sample(range(1, n2 + 1), rng.randint(0, min(n2, 4)))) for _ in range(n1))
+            g = BipartiteGraph(size_t1=n1, size_t2=n2, adj=adj)
+            sets, mate, free = _adj_sets(g.adj), [-1] * n2, (1 << n2) - 1
+            reference = [-1] * (n2 + 1)
+            for u in range(n1):
+                free, missed = _augment(sets, mate, free, u)
+                expected = alternating_search_reference(g.adj, reference, u)
+                assert (None if missed is None else tuple(w + 1 for w in missed)) == expected, (adj, u)
+                outcomes.add(missed is None)
+            assert all(u < 0 or v + 1 in g.adj[u] for v, u in enumerate(mate))
+            assert free == sum(1 << v for v, u in enumerate(mate) if u < 0)
+            assert sorted(u for u in mate if u >= 0) == sorted(u for u in reference[1:] if u >= 0)
+        assert outcomes == {True, False}
 
 
 def membership(g: BipartiteGraph) -> np.ndarray:
@@ -411,7 +485,6 @@ class TestMemberDefect:
     """The word-parallel test on a membership array agrees exactly with
     :func:`defect_at_least` at r = 0 and r = 1."""
 
-    # The first example loads scipy.
     @settings(deadline=None, max_examples=300)
     @given(st.one_of(drawn_trials(), chains()))
     def test_agrees_with_defect_at_least(self, g):
@@ -456,6 +529,21 @@ class TestMemberDefect:
         assert [member_defect_at_least(membership(g), 0) for g in (loose, tight)] == [True, True]
         assert [member_defect_at_least(membership(g), 1) for g in (loose, tight)] == [True, False]
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_staircase_takes_linear_time(self, reverse):
+        """The greedy matching of the staircase leaves T2 nodes 1 and n + 2
+        free.  In T1 order each node's only alternating path to a free node
+        runs up the rest of the chain: the r = 1 walk's first search marks
+        the whole chain at once, where a sweep of marks in node order would
+        take one pass per link, quadratic in n.  In reverse order each node
+        meets the mark the one before it left."""
+        g = staircase(3000, reverse)
+        member = membership(g)
+        with Budget(0.25):
+            for r in (0, 1):
+                assert member_defect_at_least(member, r)
+                assert defect_at_least(g, r) == (True, None)
+
     @pytest.mark.parametrize("r", [-1, 2])
     def test_rejects_other_thresholds(self, r):
         with pytest.raises(ValueError, match="r = 0 or r = 1"):
@@ -499,7 +587,6 @@ def complete(x: int, y: int) -> BipartiteGraph:
 class TestDegreesProveMargin:
     """The degree bound only ever proves a margin the exact tests confirm."""
 
-    # The first example loads scipy.
     @settings(deadline=None)
     @given(dense_blocks())
     def test_never_claims_a_failing_block(self, case):

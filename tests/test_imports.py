@@ -61,11 +61,17 @@ def test_check_sees_unused_and_used_names():
 
 # Runs in a fresh interpreter: prints the scipy modules loaded after the
 # numpy-only commands (a dense proper1 simulation among them), then after a
-# sparse proper1 simulation, whose trials reach the exact decision.
+# sparse proper1 simulation, whose trials reach the exact decision, then
+# after every matching function of the graph API.
 _STARTUP_PROBE = """
 import json, sys
 import tensorcert, tensorcert.cli
 from tensorcert.cli import main
+from tensorcert.hallgraph import (
+    BipartiteGraph, defect_at_least, expansion_defect, generalized_hall_subgraph,
+    lemma_match_subgraph, lemma_omega_transform, max_matching,
+)
+from tensorcert.montecarlo import sample_column_graph
 pattern, out = sys.argv[1], sys.argv[2]
 runs = [
     ["check-finite", pattern, "--rank", "1,2", "--j", "1"],
@@ -81,10 +87,23 @@ codes = [main([*argv, "--out", out]) for argv in runs]
 scipy_after_numpy_only = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 codes.append(main(["simulate", "--dims", "8,4", "--property", "proper1", "--trials", "4",
                    "--per-column-l", "3", "--out", out]))
+scipy_after_simulate = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+g = BipartiteGraph(size_t1=3, size_t2=4, adj=((1, 2), (2, 3), (3, 4)))
+graph_results = [
+    max_matching(g)[0],
+    [defect_at_least(g, r)[0] for r in (0, 1, 2)],
+    expansion_defect(g),
+    generalized_hall_subgraph(g, 1).adj,
+    lemma_match_subgraph(g, 1, (1, 2, 3)).adj,
+    [sorted(c) for c in lemma_omega_transform([(1, 2, 3), (2, 3, 4), (1, 3, 4)], 4, 1)],
+    sample_column_graph(8, 7, 3, seed=5).size_t1,
+]
 print(json.dumps({
     "codes": codes,
     "before": scipy_after_numpy_only,
-    "after": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "after": scipy_after_simulate,
+    "graph": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "graph_results": graph_results,
 }))
 """
 
@@ -94,7 +113,8 @@ def test_scipy_loaded_only_where_called(tmp_path):
     pay for loading scipy; only the least-squares enumerator may load it.  A
     dense proper1 run, whose every trial the degree bound proves, decides no
     trial on its graph; a sparse one (8x4, l = 3) decides every trial
-    exactly, and loads no scipy either."""
+    exactly, and loads no scipy either; nor does any matching function of
+    the graph API."""
     pattern = tmp_path / "full.json"
     write_pattern(SamplingPattern.full((3, 3, 3)), pattern)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -107,3 +127,5 @@ def test_scipy_loaded_only_where_called(tmp_path):
     assert seen["codes"] == [0] * 7
     assert seen["before"] == [], f"numpy-only commands loaded {seen['before']}"
     assert seen["after"] == [], f"the sparse proper1 simulation loaded {seen['after']}"
+    assert seen["graph_results"][:3] == [3, [True, True, False], [1, [1]]]
+    assert seen["graph"] == [], f"the graph API loaded {seen['graph']}"
