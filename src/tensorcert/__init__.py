@@ -14,8 +14,8 @@ from .core import (
     unfold_index,
     write_pattern,
 )
-from .geometry import RankSpec, canonical_structure, core_dim, manifold_dim
-from .assumptions import check_Aj, check_Aj_plus, check_Bj, minimal_hull
+from .geometry import RankSpec, canonical_structure, check_Bj, core_dim, manifold_dim
+from .assumptions import check_Aj, check_Aj_plus, minimal_hull
 from .constraint import ConstraintMatrix, build_constraint, m_count
 from .hallgraph import (
     BipartiteGraph,

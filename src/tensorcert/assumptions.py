@@ -38,6 +38,10 @@ trailing columns, whenever a reduced row is nonzero there, so the same
 pushes find the factor basis and leave the echelon of the selection's rows,
 which the certifier's witness search starts from instead of pushing the
 designated rows again.
+
+The ranks' fit to the shape is checked before all this, in ``geometry``
+(:func:`~tensorcert.geometry.check_fits`), next to ``RankSpec``; its
+``AssumptionError`` and ``check_Bj`` are re-exported here.
 """
 from __future__ import annotations
 
@@ -49,9 +53,11 @@ from .core import Coord, SamplingPattern, Shape, unfolding_indices
 from .geometry import (
     RANK_POINT_SEED,
     RANK_PRIME,
+    AssumptionError,
     ModEchelon,
     RankSpec,
     _slot_sets,
+    check_Bj,
     factor_offsets,
     pattern_index,
     reaches_rank_mod_p,
@@ -74,10 +80,6 @@ __all__ = [
     "find_T_selection",
     "selection_echelon",
 ]
-
-
-class AssumptionError(ValueError):
-    """A structural precondition on the pattern/ranks is violated."""
 
 
 class SelectionInfeasibleError(AssumptionError):
@@ -232,12 +234,6 @@ def check_Aj_plus(pattern: SamplingPattern, spec: RankSpec, selection: TSelectio
     uniqueness): the larger selection must satisfy the weighted counting
     screen and still pin the factors in the generic-rank sense."""
     return _check_admissible(pattern, spec, selection, plus=True)
-
-
-def check_Bj(shape: Shape, spec: RankSpec) -> bool:
-    """Row budget for the gauge blocks: N_j >= sum of trailing ranks."""
-    spec.check_shape(shape)
-    return shape.head_size(spec.j) >= spec.sum_ranks
 
 
 def _selection_size(shape: Shape, spec: RankSpec, plus: bool) -> int:

@@ -59,18 +59,18 @@ import numpy as np
 
 from .core import Coord, SamplingPattern, Shape, unflatten_index
 from .geometry import (
+    AssumptionError,
     ModEchelon,
     RankSpec,
+    check_fits,
     core_dim,
     factor_offsets,
     pattern_index,
     reaches_rank_mod_p,
 )
 from .assumptions import (
-    AssumptionError,
     TSelection,
     _check_observed_count,
-    check_Bj,
     find_T_selection,
     selection_echelon,
 )
@@ -370,15 +370,6 @@ def _finite_search(
     yield from _witness_solutions(masks, order, n, counts, WITNESS_NODE_BUDGET, (echelon, free, slack))
 
 
-def _check_assumptions(pattern: SamplingPattern, spec: RankSpec) -> None:
-    spec.check_shape(pattern.shape)
-    for n, r in zip(spec.tail_dims(pattern.shape), spec.ranks):
-        if r > n:
-            raise AssumptionError(f"rank component {r} exceeds dimension {n}")
-    if not check_Bj(pattern.shape, spec):
-        raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
-
-
 def _selections(
     pattern: SamplingPattern, spec: RankSpec, mode: str, seed: int
 ) -> Iterator[tuple[TSelection, ModEchelon]]:
@@ -404,7 +395,7 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     same GF(p) point decides: short of the target, the verdict is
     "not-finite" at once; at the target, the other selections are searched,
     and "finite" comes without witness columns if none yields one."""
-    _check_assumptions(pattern, spec)
+    check_fits(pattern.shape, spec)
     _check_observed_count(pattern, spec, plus=False)
     return _certify_finite(pattern, spec, seed)
 
@@ -473,7 +464,7 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     :func:`certify_finite`, and only when it is "finite" are the ``A+``
     selections searched for a disjoint witness pair, with the finite
     search's masks and column order."""
-    _check_assumptions(pattern, spec)
+    check_fits(pattern.shape, spec)
     _check_observed_count(pattern, spec, plus=True)
     n0 = pattern.shape.head_size(spec.j) - spec.sum_sq // spec.product
     selections = _selections(pattern, spec, "A+", seed)

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .core import SamplingPattern, Shape, _int_list, read_pattern
-from .geometry import RankSpec
-from .assumptions import AssumptionError
+from .geometry import AssumptionError, RankSpec
 from .bounds import CurveConfig, emit_curves
 from .certifier import certify_finite, certify_unique
 from .montecarlo import TrialConfig, estimate

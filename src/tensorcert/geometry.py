@@ -6,6 +6,11 @@ rank components ``r_{j+1}..r_d`` are prescribed.  The core's ``j``-unfolding has
 ``N_j = n_1 * ... * n_j`` rows and ``R = prod r_i`` columns; fixing the gauge
 pins an identity block per trailing dimension inside that unfolding, which is
 what :func:`canonical_structure` lays out and what :meth:`RankSpec.g` counts.
+The ranks fit the shape when each is at most its dimension and the blocks'
+rows fit the unfolding (N_j >= sum r_i, :func:`check_Bj`); :func:`check_fits`
+refuses any other spec with an :class:`AssumptionError`, and every entry
+point that takes a spec (both certificates, the oracle's instances and
+:func:`canonical_structure`) calls it.
 
 The observed entries are polynomials in the core and factor entries, which
 have one layout, :func:`factor_offsets`'; the oracle's unknowns are a column
@@ -39,10 +44,10 @@ import numpy as np
 from .core import Coord, SamplingPattern, Shape, unfolding_indices
 
 __all__ = [
-    "RankSpec", "StructureBlock", "ProperStructure", "manifold_dim", "core_dim", "canonical_structure",
-    "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms", "layout_columns", "probe_point",
-    "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "ModEchelon", "reaches_rank_mod_p",
-    "PatternIndex", "pattern_index",
+    "RankSpec", "AssumptionError", "check_Bj", "check_fits", "StructureBlock", "ProperStructure", "manifold_dim",
+    "core_dim", "canonical_structure", "rank_strides", "factor_offsets", "unfolding_indices", "tucker_terms",
+    "layout_columns", "probe_point", "unreduced_jacobian", "RANK_PRIME", "RANK_POINT_SEED", "ModEchelon",
+    "reaches_rank_mod_p", "PatternIndex", "pattern_index",
 ]
 
 # The largest prime below 2**28.  Residues multiply within int64, and 128
@@ -122,6 +127,27 @@ class RankSpec:
         return shape.dims[self.j:]
 
 
+class AssumptionError(ValueError):
+    """A structural precondition on the pattern/ranks is violated."""
+
+
+def check_Bj(shape: Shape, spec: RankSpec) -> bool:
+    """Row budget for the gauge blocks: N_j >= sum of trailing ranks."""
+    spec.check_shape(shape)
+    return shape.head_size(spec.j) >= spec.sum_ranks
+
+
+def check_fits(shape: Shape, spec: RankSpec) -> None:
+    """Refuse, with an :class:`AssumptionError`, trailing ranks that do not
+    fit the shape: a rank component above its dimension, or too few
+    unfolding rows for the gauge blocks (:func:`check_Bj`)."""
+    for n, r in zip(spec.tail_dims(shape), spec.ranks):
+        if r > n:
+            raise AssumptionError(f"rank component {r} exceeds dimension {n}")
+    if not check_Bj(shape, spec):
+        raise AssumptionError("unfolding has fewer rows than the sum of trailing ranks")
+
+
 def manifold_dim(shape: Shape, full_ranks: Sequence[int]) -> int:
     """Dimension of the manifold of tensors with the full Tucker rank vector."""
     ranks = tuple(int(r) for r in full_ranks)
@@ -184,13 +210,9 @@ class ProperStructure:
 def canonical_structure(shape: Shape, spec: RankSpec) -> ProperStructure:
     """The fixed identity-block layout: block for dimension i occupies rows
     ``1 + sum_{s<i} r_s .. sum_{s<=i} r_s`` and the columns whose coordinate is
-    1 everywhere except in slot i."""
-    spec.check_shape(shape)
-    n_rows = shape.head_size(spec.j)
-    if n_rows < spec.sum_ranks:
-        raise ValueError(
-            f"cannot place {spec.sum_ranks} disjoint block rows in {n_rows} unfolding rows"
-        )
+    1 everywhere except in slot i.  Refuses a spec that does not
+    :func:`check_fits` the shape."""
+    check_fits(shape, spec)
     blocks = []
     offset = 0
     for slot, r in enumerate(spec.ranks):

@@ -9,7 +9,8 @@ greedy pass deletes every edge whose loss keeps the margin, tested by
 matching r + 1 clones of its T1 node on top of a matching of the others; the
 result is inclusion-minimal, and minimality forces degree r + 1.
 
-A graph keeps only its neighbour lists.  Every matching runs on one
+A graph is a frozen dataclass that keeps only its sizes and its neighbour
+lists, normalized from any iterable of rows.  Every matching runs on one
 primitive, :func:`_search`: an iterative depth-first alternating search over
 the T2 sets packed into Python ints (bit v - 1 for T2 node v), so each step
 is one word-parallel AND and no search recurses on the size of the graph.
@@ -29,6 +30,7 @@ membership array, packed row by row.  The module loads numpy alone.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -54,61 +56,27 @@ class HallPreconditionError(ValueError):
         self.witness = witness
 
 
+@dataclass(frozen=True)
 class BipartiteGraph:
     """Adjacency from T1 nodes (1..size_t1) to T2 nodes (1..size_t2): ``adj``
     holds each T1 node's neighbours as a sorted, duplicate-free tuple of ints.
 
-    Neighbour lists may be given in any order and with repeats; a 2-D integer
-    array (one row per T1 node, all of one degree) is checked in one pass
-    instead and must not repeat a neighbour within a row.  A graph is
-    immutable: its attributes cannot be reassigned."""
+    ``adj`` may be given as any iterable of neighbour rows, a 2-D integer
+    array included, each row in any order and with repeats."""
 
-    __slots__ = ("size_t1", "size_t2", "adj")
+    size_t1: int
+    size_t2: int
+    adj: tuple[tuple[int, ...], ...]
 
-    def __init__(self, size_t1: int, size_t2: int, adj: Sequence[Iterable[int]] | np.ndarray) -> None:
-        if size_t1 < 1 or size_t2 < 1:
+    def __post_init__(self) -> None:
+        if self.size_t1 < 1 or self.size_t2 < 1:
             raise ValueError("both node sets must be nonempty")
-        if len(adj) != size_t1:
+        adj = tuple(tuple(sorted(set(map(int, nbrs)))) for nbrs in self.adj)
+        if len(adj) != self.size_t1:
             raise ValueError("need one neighbor list per T1 node")
-        if isinstance(adj, np.ndarray) and adj.ndim == 2 and adj.dtype.kind in "iu":
-            # Strictly ascending rows (as drawn) need no sort and no repeat check.
-            ascending = bool((adj[:, 1:] > adj[:, :-1]).all())
-            rows = adj if ascending else np.sort(adj, axis=1)
-            if rows.size and not (rows[:, 0].min() >= 1 and rows[:, -1].max() <= size_t2):
-                raise ValueError("neighbor index out of range")
-            if not ascending and (rows[:, 1:] == rows[:, :-1]).any():
-                raise ValueError("repeated neighbor in an array row")
-            cleaned = tuple(map(tuple, rows.tolist()))
-        else:
-            cleaned = []
-            for nbrs in adj:
-                ns = tuple(sorted(set(map(int, nbrs))))
-                if ns and not (1 <= ns[0] and ns[-1] <= size_t2):
-                    raise ValueError("neighbor index out of range")
-                cleaned.append(ns)
-            cleaned = tuple(cleaned)
-        for name, value in zip(self.__slots__, (size_t1, size_t2, cleaned)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self) -> tuple:
-        return BipartiteGraph, (self.size_t1, self.size_t2, self.adj)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size_t1, self.size_t2, self.adj) == (other.size_t1, other.size_t2, other.adj)
-
-    def __hash__(self) -> int:
-        return hash((self.size_t1, self.size_t2, self.adj))
-
-    def __repr__(self) -> str:
-        return f"BipartiteGraph(size_t1={self.size_t1}, size_t2={self.size_t2}, adj={self.adj})"
+        if any(ns and not (1 <= ns[0] and ns[-1] <= self.size_t2) for ns in adj):
+            raise ValueError("neighbor index out of range")
+        object.__setattr__(self, "adj", adj)
 
 
 def _adj_sets(adj: Sequence[Sequence[int]]) -> list[int]:

@@ -61,8 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SamplingPattern, Shape
-from .geometry import RankSpec
-from .assumptions import AssumptionError
+from .geometry import AssumptionError, RankSpec
 from .certifier import certify_finite
 from .hallgraph import BipartiteGraph, degrees_prove_margin, member_defect_at_least
 from .hallgraph import defect_at_least  # noqa: F401  (still looked up here by callers and the benchmark's tracer)

@@ -13,6 +13,9 @@ each mode the unknown count matches the dimension the rank test needs:
   coreAndFactors: (N_j*R - sum r^2) + sum n_i r_i
   factorsOnly:    sum n_i r_i - (d - j - 1)
   coreOnly:       (N_j*R - sum r^2) + (d - j - 1)
+
+Instances exist only for ranks that :func:`~tensorcert.geometry.check_fits`
+the shape; other ranks are refused with the certificates' own error.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .core import Coord, SamplingPattern, Shape
 from .geometry import (
     RankSpec,
     canonical_structure,
+    check_fits,
     factor_offsets,
     layout_columns,
     probe_point,
@@ -34,7 +38,6 @@ from .geometry import (
     tucker_terms,
     unfolding_indices,
 )
-from .assumptions import check_Bj
 
 __all__ = [
     "GenericInstance",
@@ -131,13 +134,9 @@ def _gauge_blocks(shape: Shape, spec: RankSpec) -> list[np.ndarray]:
 
 
 def generate_instance(shape: Shape, spec: RankSpec, seed: int = 0) -> GenericInstance:
-    """Generic parameters with the canonical identity blocks enforced."""
-    spec.check_shape(shape)
-    for n, r in zip(spec.tail_dims(shape), spec.ranks):
-        if r > n:
-            raise ValueError(f"rank component {r} exceeds dimension {n}")
-    if not check_Bj(shape, spec):
-        raise ValueError("unfolding has fewer rows than the sum of trailing ranks")
+    """Generic parameters with the canonical identity blocks enforced, for a
+    spec that :func:`~tensorcert.geometry.check_fits` the shape."""
+    check_fits(shape, spec)
     core_mat, factors = probe_point(shape, spec, seed)
     for cols in _gauge_blocks(shape, spec):
         core_mat.flat[cols] = np.eye(len(cols))

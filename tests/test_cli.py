@@ -156,14 +156,26 @@ class TestLayoutBeyondMemory:
 
 
 class TestRankBeyondDimension:
-    """A trailing rank larger than its dimension is a failed precondition."""
+    """Trailing ranks that do not fit the shape, a rank larger than its
+    dimension or too few unfolding rows for the gauge blocks, are a failed
+    precondition, refused alike by every command that takes a rank spec."""
 
-    @pytest.mark.parametrize("command", ["check-finite", "check-unique"])
-    def test_certificate_commands_refuse(self, command, full_cube, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["check-finite"], ["check-unique"], ["oracle", "--generate"]], ids=" ".join)
+    @pytest.mark.parametrize(
+        "dims, rank, j, message",
+        [
+            ((3, 3, 3), "4", "2", "rank component 4 exceeds dimension 3"),
+            ((2, 3, 3), "2,2", "1", "unfolding has fewer rows than the sum of trailing ranks"),
+        ],
+        ids=["rank-above-dimension", "too-few-rows"],
+    )
+    def test_commands_refuse(self, command, dims, rank, j, message, tmp_path, capsys):
+        pattern = tmp_path / "full.json"
+        write_pattern(SamplingPattern.full(dims), pattern)
         out = tmp_path / "artifact.json"
-        code = main([command, full_cube, "--rank", "4", "--j", "2", "--out", str(out)])
+        code = main([command[0], str(pattern), *command[1:], "--rank", rank, "--j", j, "--out", str(out)])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == "error: rank component 4 exceeds dimension 3\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tensorcert.certifier import certify_finite, certify_unique
 from tensorcert.core import SamplingPattern, Shape, unfold_row
 from tensorcert.geometry import (
     RANK_POINT_SEED,
     RANK_PRIME,
+    AssumptionError,
     ModEchelon,
     RankSpec,
     canonical_structure,
@@ -145,6 +147,34 @@ class TestCanonicalStructure:
         shape = Shape(dims=(2, 3, 3))
         with pytest.raises(ValueError):
             canonical_structure(shape, RankSpec(j=1, ranks=(2, 2)))
+
+
+FIT_ENTRY_POINTS = {
+    "certify_finite": lambda shape, spec: certify_finite(SamplingPattern.full(shape.dims), spec),
+    "certify_unique": lambda shape, spec: certify_unique(SamplingPattern.full(shape.dims), spec),
+    "generate_instance": generate_instance,
+    "canonical_structure": canonical_structure,
+}
+
+
+@pytest.mark.parametrize("entry", FIT_ENTRY_POINTS.values(), ids=FIT_ENTRY_POINTS.keys())
+@pytest.mark.parametrize(
+    "dims, spec, message",
+    [
+        ((3, 3, 3), RankSpec(j=1, ranks=(1, 2)), None),
+        ((3, 3, 3), RankSpec(j=2, ranks=(4,)), "rank component 4 exceeds dimension 3"),
+        ((2, 3, 3), RankSpec(j=1, ranks=(2, 2)), "unfolding has fewer rows than the sum of trailing ranks"),
+    ],
+    ids=["fits", "rank-above-dimension", "too-few-rows"],
+)
+def test_entry_points_share_fit_check(entry, dims, spec, message):
+    """Each entry point that takes a rank spec refuses an unfit one with
+    :func:`~tensorcert.geometry.check_fits`' message, and takes a fitting one."""
+    if message is None:
+        entry(Shape(dims=dims), spec)
+    else:
+        with pytest.raises(AssumptionError, match=f"^{message}$"):
+            entry(Shape(dims=dims), spec)
 
 
 def unreduced_jacobian_loop(shape: Shape, spec: RankSpec, coords, seed: int) -> np.ndarray:

@@ -160,12 +160,13 @@ class TestBipartiteGraph:
         with pytest.raises(ValueError, match="out of range"):
             BipartiteGraph(size_t1=1, size_t2=3, adj=np.array(bad))
 
-    @pytest.mark.parametrize("bad", [[[2, 2]], [[3, 1, 3]], [[1, 2, 3], [2, 3, 2]], [[1, 2, 2]], [[1, 2, 3], [1, 1, 3]]])
-    def test_array_rejects_repeated_neighbor(self, bad):
-        """Also a repeat in a row that is otherwise in order: ascending but
-        not strictly is not sorted."""
-        with pytest.raises(ValueError, match="repeated neighbor in an array row"):
-            BipartiteGraph(size_t1=len(bad), size_t2=3, adj=np.array(bad))
+    @pytest.mark.parametrize("rows", [[[2, 2]], [[3, 1, 3]], [[1, 2, 3], [2, 3, 2]], [[1, 2, 2]], [[1, 2, 3], [1, 1, 3]]])
+    def test_array_repeats_read_like_lists(self, rows):
+        """An array row with a repeat, also one otherwise in order, builds
+        the graph of the same neighbour lists: the repeat is dropped."""
+        from_array = BipartiteGraph(size_t1=len(rows), size_t2=3, adj=np.array(rows))
+        assert from_array == BipartiteGraph(size_t1=len(rows), size_t2=3, adj=rows)
+        assert from_array.adj == tuple(tuple(sorted(set(row))) for row in rows)
 
     def test_array_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
