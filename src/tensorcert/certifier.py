@@ -37,7 +37,9 @@ the column's own subtensor, so selections that concentrate several entries
 in one trailing column produce the tall supports that positive capacity
 requires.  The designated selection is existentially quantified, so the
 certifier decides on the first selection: its witness, or else the rank of
-the full pattern at the same point.  A rank short of the target gives
+the full pattern at the same point, taken by pushing the other entries'
+rows onto the selection's echelon, which the search leaves as it found it
+however it ends.  A rank short of the target gives
 "not-finite" at once, with the count model's violating subset when the
 search ran to its end; a rank at the target gives "finite", and only then
 are a handful of alternative selections searched for a witness.  So
@@ -256,7 +258,9 @@ def _rank_target(shape: Shape, spec: RankSpec) -> int:
     return factor_offsets(shape, spec)[-1] - spec.sum_sq
 
 
-def generic_rank_finite(pattern: SamplingPattern, spec: RankSpec) -> bool:
+def generic_rank_finite(
+    pattern: SamplingPattern, spec: RankSpec, start: Optional[tuple[TSelection, ModEchelon]] = None
+) -> bool:
     """True when the pattern's observed entries determine the tensor up to
     finitely many completions, decided at a random point of GF(p).
 
@@ -266,11 +270,19 @@ def generic_rank_finite(pattern: SamplingPattern, spec: RankSpec) -> bool:
     The entries pin the tensor finitely exactly when their Jacobian reaches
     rank (num core entries) + (num factor entries) - sum r_i^2.  The rows
     are the pattern index's :attr:`~tensorcert.geometry.PatternIndex.jacobian`.
+    ``start``, a selection and an echelon holding exactly its rows (as
+    :func:`_selections` yields them), continues that echelon: only the other
+    entries' rows are pushed onto it, and they stay there.
     """
     target = _rank_target(pattern.shape, spec)
     if pattern.num_observed < target:
         return False
-    return reaches_rank_mod_p(pattern_index(pattern, spec).jacobian, target)
+    index = pattern_index(pattern, spec)
+    if start is None:
+        return reaches_rank_mod_p(index.jacobian, target)
+    selection, echelon = start
+    others = np.delete(index.jacobian, [index.position[c] for c in selection.entries], axis=0)
+    return reaches_rank_mod_p(others, target, echelon)
 
 
 def _free_entry(constraint: ConstraintMatrix, idx: int) -> Coord:
@@ -297,7 +309,8 @@ def _witness_solutions(
     With ``rank = (echelon, rows, slack)``, a column is included only when
     pushing ``rows[idx]`` leaves at most ``slack`` dependent rows.
     Each node spends one of ``node_budget``; raises when none is left.
-    Backing up resumes just past the last included position, so no call nests."""
+    Backing up resumes just past the last included position, so no call nests.
+    However the search ends, the echelon is left as it was given."""
     chosen: list[int] = []  # positions in ``order`` of the included columns
 
     def admit(idx: int) -> bool:
@@ -313,27 +326,33 @@ def _witness_solutions(
         return False
 
     i = 0
-    while True:
-        if len(chosen) == target:
-            yield tuple(sorted(order[p] for p in chosen))
-        elif target - len(chosen) <= len(order) - i:
-            node_budget -= 1
-            if node_budget <= 0:
-                raise CertifierGuardError("witness search exceeded its node budget")
-            idx = order[i]
-            if admit(idx):
-                counts.add(masks[idx])
-                chosen.append(i)
+    try:
+        while True:
+            if len(chosen) == target:
+                yield tuple(sorted(order[p] for p in chosen))
+            elif target - len(chosen) <= len(order) - i:
+                node_budget -= 1
+                if node_budget <= 0:
+                    raise CertifierGuardError("witness search exceeded its node budget")
+                idx = order[i]
+                if admit(idx):
+                    counts.add(masks[idx])
+                    chosen.append(i)
+                i += 1
+                continue
+            # Back up to the last inclusion and search on without it.
+            if not chosen:
+                return
+            i = chosen.pop()
+            counts.remove(masks[order[i]])
+            if rank is not None:
+                rank[0].pop()
             i += 1
-            continue
-        # Back up to the last inclusion and search on without it.
-        if not chosen:
-            return
-        i = chosen.pop()
-        counts.remove(masks[order[i]])
+    finally:
+        # Stopped by the budget, or closed at a witness: undo its pushes.
         if rank is not None:
-            rank[0].pop()
-        i += 1
+            for _ in chosen:
+                rank[0].pop()
 
 
 def _search_columns(constraint: ConstraintMatrix) -> tuple[list[int], int, list[int]]:
@@ -426,8 +445,10 @@ def _certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int) -> Fini
             return decided("finite", witness_columns=witness)
         if first is None:
             # A witness's rows reach the target rank, so when all observed
-            # rows fall short no selection can yield one.
-            if not generic_rank_finite(pattern, spec):
+            # rows fall short no selection can yield one.  The search left
+            # the echelon holding the selection's rows, so the probe goes on
+            # from there.
+            if not generic_rank_finite(pattern, spec, (selection, echelon)):
                 if stopped:
                     return decided("not-finite", reason="generic rank stays below the number of unknowns")
                 return decided("not-finite", violating_subset=thm4_dependent(constraint, spec)[1])

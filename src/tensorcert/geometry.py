@@ -22,7 +22,8 @@ over Q, and a random point of GF(p) shows a deficit that is not generic with
 probability at most deg/p (Schwartz-Zippel).  An echelon pivots each row at
 its last nonzero column, so the same pushes also rank the rows' parts in a
 trailing block of columns, such as the factor block.  :func:`probe_point`
-draws every point afresh, floats and residues alike, as one flat draw.
+draws a float point afresh; a residue point is the prefix of one kept
+residue stream per (seed, modulus), which is the same as drawing it afresh.
 
 One certificate asks the same questions of its pattern many times, so
 :func:`pattern_index` builds a :class:`PatternIndex` of it in one numpy pass
@@ -316,31 +317,59 @@ def _point_shapes(shape: Shape, spec: RankSpec) -> list[tuple[int, int]]:
     return [(shape.head_size(spec.j), spec.product), *zip(spec.ranks, spec.tail_dims(shape))]
 
 
+# (seed, modulus) -> the kept, read-only prefix of that residue stream
+_RESIDUE_STREAMS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _residues(seed: int, modulus: int, size: int) -> np.ndarray:
+    """The first ``size`` values of ``default_rng(seed).integers(modulus)``,
+    read-only.  ``Generator.integers`` is prefix-consistent (the first k
+    values of a longer draw are the draw of size k), so they are read from
+    the kept prefix of that stream, which is redrawn longer when it is too
+    short: each point costs no seeding of a fresh generator."""
+    kept = _RESIDUE_STREAMS.get((seed, modulus))
+    if kept is None or kept.size < size:
+        kept = np.random.default_rng(seed).integers(modulus, size=size)
+        kept.flags.writeable = False
+        _RESIDUE_STREAMS[seed, modulus] = kept
+    return kept[:size]
+
+
 def probe_point(
     shape: Shape, spec: RankSpec, seed: int, modulus: Optional[int] = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), drawn
-    afresh from ``seed`` as one flat draw split in that order: standard
-    normal entries, or uniform residues mod ``modulus`` when one is given.
-    The arrays are writable (the oracle writes its gauge pins into them)."""
+    """Generic core unfolding (N_j, R) and factors T_s (r_s, n_s), from
+    ``seed`` as one flat draw split in that order: standard normal entries,
+    drawn afresh, or uniform residues mod ``modulus`` when one is given,
+    copied from the stream's kept prefix (:func:`_residues`).  The arrays
+    are writable (the oracle writes its gauge pins into them) and new."""
     shapes = _point_shapes(shape, spec)
     sizes = [a * b for a, b in shapes]
-    rng = np.random.default_rng(seed)
-    flat = rng.standard_normal(sum(sizes)) if modulus is None else rng.integers(modulus, size=sum(sizes))
+    if modulus is None:
+        flat = np.random.default_rng(seed).standard_normal(sum(sizes))
+    else:
+        flat = _residues(seed, modulus, sum(sizes)).copy()
     starts = itertools.accumulate(sizes, initial=0)
     core, *factors = [flat[at : at + size].reshape(dims) for at, size, dims in zip(starts, sizes, shapes)]
     return core, factors
 
 
 def unreduced_jacobian(
-    shape: Shape, spec: RankSpec, coords: Sequence[Coord], seed: int, modulus: Optional[int] = None
+    shape: Shape,
+    spec: RankSpec,
+    coords: Sequence[Coord],
+    seed: int,
+    modulus: Optional[int] = None,
+    indices: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Jacobian of the entries at ``coords`` in every core and every factor
     entry (columns as in :func:`factor_offsets`) at the generic point
     :func:`probe_point` draws from ``seed``, over GF(``modulus``) when one is
     given.  Row ``e`` depends only on ``coords[e]``, so the Jacobian of a
-    subset of the entries is a row selection of this matrix."""
-    rows, tails = unfolding_indices(shape, spec.j, coords)
+    subset of the entries is a row selection of this matrix.  ``indices``,
+    when the caller holds them, are the coordinates' :func:`unfolding_indices`,
+    which are then not computed again."""
+    rows, tails = unfolding_indices(shape, spec.j, coords) if indices is None else indices
     _, partials = tucker_terms(*probe_point(shape, spec, seed, modulus), rows, tails, modulus)
     jac = np.zeros((len(rows), factor_offsets(shape, spec)[-1]), partials.dtype)
     jac[np.arange(len(rows))[:, None], layout_columns(shape, spec, rows, tails)] = partials
@@ -381,10 +410,10 @@ class PatternIndex:
     def __init__(self, pattern: SamplingPattern, spec: RankSpec):
         self._shape, self._spec, self._observed = pattern.shape, spec, pattern.observed
         observed, j = pattern.observed, spec.j
-        rows, self.trailing = unfolding_indices(pattern.shape, j, observed)
+        self._unfolding, self.trailing = unfolding_indices(pattern.shape, j, observed)
         self.tail_dims = spec.tail_dims(pattern.shape)
         self.position = {c: p for p, c in enumerate(observed)}
-        self.rows = (rows + 1).tolist()
+        self.rows = (self._unfolding + 1).tolist()
         tails = [c[j:] for c in observed]
         self.at = {key: p for p, key in enumerate(zip(self.rows, tails))}
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -403,8 +432,10 @@ class PatternIndex:
     def jacobian(self) -> np.ndarray:
         """:func:`unreduced_jacobian` of the observed entries over
         GF(RANK_PRIME) at the point of ``RANK_POINT_SEED``; row ``p`` is entry
-        ``p``'s.  Every rank decision of a certificate reads its rows here."""
-        jac = unreduced_jacobian(self._shape, self._spec, self._observed, RANK_POINT_SEED, RANK_PRIME)
+        ``p``'s.  Every rank decision of a certificate reads its rows here.
+        Built from the index's own unfolding rows and :attr:`trailing`."""
+        indices = (self._unfolding, self.trailing)
+        jac = unreduced_jacobian(self._shape, self._spec, self._observed, RANK_POINT_SEED, RANK_PRIME, indices)
         jac.flags.writeable = False
         return jac
 
@@ -500,13 +531,16 @@ class ModEchelon:
         self._pushed.clear()
 
 
-def reaches_rank_mod_p(rows: np.ndarray, target: int) -> bool:
+def reaches_rank_mod_p(rows: np.ndarray, target: int, echelon: Optional[ModEchelon] = None) -> bool:
     """True when the rows (residues mod RANK_PRIME) have rank >= target over
-    GF(p).  Stops as soon as the answer is known."""
-    slack = len(rows) - target
+    GF(p).  Stops as soon as the answer is known.  With an ``echelon``, the
+    rows are pushed on top of the rows it holds (and left there), and the
+    rank is that of all of them together."""
+    held = 0 if echelon is None else echelon.rank + echelon.dependent
+    slack = held + len(rows) - target
     if slack < 0:
         return False
-    echelon = ModEchelon(rows.shape[1])
+    echelon = ModEchelon(rows.shape[1]) if echelon is None else echelon
     for row in rows:
         if echelon.rank >= target:
             break

@@ -41,6 +41,7 @@ from tensorcert.geometry import (
     RankSpec,
     canonical_structure,
     pattern_index,
+    reaches_rank_mod_p,
     unreduced_jacobian,
 )
 from tensorcert.hallgraph import (
@@ -228,6 +229,48 @@ def test_sweep_witness_coverage_and_replay():
             coverage.append((witnessed, witnessless))
         assert coverage == SWEEP_WITNESS_COVERAGE
         assert digest.hexdigest() == SWEEP_CERTIFICATE_DIGEST
+
+
+def test_continued_rank_equals_the_full_rank(monkeypatch):
+    """Over the sweep's 320 draws, each rank probe continues the echelon of
+    its first selection, which the witness search left holding exactly the
+    selection's rows, and decides as the rank of the whole index Jacobian
+    does.  Some first selections' rows are dependent (13 of them in config
+    6); the target is reached and missed both from such selections and
+    from independent ones."""
+    real_probe = certifier.generic_rank_finite
+    outcomes = collections.Counter()
+
+    def checking_probe(pattern, spec, start):
+        selection, echelon = start
+        index = pattern_index(pattern, spec)
+        designated = index.jacobian[[index.position[c] for c in selection.entries]]
+        fresh = ModEchelon(designated.shape[1])
+        for row in designated:
+            fresh.push(row)
+        assert (echelon.rank, echelon.dependent) == (fresh.rank, fresh.dependent)
+        clone = copy.deepcopy(echelon)
+        assert not any(clone.push(row) for row in designated)
+        dependent = echelon.dependent > 0
+        reached = real_probe(pattern, spec, start)
+        assert reached == reaches_rank_mod_p(index.jacobian, certifier._rank_target(pattern.shape, spec))
+        outcomes[spec.ranks, dependent, reached] += 1
+        return reached
+
+    monkeypatch.setattr(certifier, "generic_rank_finite", checking_probe)
+    for dims, j, ranks, p in SWEEP_CONFIGS:
+        shape = Shape(dims=dims)
+        spec = RankSpec(j=j, ranks=ranks)
+        for trial in range(40):
+            try:
+                certify_finite(sample_pattern(shape, p, seed=5, trial=trial), spec, seed=3)
+            except AssumptionError:
+                continue
+    assert {(dependent, reached) for _, dependent, reached in outcomes} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
+    assert outcomes[(1, 1, 1), True, True] == 13  # config 6
+    assert sum(outcomes.values()) == 113
 
 
 def test_dependence_subset_built_only_when_reported(monkeypatch):

@@ -326,6 +326,29 @@ class TestRankPrunedSearch:
         pruned = list(_finite_search(pattern, spec, constraint, selection, echelon))
         assert pruned == expected
 
+    def test_search_pops_its_pushes_on_every_exit(self, monkeypatch):
+        """A search stopped by its node budget, and one closed at its first
+        witness, leave the selection's echelon as they found it, so the rank
+        probe can continue it."""
+        shape, spec = Shape(dims=(4, 4, 4)), RankSpec(j=1, ranks=(2, 2))
+        pattern = SamplingPattern.full(shape.dims)
+        echelon = selection_echelon(shape, spec)
+        # At seed 0 the selection's rows are dependent and no search runs.
+        selection = find_T_selection(pattern, spec, seed=1, echelon=echelon)
+        constraint = build_constraint(pattern, spec, selection)
+        held = (echelon.rank, echelon.dependent)
+        assert held == (len(selection.entries), 0)
+        monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 4)
+        with pytest.raises(CertifierGuardError):
+            next(_finite_search(pattern, spec, constraint, selection, echelon))
+        assert (echelon.rank, echelon.dependent) == held
+        monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 10**9)
+        search = _finite_search(pattern, spec, constraint, selection, echelon)
+        assert len(next(search)) == core_dim(shape, spec)
+        assert echelon.rank == len(selection.entries) + core_dim(shape, spec)
+        search.close()
+        assert (echelon.rank, echelon.dependent) == held
+
     def test_replay_rejects_count_feasible_rank_dependent_witness(self):
         pattern = sample_pattern(Shape(dims=(3, 3, 3, 3)), 0.85, seed=5, trial=0)
         spec = RankSpec(j=2, ranks=(2, 2))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tensorcert import geometry
 from tensorcert.certifier import certify_finite, certify_unique
 from tensorcert.core import SamplingPattern, Shape, unfold_row
 from tensorcert.geometry import (
@@ -316,8 +317,9 @@ class TestModularJacobian:
 
 
 class TestPointCache:
-    """probe_point draws every point afresh, as one flat draw split into the
-    core and the factors in order."""
+    """probe_point reads a residue point from the kept prefix of one stream
+    per (seed, modulus), and draws a float point afresh; either way the point
+    is one flat draw split into the core and the factors in order."""
 
     def test_residue_point_drawn_once_and_read_only(self):
         shape, spec = Shape(dims=(4, 3, 3)), RankSpec(j=1, ranks=(2, 2))
@@ -325,6 +327,30 @@ class TestPointCache:
         total = core.size + sum(T.size for T in factors)
         flat = np.random.default_rng(RANK_POINT_SEED).integers(RANK_PRIME, size=total)
         assert np.array_equal(np.concatenate([core.ravel(), *(T.ravel() for T in factors)]), flat)
+
+    @pytest.mark.parametrize("large_first", [True, False])
+    def test_kept_prefix_equals_a_fresh_draw(self, large_first, monkeypatch):
+        """From a reset stream, a large point then a small one, or the
+        reverse: each equals a fresh draw of its own size, in new writable
+        arrays that share no memory with each other or with the stream."""
+        monkeypatch.setattr(geometry, "_RESIDUE_STREAMS", {})
+        shapes = [
+            (Shape(dims=(6, 5, 4)), RankSpec(j=1, ranks=(3, 2))),
+            (Shape(dims=(3, 3, 3)), RankSpec(j=2, ranks=(2,))),
+        ]
+        arrays, totals = [], []
+        for shape, spec in shapes if large_first else shapes[::-1]:
+            core, factors = probe_point(shape, spec, RANK_POINT_SEED, RANK_PRIME)
+            blocks = [core, *factors]
+            total = sum(b.size for b in blocks)
+            totals.append(total)
+            flat = np.random.default_rng(RANK_POINT_SEED).integers(RANK_PRIME, size=total)
+            assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), flat)
+            assert all(b.flags.writeable for b in blocks)
+            arrays += blocks
+        (kept,) = geometry._RESIDUE_STREAMS.values()
+        assert kept.size == max(totals) and not kept.flags.writeable
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations([kept, *arrays], 2))
 
     def test_generated_instances_are_fresh_and_writable(self):
         shape, spec = Shape(dims=(4, 3, 3)), RankSpec(j=1, ranks=(2, 2))
