@@ -17,7 +17,9 @@ hull, so the screen is decided by one matching that saturates every entry,
 and a Hall witness, when there is none, spans an overdrawn hull.  The
 matching grows one entry at a time by the alternating search of
 :mod:`~tensorcert.hallgraph`, over each entry's slots packed into one int
-(:meth:`~tensorcert.geometry.PatternIndex.slots`).  The sets that pass are
+(:meth:`~tensorcert.geometry.PatternIndex.slots`, which packs each
+subtensor's once; :func:`hull_condition` packs its entries' by the same
+``geometry._slot_sets``).  The sets that pass are
 the independent sets of a transversal matroid.
 
 Pinning also asks the factor block of the selection's Jacobian to reach rank
@@ -49,7 +51,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Coord, SamplingPattern, Shape, unfolding_indices
+from .core import Coord, SamplingPattern, Shape
 from .geometry import (
     RANK_POINT_SEED,
     RANK_PRIME,
@@ -156,8 +158,7 @@ def hull_condition(
     reached through few distinct co-coordinates contributes fewer effective
     variables than its full height."""
     entries = [shape.check_coord(c) for c in entries]
-    trailing = unfolding_indices(shape, spec.j, entries)[1]
-    slots, size = _slot_sets(spec.tail_dims(shape), _per_dim_weights(spec, plus), trailing)
+    slots, size = _slot_sets(spec.tail_dims(shape), _per_dim_weights(spec, plus), [c[spec.j :] for c in entries])
     mate, free = [-1] * size, (1 << size) - 1
     for u in range(len(entries)):
         free, missed = _augment(slots, mate, free, u)

@@ -20,7 +20,10 @@ full rank there proves independence, and a deficit that is not generic shows
 with probability at most deg/p.  Every row is read from the pattern's one
 Jacobian at that point, :attr:`~tensorcert.geometry.PatternIndex.jacobian`,
 which the selection search, the witness search and the full pattern's rank
-share.  The search starts from the
+share.  The search reads what it needs from the
+:class:`~tensorcert.constraint.ConstraintMatrix` as built: the support
+masks, the search order, and each column's free entry as a position, whose
+Jacobian row it takes by that position.  It starts from the
 :class:`~tensorcert.geometry.ModEchelon` of the designated rows that
 :func:`~tensorcert.assumptions.find_T_selection` leaves (one per selection,
 so those rows are pushed once), pushes the free-entry row of every column
@@ -54,12 +57,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Coord, SamplingPattern, Shape, unflatten_index
+from .core import Coord, SamplingPattern, Shape
 from .geometry import (
     AssumptionError,
     ModEchelon,
@@ -159,25 +163,14 @@ def thm3_upper_bound(constraint: ConstraintMatrix, column_subset: Iterable[int],
     return _caps(m, spec)[m]
 
 
-def _support_masks(constraint: ConstraintMatrix, columns: Sequence[int]) -> list[int]:
-    """Supports as bitmasks over the rows actually touched, remapped densely
-    in row order.  The columns of one subtensor share their designated rows,
-    so each set of designated rows is mapped once.
-    """
-    chosen = [constraint.columns[idx] for idx in columns]
-    designated = {c.designated_rows for c in chosen}
-    labels = sorted({c.free_row for c in chosen}.union(*designated))
-    bit = {row: 1 << b for b, row in enumerate(labels)}
-    designated_mask = {rows: sum(bit[row] for row in rows) for rows in designated}
-    return [designated_mask[c.designated_rows] | bit[c.free_row] for c in chosen]
-
-
 def _caps(width: int, spec: RankSpec, n0: Optional[int] = None) -> list[int]:
     """Capacity of a row set W by its row count |W| = 0..width: R*|W| - g(|W|),
     or with ``n0`` the largest t in 0..n0 that the uniqueness relaxation
     R*(t+1) - sum_sq*(t + 2 - n0)^+ <= R*|W| - g(|W|) lets W hold."""
     R = spec.product
-    by_count = [R * w - spec.g(w) for w in range(width + 1)]
+    # g(w) - g(w - 1) is the rank of the gauge block that row w falls in.
+    steps = [R - r for r in spec.sorted_ranks for _ in range(r)][:width]
+    by_count = list(itertools.accumulate(steps + [R] * (width - len(steps)), initial=0))
     if n0 is not None:
         by_count = [
             next((t for t in range(n0) if R * (t + 1) - spec.sum_sq * max(0, t + 2 - n0) > free), n0)
@@ -230,12 +223,18 @@ def subset_condition_holds(
     spec: RankSpec,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Check that every subset of the given columns stays within its row
-    capacity; returns (ok, violating column indices)."""
+    capacity; returns (ok, violating column indices).  The row sets range
+    over the rows these columns touch: a row none of them touches adds
+    capacity and no column."""
     columns = list(column_set)
     if not columns:
         return True, None
-    masks = _support_masks(constraint, columns)
-    width = max(m.bit_length() for m in masks)
+    masks = [constraint.masks[c] for c in columns]
+    union = functools.reduce(operator.or_, masks)
+    if union & (union + 1):  # some row below the highest is not touched
+        bits = [1 << b for b in range(union.bit_length()) if union >> b & 1]
+        masks = [sum(1 << k for k, bit in enumerate(bits) if m & bit) for m in masks]
+    width = union.bit_count()
     counts = _IncrementalCounts(width, _caps(width, spec))
     for m in masks:
         counts.add(m)
@@ -285,15 +284,10 @@ def generic_rank_finite(
     return reaches_rank_mod_p(others, target, echelon)
 
 
-def _free_entry(constraint: ConstraintMatrix, idx: int) -> Coord:
-    col = constraint.columns[idx]
-    return unflatten_index(constraint.head_dims, col.free_row) + col.base
-
-
 def _witness_entries(constraint: ConstraintMatrix, selection: TSelection, witness: Iterable[int]) -> list[Coord]:
     """The designated entries plus each witness column's free entry, sorted:
     a finitely-determining subpattern when the witness is confirmed."""
-    return sorted(set(selection.entries).union(_free_entry(constraint, idx) for idx in witness))
+    return sorted(set(selection.entries).union(constraint.free_entry(z) for z in witness))
 
 
 def _witness_solutions(
@@ -355,14 +349,6 @@ def _witness_solutions(
                 rank[0].pop()
 
 
-def _search_columns(constraint: ConstraintMatrix) -> tuple[list[int], int, list[int]]:
-    """Support masks of every column, the number of rows they span, and the
-    search order: tallest support first, ties by column index."""
-    masks = _support_masks(constraint, range(constraint.num_columns))
-    width = max((m.bit_length() for m in masks), default=0)
-    return masks, width, sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
-
-
 def _finite_search(
     pattern: SamplingPattern,
     spec: RankSpec,
@@ -371,22 +357,21 @@ def _finite_search(
     echelon: ModEchelon,
 ) -> Iterator[tuple[int, ...]]:
     """Witnesses of ``core_dim`` columns of the pattern's ``constraint``, in
-    search order, each confirmed: with the designated entries, their free
-    entries reach rank :func:`_rank_target` over GF(p).  ``echelon`` holds
-    the rows of the selection's entries, as :func:`find_T_selection` leaves
-    it; the search pushes the free entries' rows onto it.  Each column's
-    free entry and its row are read from the pattern's
-    :func:`~tensorcert.geometry.pattern_index`."""
+    its search order, each confirmed: with the designated entries, their
+    free entries reach rank :func:`_rank_target` over GF(p).  ``echelon``
+    holds the rows of the selection's entries, as :func:`find_T_selection`
+    leaves it; the search pushes the free entries' rows onto it, read by
+    position from the pattern's :func:`~tensorcert.geometry.pattern_index`."""
     shape = pattern.shape
     n = core_dim(shape, spec)
-    masks, width, order = _search_columns(constraint)
-    counts = _IncrementalCounts(width, _caps(width, spec))
+    counts = _IncrementalCounts(constraint.width, _caps(constraint.width, spec))
     slack = len(selection.entries) + n - _rank_target(shape, spec)
     if echelon.dependent > slack:
         return
-    index = pattern_index(pattern, spec)
-    free = index.jacobian[[index.at[c.free_row, c.base] for c in constraint.columns]]
-    yield from _witness_solutions(masks, order, n, counts, WITNESS_NODE_BUDGET, (echelon, free, slack))
+    free = pattern_index(pattern, spec).jacobian[list(constraint.free)]
+    yield from _witness_solutions(
+        constraint.masks, constraint.order, n, counts, WITNESS_NODE_BUDGET, (echelon, free, slack)
+    )
 
 
 def _selections(
@@ -499,16 +484,18 @@ def certify_unique(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> U
     limits: dict[str, None] = {}  # each limit that stopped a search, in the order it first did
     for selection, echelon in itertools.chain([first], selections):
         constraint = build_constraint(pattern, spec, selection)
-        masks, width, order = _search_columns(constraint)
+        width = constraint.width
         caps0 = _caps(width, spec, n0)
         try:
             witnesses = _finite_search(pattern, spec, constraint, selection, echelon)
             for tried, witness in enumerate(witnesses, start=1):
                 used = set(witness)
-                order0 = [i for i in order if i not in used]
+                order0 = [i for i in constraint.order if i not in used]
                 counts0 = _IncrementalCounts(width, caps0)
                 try:
-                    witness0 = next(_witness_solutions(masks, order0, n0, counts0, SEARCH_NODE_GUARD), None)
+                    witness0 = next(
+                        _witness_solutions(constraint.masks, order0, n0, counts0, SEARCH_NODE_GUARD), None
+                    )
                 except CertifierGuardError:
                     limits[f"SEARCH_NODE_GUARD ({SEARCH_NODE_GUARD} nodes) ran out in a second-witness search"] = None
                     witness0 = None

@@ -178,9 +178,11 @@ def unfold_col(shape: Shape, j: int, coord: Sequence[int]) -> int:
 
 
 def unfolding_indices(shape: Shape, j: int, coords: Sequence[Coord]) -> tuple[np.ndarray, np.ndarray]:
-    """0-based j-unfolding rows and trailing indices of 1-based coordinates."""
+    """0-based j-unfolding rows and trailing indices of 1-based coordinates,
+    given as tuples or as an (entries, d) array such as
+    ``SamplingPattern.observed_array``, which is read without a copy."""
     try:
-        x = np.array(coords, dtype=np.intp).reshape(-1, shape.order) - 1
+        x = np.asarray(coords, dtype=np.intp).reshape(-1, shape.order) - 1
     except OverflowError:
         raise CoordinateBoundsError(f"coordinates out of bounds for {shape.dims}") from None
     if ((x < 0) | (x >= np.array(shape.dims))).any():
@@ -200,32 +202,36 @@ def _int64_array(values) -> Optional[np.ndarray]:
     return x if x.dtype == np.int64 else None
 
 
-def _sorted_if_valid(shape: Shape, coords: tuple) -> Optional[tuple[Coord, ...]]:
-    """The coordinates as sorted tuples of ints, checked in one numpy pass:
-    None when any has the wrong arity, lies outside ``1..n_i`` or repeats,
-    or when they or the dimensions do not fit int64."""
+def _sorted_if_valid(shape: Shape, coords: tuple) -> Optional[np.ndarray]:
+    """The coordinates as a sorted int64 array of shape (entries, d), checked
+    in one numpy pass: None when any has the wrong arity, lies outside
+    ``1..n_i`` or repeats, or when they or the dimensions do not fit int64."""
     if not coords:
-        return ()
+        return np.zeros((0, shape.order), np.int64)
     x, dims = _int64_array(coords), _int64_array(shape.dims)
     if x is None or dims is None or x.ndim != 2 or x.shape[1] != shape.order:
         return None
     x = x[np.lexsort(x.T[::-1])]
     if not ((x >= 1) & (x <= dims)).all() or (x[1:] == x[:-1]).all(axis=1).any():
         return None
-    return tuple(map(tuple, x.tolist()))
+    return x
 
 
 @dataclass(frozen=True)
 class SamplingPattern:
-    """A binary observation mask, stored as the sorted set of observed coords."""
+    """A binary observation mask, stored as the sorted set of observed coords.
+
+    ``observed_array`` holds the same coordinates as a read-only array of
+    shape (entries, d), row ``p`` for ``observed[p]``: int64 whenever the
+    coordinates fit it."""
 
     shape: Shape
     observed: tuple[Coord, ...]
 
     def __post_init__(self) -> None:
         coords = tuple(self.observed)
-        observed = _sorted_if_valid(self.shape, coords)
-        if observed is None:
+        x = _sorted_if_valid(self.shape, coords)
+        if x is None:
             # Some coordinate is bad: name the first one, in input order.
             seen = set()
             for coord in coords:
@@ -234,7 +240,13 @@ class SamplingPattern:
                     raise DuplicateCoordinateError(f"duplicate coordinate {c}")
                 seen.add(c)
             observed = tuple(sorted(seen))
+            # Entries given as other integer types, or dimensions beyond int64.
+            x = np.array(observed)
+        else:
+            observed = tuple(map(tuple, x.tolist()))
+        x.flags.writeable = False
         object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "observed_array", x)
         object.__setattr__(self, "_observed_set", frozenset(observed))
         # Indexes other modules derive from this immutable pattern, kept with
         # it (see geometry.pattern_index).

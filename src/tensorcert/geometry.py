@@ -27,18 +27,19 @@ residue stream per (seed, modulus), which is the same as drawing it afresh.
 
 One certificate asks the same questions of its pattern many times, so
 :func:`pattern_index` builds a :class:`PatternIndex` of it in one numpy pass
-(each entry's position, unfolding row, trailing coordinates, subtensor and
-hull-screen slots) and keeps it with the immutable pattern.  The index also
-holds the pattern's one GF(p) Jacobian at the point of ``RANK_POINT_SEED``,
-built on first use, whose row ``p`` is entry ``p``'s: the rows every rank
-decision of a certificate reads.
+over the pattern's validated coordinate array (each entry's position,
+unfolding row, trailing coordinates and subtensor, and the hull-screen
+slots, packed once per subtensor) and keeps it with the immutable pattern.
+The index also holds the pattern's one GF(p) Jacobian at the point of
+``RANK_POINT_SEED``, built on first use, whose row ``p`` is entry ``p``'s:
+the rows every rank decision of a certificate reads.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -377,22 +378,23 @@ def unreduced_jacobian(
 
 
 def _slot_sets(
-    tail_dims: Sequence[int], weights: Sequence[int], trailing: np.ndarray
+    tail_dims: Sequence[int], weights: Sequence[int], tails: Iterable[Sequence[int]]
 ) -> tuple[list[int], int]:
     """The hull screen's slots (see :mod:`~tensorcert.assumptions`) of the
-    entries at 0-based trailing indices ``trailing``, each entry's packed
-    into one int, and the slot count: value ``t`` of trailing slot ``s``
-    owns ``weights[s]`` consecutive bits, numbered from 0 slot by slot, and
-    an entry holds the bits of each of its trailing values."""
+    given 1-based trailing coordinates, each tail's packed into one int, and
+    the slot count: value ``t`` of trailing slot ``s`` owns ``weights[s]``
+    consecutive bits, numbered from 0 slot by slot, and an entry holds the
+    bits of each of its trailing values."""
     starts = list(itertools.accumulate((n * w for n, w in zip(tail_dims, weights)), initial=0))
-    sets = [sum(((1 << w) - 1) << (start + t * w) for start, w, t in zip(starts, weights, row)) for row in trailing.tolist()]
+    masks = [(1 << w) - 1 for w in weights]
+    sets = [sum(m << (start + (t - 1) * w) for start, w, m, t in zip(starts, weights, masks, tail)) for tail in tails]
     return sets, starts[-1]
 
 
 class PatternIndex:
     """A pattern's observed entries under one rank spec, indexed in one numpy
-    pass.  Entry ``p`` is ``pattern.observed[p]``, which is also its row in
-    :attr:`jacobian`.
+    pass over ``pattern.observed_array``.  Entry ``p`` is
+    ``pattern.observed[p]``, which is also its row in :attr:`jacobian`.
 
     * ``position``: entry -> ``p``;
     * ``rows[p]``: its 1-based j-unfolding row; ``trailing[p]``: its
@@ -400,32 +402,35 @@ class PatternIndex:
     * ``groups``: tail (the 1-based trailing coordinates) -> the positions
       with that tail, ascending, tails in ascending order: the subtensors of
       the constraint matrix;
-    * ``at``: ``(row, tail)`` -> ``p``;
     * :meth:`slots`: per entry, its hull-screen slots at given weights,
-      packed into one int;
+      packed into one int, one pack per subtensor;
     * :attr:`jacobian`: the unreduced Jacobian over GF(RANK_PRIME) at the
       point of ``RANK_POINT_SEED``, built on first use, read-only.
     """
 
     def __init__(self, pattern: SamplingPattern, spec: RankSpec):
         self._shape, self._spec, self._observed = pattern.shape, spec, pattern.observed
-        observed, j = pattern.observed, spec.j
-        self._unfolding, self.trailing = unfolding_indices(pattern.shape, j, observed)
+        j = spec.j
+        self._unfolding, self.trailing = unfolding_indices(pattern.shape, j, pattern.observed_array)
         self.tail_dims = spec.tail_dims(pattern.shape)
-        self.position = {c: p for p, c in enumerate(observed)}
+        self.position = {c: p for p, c in enumerate(pattern.observed)}
         self.rows = (self._unfolding + 1).tolist()
-        tails = [c[j:] for c in observed]
-        self.at = {key: p for p, key in enumerate(zip(self.rows, tails))}
         groups: dict[tuple[int, ...], list[int]] = {}
-        for p, tail in enumerate(tails):
-            groups.setdefault(tail, []).append(p)
+        for p, c in enumerate(pattern.observed):
+            groups.setdefault(c[j:], []).append(p)
         self.groups = dict(sorted(groups.items()))
         self._slots: dict[tuple[int, ...], tuple[list[int], int]] = {}
 
     def slots(self, weights: tuple[int, ...]) -> tuple[list[int], int]:
-        """:func:`_slot_sets` of every entry, built once per weights."""
+        """:func:`_slot_sets` of every entry, built once per weights: each
+        subtensor's tail is packed once and shared by its entries."""
         if weights not in self._slots:
-            self._slots[weights] = _slot_sets(self.tail_dims, weights, self.trailing)
+            packed, size = _slot_sets(self.tail_dims, weights, self.groups)
+            sets = [0] * len(self.rows)
+            for slots, members in zip(packed, self.groups.values()):
+                for p in members:
+                    sets[p] = slots
+            self._slots[weights] = sets, size
         return self._slots[weights]
 
     @functools.cached_property
@@ -454,6 +459,8 @@ def pattern_index(pattern: SamplingPattern, spec: RankSpec) -> PatternIndex:
 def _dot_mod(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``coef @ rows``, reduced mod RANK_PRIME only as often as int64 needs:
     each chunk's sum, plus a residue, stays below 2**63."""
+    if len(coef) <= _DOT_CHUNK:
+        return coef @ rows
     total = coef[:_DOT_CHUNK] @ rows[:_DOT_CHUNK]
     for at in range(_DOT_CHUNK, len(coef), _DOT_CHUNK):
         total = total % RANK_PRIME + coef[at : at + _DOT_CHUNK] @ rows[at : at + _DOT_CHUNK]
@@ -495,8 +502,9 @@ class ModEchelon:
     def push(self, row: np.ndarray) -> bool:
         """Add a row; True when it is independent of the rows pushed before."""
         k = self.rank
+        kept = self._rows[:k]
         if k:
-            row = (row - _dot_mod(row[self._pivots[:k]], self._rows[:k])) % RANK_PRIME
+            row = (row - _dot_mod(row[self._pivots[:k]], kept)) % RANK_PRIME
         nonzero = row.nonzero()[0]
         independent = bool(nonzero.size)
         self._pushed.append(independent)
@@ -505,9 +513,9 @@ class ModEchelon:
             row = row * pow(int(row[pivot]), -1, RANK_PRIME) % RANK_PRIME
             if k:
                 cleared = self._cleared[k, :k]
-                cleared[:] = self._rows[:k, pivot]
-                self._rows[:k] -= np.multiply.outer(cleared, row)
-                self._rows[:k] %= RANK_PRIME
+                cleared[:] = kept[:, pivot]
+                kept -= np.multiply.outer(cleared, row)
+                kept %= RANK_PRIME
             self._rows[k] = row
             self._pivots[k] = pivot
             self.rank = k + 1
@@ -519,8 +527,9 @@ class ModEchelon:
         """Undo the last push."""
         if self._pushed.pop():
             k = self.rank - 1
-            self._rows[:k] += np.multiply.outer(self._cleared[k, :k], self._rows[k])
-            self._rows[:k] %= RANK_PRIME
+            kept = self._rows[:k]
+            kept += np.multiply.outer(self._cleared[k, :k], self._rows[k])
+            kept %= RANK_PRIME
             self.rank = k
             if self._pivots[k] >= self.block:
                 self.block_rank -= 1

@@ -8,6 +8,7 @@ determinism.  Stated wall-clock budgets are asserted directly.
 """
 import collections
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -32,7 +33,7 @@ from tensorcert.assumptions import (
 from tensorcert.bounds import CurveConfig, emit_curves
 from tensorcert.certifier import certify_finite, certify_unique, subpro_consistency, verify_finite_witness
 from tensorcert.cli import EXIT_OK, main
-from tensorcert.constraint import ConstraintColumn, ConstraintMatrix, build_constraint
+from tensorcert.constraint import build_constraint
 from tensorcert.core import SamplingPattern, Shape, unfold_row, write_pattern
 from tensorcert.geometry import (
     RANK_POINT_SEED,
@@ -388,8 +389,18 @@ def test_selection_admissibility_matches_rank_oracle():
     assert checked >= 200
 
 
-def per_entry_constraint(pattern: SamplingPattern, spec: RankSpec, selection: TSelection) -> ConstraintMatrix:
-    """Reference: the constraint matrix built entry by entry, converting each
+@dataclasses.dataclass(frozen=True)
+class ReferenceColumn:
+    """A constraint column in the column/row-set form: its subtensor's
+    trailing coordinates, the subtensor's designated rows and its own row."""
+
+    base: tuple[int, ...]
+    designated_rows: frozenset[int]
+    free_row: int
+
+
+def per_entry_constraint(pattern: SamplingPattern, spec: RankSpec, selection: TSelection) -> list[ReferenceColumn]:
+    """Reference: the constraint columns built entry by entry, converting each
     coordinate to its unfolding row and grouping the entries by tail."""
     shape, j = pattern.shape, spec.j
     designated = set(selection.entries)
@@ -402,17 +413,48 @@ def per_entry_constraint(pattern: SamplingPattern, spec: RankSpec, selection: TS
         designated_rows = frozenset(unfold_row(shape, j, c) for c in entries if c in designated)
         for coord in sorted(entries):
             if coord not in designated:
-                columns.append(
-                    ConstraintColumn(base=tail, designated_rows=designated_rows, free_row=unfold_row(shape, j, coord))
-                )
-    return ConstraintMatrix(num_rows=shape.head_size(j), columns=tuple(columns), j=j, head_dims=shape.dims[:j])
+                columns.append(ReferenceColumn(tail, designated_rows, unfold_row(shape, j, coord)))
+    return columns
+
+
+def reference_search_columns(pattern: SamplingPattern, spec: RankSpec, columns: list[ReferenceColumn]):
+    """Reference: what the witness search reads, derived from the column
+    form: the supports as bitmasks over the rows the columns touch, remapped
+    densely in row order (each subtensor's designated rows mapped once),
+    their width, the search order (tallest support first, ties by column
+    index), and each column's free entry position, looked up by its
+    (row, tail)."""
+    designated = {c.designated_rows for c in columns}
+    labels = sorted({c.free_row for c in columns}.union(*designated))
+    bit = {row: 1 << b for b, row in enumerate(labels)}
+    designated_mask = {rows: sum(bit[row] for row in rows) for rows in designated}
+    masks = [designated_mask[c.designated_rows] | bit[c.free_row] for c in columns]
+    width = max((m.bit_length() for m in masks), default=0)
+    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+    at = {(unfold_row(pattern.shape, spec.j, c), c[spec.j :]): p for p, c in enumerate(pattern.observed)}
+    return masks, width, order, [at[c.free_row, c.base] for c in columns]
+
+
+def assert_packed_columns_match(pattern: SamplingPattern, spec: RankSpec, selection: TSelection) -> None:
+    """The matrix build_constraint packs equals the reference derivation:
+    masks, width, search order, free entry positions, row labels, and the
+    column/row-set JSON."""
+    built, columns = build_constraint(pattern, spec, selection), per_entry_constraint(pattern, spec, selection)
+    masks, width, order, free = reference_search_columns(pattern, spec, columns)
+    assert (list(built.masks), built.width, list(built.order), list(built.free)) == (masks, width, order, free)
+    assert built.rows == tuple(sorted(set().union(*(c.designated_rows | {c.free_row} for c in columns))))
+    payload = {
+        "numRows": pattern.shape.head_size(spec.j),
+        "columns": [{"base": list(c.base), "designated": sorted(c.designated_rows), "free": c.free_row} for c in columns],
+    }
+    assert built.dump_json() == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_index_built_constraint_matches_per_entry_construction():
-    """On all 320 sweep patterns, with a seeded designated subset of each,
-    and on the A and A+ selections of the first three draws of each config,
-    the constraint matrix read from the pattern's index equals the one built
-    entry by entry, column by column."""
+    """On all 320 sweep patterns, the A and A+ selections of seeds 3 to 8
+    (those a certificate at seed 3 tries) and a seeded designated subset of
+    each pattern give the packed constraint matrix that the column-by-column
+    reference derives."""
     selections = 0
     for ci, (dims, j, ranks, p) in enumerate(SWEEP_CONFIGS):
         shape = Shape(dims=dims)
@@ -420,20 +462,36 @@ def test_index_built_constraint_matches_per_entry_construction():
         for trial in range(40):
             pattern = sample_pattern(shape, p, seed=5, trial=trial)
             rng = random.Random(f"{ci}-{trial}")
-            cases = [TSelection(entries=rng.sample(pattern.observed, rng.randint(0, pattern.num_observed)), mode="A")]
-            for mode in ("A", "A+") if trial < 3 else ():
+            cases = {TSelection(entries=rng.sample(pattern.observed, rng.randint(0, pattern.num_observed)), mode="A")}
+            for mode, seed in itertools.product(("A", "A+"), range(3, 9)):
                 try:
-                    cases.append(find_T_selection(pattern, spec, mode=mode, seed=3))
+                    cases.add(find_T_selection(pattern, spec, mode=mode, seed=seed))
                 except AssumptionError:
                     continue
                 selections += 1
             for selection in cases:
-                built, reference = build_constraint(pattern, spec, selection), per_entry_constraint(pattern, spec, selection)
-                assert built.num_columns == reference.num_columns, (dims, j, ranks, trial)
-                for z, (ours, ref) in enumerate(zip(built.columns, reference.columns)):
-                    assert ours == ref, (dims, j, ranks, trial, z)
-                assert built == reference
-    assert selections >= 30
+                assert_packed_columns_match(pattern, spec, selection)
+    assert selections >= 2000
+
+
+def test_packed_constraint_with_undesignated_subtensors():
+    """Random patterns and random designated subsets, among them subtensors
+    with no designated entry, next to ones with some, give the packed matrix
+    the column-by-column reference derives."""
+    rng = random.Random(2028)
+    bare = mixed = 0
+    for _ in range(300):
+        dims = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 4)))
+        j = rng.randint(1, len(dims) - 1)
+        coords = [c for c in Shape(dims=dims).coords() if rng.random() < 0.6]
+        pattern = SamplingPattern.from_coords(dims, coords)
+        spec = RankSpec(j=j, ranks=(1,) * (len(dims) - j))
+        selection = TSelection(entries=rng.sample(pattern.observed, rng.randint(0, pattern.num_observed)), mode="A")
+        columns = per_entry_constraint(pattern, spec, selection)
+        bare += any(not c.designated_rows for c in columns)
+        mixed += any(c.designated_rows for c in columns) and any(not c.designated_rows for c in columns)
+        assert_packed_columns_match(pattern, spec, selection)
+    assert bare >= 100 and mixed >= 50
 
 
 @pytest.mark.parametrize("mode", ["A", "A+"])

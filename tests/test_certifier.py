@@ -21,7 +21,6 @@ from tensorcert.certifier import (
     _finite_search,
     _IncrementalCounts,
     _rank_target,
-    _support_masks,
     _witness_entries,
     _witness_solutions,
     certify_finite,
@@ -107,9 +106,9 @@ COLUMN_ENUM_GUARD = 14
 def subset_condition_by_columns(cm, columns, spec):
     """Reference for the row scan: enumerate column subsets directly and
     return the first whose touched rows lack the capacity for it."""
-    masks = _support_masks(cm, columns)
+    masks = [cm.masks[c] for c in columns]
     assert len(masks) <= COLUMN_ENUM_GUARD
-    caps = _caps(max(m.bit_length() for m in masks), spec)
+    caps = _caps(cm.width, spec)
     for t in range(1, len(masks) + 1):
         for combo in itertools.combinations(range(len(masks)), t):
             union = 0
@@ -158,6 +157,25 @@ class TestSubsetCondition:
             by_cols = subset_condition_by_columns(cm, columns, spec)
             assert by_rows[0] == by_cols[0]
 
+    def test_subset_scans_only_the_rows_its_columns_touch(self):
+        """A subset's row sets span only the rows its own columns touch: on
+        a 20-row matrix, which the search would refuse, subsets of a few
+        columns are decided as the column enumeration decides them, and a
+        violating one comes with columns that overdraw their rows."""
+        spec = RankSpec(j=1, ranks=(1, 1))
+        cm = _constraint_with_supports(*({1, 2, row} for row in range(3, 18)), {18, 19}, {17, 20})
+        assert cm.width == 20
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(60):
+            columns = rng.sample(range(15), rng.randint(1, 5)) + rng.sample([15, 16], rng.randint(0, 1))
+            ok, witness = subset_condition_holds(cm, columns, spec)
+            assert ok == subset_condition_by_columns(cm, columns, spec)[0]
+            if not ok:
+                assert set(witness) <= set(columns) and thm3_upper_bound(cm, witness, spec) < len(witness)
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
     def test_empty_column_set_holds(self):
         cm, spec, _ = default_constraint()
         assert subset_condition_holds(cm, [], spec) == (True, None)
@@ -171,18 +189,22 @@ class TestSubsetCondition:
 
 
 def _constraint_with_supports(*supports):
-    """A constraint matrix with directly prescribed column supports."""
-    from tensorcert.constraint import ConstraintColumn, ConstraintMatrix
+    """A constraint matrix with directly prescribed column supports: column
+    z's free entry is (max(s), 1, 1) for its support s."""
+    from tensorcert.constraint import ConstraintMatrix
 
-    num_rows = max(max(s) for s in supports)
-    columns = tuple(
-        ConstraintColumn(
-            base=(1, 1), designated_rows=frozenset(sorted(s)[:-1]), free_row=max(s)
-        )
-        for s in supports
-    )
+    num_rows = max(max(max(s) for s in supports), 2)
+    rows = sorted(set().union(*supports))
+    masks = tuple(sum(1 << rows.index(r) for r in s) for s in supports)
     return ConstraintMatrix(
-        num_rows=max(num_rows, 2), columns=columns, j=1, head_dims=(max(num_rows, 2),)
+        num_rows=num_rows,
+        j=1,
+        head_dims=(num_rows,),
+        entries=tuple((r, 1, 1) for r in range(1, num_rows + 1)),
+        free=tuple(max(s) - 1 for s in supports),
+        rows=tuple(rows),
+        masks=masks,
+        order=tuple(sorted(range(len(masks)), key=lambda z: (-masks[z].bit_count(), z))),
     )
 
 
@@ -280,9 +302,8 @@ def witness_is_confirmed(pattern, spec, constraint, selection, witness) -> bool:
 def count_only_witnesses(constraint, spec, n):
     """Reference: every n-set of columns that passes the subset inequalities,
     in the search's include-first order, with no rank check and no cap."""
-    columns = range(constraint.num_columns)
-    masks = _support_masks(constraint, columns)
-    order = sorted(columns, key=lambda i: (-masks[i].bit_count(), i))
+    masks = constraint.masks
+    order = sorted(range(constraint.num_columns), key=lambda i: (-masks[i].bit_count(), i))
     for combo in itertools.combinations(order, n):
         if subset_condition_holds(constraint, combo, spec)[0]:
             yield tuple(sorted(combo))
@@ -356,11 +377,9 @@ class TestRankPrunedSearch:
         assert cert.verdict == "finite" and cert.witness_columns is not None
         assert verify_finite_witness(pattern, spec, cert)
         constraint = build_constraint(pattern, spec, cert.selection)
-        masks = _support_masks(constraint, range(constraint.num_columns))
-        width = max(m.bit_length() for m in masks)
-        order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+        width = constraint.width
         counts = _IncrementalCounts(width, _caps(width, spec))
-        candidates = _witness_solutions(masks, order, cert.num_free_core, counts, 10**6)
+        candidates = _witness_solutions(constraint.masks, constraint.order, cert.num_free_core, counts, 10**6)
         dependent = next(
             w for w in candidates if not witness_is_confirmed(pattern, spec, constraint, cert.selection, w)
         )
@@ -386,6 +405,19 @@ def reference_caps(width, spec, n0=None):
             for free in by_count
         ]
     return tuple(by_count[w.bit_count()] for w in range(1 << width))
+
+
+def test_caps_follow_the_counting_function():
+    """Each row count's capacity R*w - g(w), and its uniqueness relaxation,
+    as read from g directly, below and past the gauge blocks' rows."""
+    for ranks in [(1,), (2,), (1, 1), (1, 2), (2, 2), (3, 2, 2), (1, 1, 1)]:
+        spec = RankSpec(j=1, ranks=ranks)
+        for width in range(20):
+            assert _caps(width, spec) == [spec.product * w - spec.g(w) for w in range(width + 1)]
+            for n0 in (0, 3, 9):
+                assert tuple(_caps(width, spec, n0)[w.bit_count()] for w in range(1 << min(width, 6))) == reference_caps(
+                    min(width, 6), spec, n0
+                )
 
 
 class ReferenceCounts:
@@ -698,6 +730,30 @@ class TestCertifyUnique:
         cert = certify_unique(SamplingPattern.full((6, 6, 6)), RankSpec(j=2, ranks=(2,)), seed=3)
         assert (cert.verdict, cert.finite.verdict) == ("undecided-search-exhausted", "finite")
         assert cert.reason == "no disjoint witness pair found; ROW_SCAN_GUARD (16 rows) refused an A+ selection's 36 rows"
+
+    @pytest.mark.parametrize("rows", [16, 17])
+    def test_row_scan_guard_boundary(self, rows):
+        """On the fully observed rows x 2 x 2 pattern, j = 1, ranks (1, 1),
+        every selection's columns touch all its unfolding rows.  At 16 rows,
+        the guard's value, the witness search runs: check-finite finds a
+        witness and check-unique a pair.  At 17 the guard refuses the search,
+        check-finite takes the rank probe's verdict, and check-unique's
+        reason names the 17 rows."""
+        assert certifier.ROW_SCAN_GUARD == 16
+        pattern, spec = SamplingPattern.full((rows, 2, 2)), RankSpec(j=1, ranks=(1, 1))
+        cert = certify_finite(pattern, spec, seed=3)
+        assert build_constraint(pattern, spec, cert.selection).width == rows
+        unique = certify_unique(pattern, spec, seed=3)
+        if rows == 16:
+            assert cert.verdict == "finite" and verify_finite_witness(pattern, spec, cert)
+            assert unique.verdict == "unique"
+        else:
+            assert (cert.verdict, cert.witness_columns) == ("finite", None)
+            assert cert.reason == "decided by generic-rank evaluation; no combinatorial witness found"
+            assert (unique.verdict, unique.finite.verdict) == ("undecided-search-exhausted", "finite")
+            assert unique.reason == (
+                "no disjoint witness pair found; ROW_SCAN_GUARD (16 rows) refused an A+ selection's 17 rows"
+            )
 
     def test_exhausted_reason_names_the_pair_search_guard(self, monkeypatch):
         """With a pair-search guard of one node, no second witness can be

@@ -34,24 +34,28 @@ class TestBuildConstraint:
         cm = build_constraint(pattern, spec, selection)
         shape = pattern.shape
         by_base = {}
-        for col in cm.columns:
-            by_base.setdefault(col.base, []).append(col)
+        for z in range(cm.num_columns):
+            by_base.setdefault(cm.free_entry(z)[1:], []).append(z)
         # designated entry (1,1,1) pins row 1 of subtensor (1,1); the two
         # remaining entries there contribute supports {1,2} and {1,3}.
-        assert {frozenset(c.support) for c in by_base[(1, 1)]} == {
+        assert {cm.support(z) for z in by_base[(1, 1)]} == {
             frozenset({1, 2}),
             frozenset({1, 3}),
         }
-        assert [c.free_row for c in sorted(by_base[(1, 1)], key=lambda c: c.free_row)] == [2, 3]
+        assert [cm.free_entry(z) for z in by_base[(1, 1)]] == [(2, 1, 1), (3, 1, 1)]
         # subtensor (2,1): designated (1,2,1) -> row 1, remaining (2,2,1).
-        (col,) = by_base[(2, 1)]
-        assert col.designated_rows == frozenset({1})
-        assert col.free_row == unfold_row(shape, 1, (2, 2, 1)) == 2
+        (z,) = by_base[(2, 1)]
+        assert cm.free_entry(z) == (2, 2, 1)
+        assert cm.support(z) == frozenset({1, unfold_row(shape, 1, (2, 2, 1))}) == frozenset({1, 2})
+        # masks over the touched rows 1, 2, 3; free entries by position
+        assert cm.rows == (1, 2, 3) and cm.width == 3
+        assert cm.masks == (0b011, 0b101, 0b011)
+        assert [pattern.observed[p] for p in cm.free] == [(2, 1, 1), (3, 1, 1), (2, 2, 1)]
 
     def test_columns_sorted_by_base_then_entry(self):
         pattern, spec, selection = small_instance()
         cm = build_constraint(pattern, spec, selection)
-        keys = [(c.base, c.free_row) for c in cm.columns]
+        keys = [(cm.free_entry(z)[1:], cm.free_entry(z)) for z in range(cm.num_columns)]
         assert keys == sorted(keys)
 
     def test_rebuild_is_identical(self):
@@ -71,9 +75,9 @@ class TestBuildConstraint:
         pattern = SamplingPattern.from_coords((3, 3, 3), [(1, 1, 1), (2, 1, 2)])
         spec = RankSpec(j=1, ranks=(1, 1))
         cm = build_constraint(pattern, spec, TSelection(entries=((1, 1, 1),), mode="A"))
-        (col,) = cm.columns
-        assert col.designated_rows == frozenset()
-        assert col.support == frozenset({2})
+        assert cm.num_columns == 1
+        assert cm.support(0) == frozenset({2})
+        assert (cm.rows, cm.masks, cm.order) == ((2,), (1,), (0,))
 
 
 class TestDenseSupport:
@@ -82,10 +86,10 @@ class TestDenseSupport:
         cm = build_constraint(pattern, spec, selection)
         dense = cm.dense_support()
         # one coordinate per (support row, column) incidence
-        assert len(dense) == sum(len(c.support) for c in cm.columns)
+        assert len(dense) == sum(len(s) for s in cm.supports())
         for head_and_col in dense:
             *head, z = head_and_col
-            assert head[0] in cm.columns[z - 1].support
+            assert head[0] in cm.support(z - 1)
 
 
 class TestMCount:
@@ -93,7 +97,7 @@ class TestMCount:
         pattern, spec, selection = small_instance()
         cm = build_constraint(pattern, spec, selection)
         assert m_count(cm, []) == 0
-        assert m_count(cm, [0]) == len(cm.columns[0].support)
+        assert m_count(cm, [0]) == len(cm.support(0))
         assert m_count(cm, range(cm.num_columns)) == 3  # rows 1, 2, 3 all touched
 
     def test_union_never_exceeds_sum(self):
@@ -101,6 +105,4 @@ class TestMCount:
         cm = build_constraint(pattern, spec, selection)
         for i in range(cm.num_columns):
             for k in range(i + 1, cm.num_columns):
-                assert m_count(cm, [i, k]) <= len(cm.columns[i].support) + len(
-                    cm.columns[k].support
-                )
+                assert m_count(cm, [i, k]) <= len(cm.support(i)) + len(cm.support(k))

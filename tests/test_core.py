@@ -2,6 +2,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,11 +242,17 @@ class TestOnePassCheck:
         shape = Shape(dims=dims)
         expected = outcome(lambda: checked_one_by_one(shape, coords))
         assert outcome(lambda: SamplingPattern.from_coords(dims, coords).observed) == expected
-        assert _sorted_if_valid(shape, coords) == (expected[1] if expected[0] == "ok" else None)
+        x = _sorted_if_valid(shape, coords)
+        assert (None if x is None else tuple(map(tuple, x.tolist()))) == (expected[1] if expected[0] == "ok" else None)
+        if expected[0] == "ok":
+            kept = SamplingPattern.from_coords(dims, coords).observed_array
+            assert kept.dtype == np.int64 and not kept.flags.writeable
+            assert tuple(map(tuple, kept.tolist())) == expected[1]
 
     def test_empty_pattern(self):
-        assert _sorted_if_valid(Shape(dims=(2, 2)), ()) == ()
-        assert SamplingPattern.from_coords((2, 2), []).observed == ()
+        assert _sorted_if_valid(Shape(dims=(2, 2)), ()).shape == (0, 2)
+        pattern = SamplingPattern.from_coords((2, 2), [])
+        assert pattern.observed == () and pattern.observed_array.shape == (0, 2)
 
     def test_huge_coordinate_keeps_its_message(self):
         with pytest.raises(CoordinateBoundsError, match=r"coordinate \(2, 2, 99999999999999999999\) out of bounds"):
@@ -257,6 +264,7 @@ class TestOnePassCheck:
         assert _sorted_if_valid(Shape(dims=dims), [(1, 1, 1)]) is None
         pattern = SamplingPattern.from_coords(dims, [(3, 3, 5), (2, 2, 10**20 - 1)])
         assert pattern.observed == ((2, 2, 10**20 - 1), (3, 3, 5))
+        assert pattern.observed_array.tolist() == [[2, 2, 10**20 - 1], [3, 3, 5]]
 
     @pytest.mark.parametrize("dims", [[3, 3, 2**63], [3, 3, 10**20], [3, -(2**64), 3]])
     def test_read_refuses_dimension_beyond_int64(self, dims, tmp_path):
