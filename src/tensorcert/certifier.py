@@ -42,10 +42,14 @@ requires.  The designated selection is existentially quantified, so the
 certifier decides on the first selection: its witness, or else the rank of
 the full pattern at the same point, taken by pushing the other entries'
 rows onto the selection's echelon, which the search leaves as it found it
-however it ends.  A rank short of the target gives
-"not-finite" at once, with the count model's violating subset when the
-search ran to its end; a rank at the target gives "finite", and only then
-are a handful of alternative selections searched for a witness.  So
+however it ends: backing up pops one row, and the search's end rewinds the
+echelon in one step to a mark taken at its start.  A rank short of the
+target gives "not-finite" at once, with the count model's violating subset
+when the search ran to its end; a rank at the target gives "finite", and
+only then are a handful of alternative selections searched for a witness,
+unless the counts rule one out on every selection: a subtensor that
+observes h rows gives at most h - least + 1 columns of any witness, where
+``least`` is the fewest rows with positive capacity.  So
 :func:`certify_finite` always decides.  :func:`certify_unique` finds its
 first ``A+`` selection, decides the finite part as :func:`certify_finite`
 does, and searches the ``A+`` selections for a disjoint witness pair only
@@ -304,8 +308,9 @@ def _witness_solutions(
     pushing ``rows[idx]`` leaves at most ``slack`` dependent rows.
     Each node spends one of ``node_budget``; raises when none is left.
     Backing up resumes just past the last included position, so no call nests.
-    However the search ends, the echelon is left as it was given."""
+    However the search ends, the echelon is rewound to the state it was given in."""
     chosen: list[int] = []  # positions in ``order`` of the included columns
+    start = None if rank is None else rank[0].mark()
 
     def admit(idx: int) -> bool:
         if not counts.can_add(masks[idx]):
@@ -344,9 +349,8 @@ def _witness_solutions(
             i += 1
     finally:
         # Stopped by the budget, or closed at a witness: undo its pushes.
-        if rank is not None:
-            for _ in chosen:
-                rank[0].pop()
+        if start is not None:
+            rank[0].rewind(start)
 
 
 def _finite_search(
@@ -374,6 +378,21 @@ def _finite_search(
     )
 
 
+def _counts_rule_out_witness(pattern: SamplingPattern, spec: RankSpec, n: int) -> bool:
+    """True when no selection, ``A`` or ``A+``, has a witness of ``n``
+    columns by the counts alone.  With no column chosen, a column is admitted
+    only when its support holds ``least`` rows or more, the fewest with
+    positive capacity.  A support is its subtensor's designated rows plus the
+    column's own row, all rows that subtensor observes, so a subtensor that
+    observes h rows gives at most h - least + 1 admissible columns."""
+    caps = _caps(pattern.shape.head_size(spec.j), spec)
+    least = next((w for w, cap in enumerate(caps) if cap > 0), None)
+    if least is None:
+        return n > 0
+    groups = pattern_index(pattern, spec).groups.values()
+    return sum(max(0, len(members) - least + 1) for members in groups) < n
+
+
 def _selections(
     pattern: SamplingPattern, spec: RankSpec, mode: str, seed: int
 ) -> Iterator[tuple[TSelection, ModEchelon]]:
@@ -397,8 +416,9 @@ def certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int = 0) -> F
     selections and supplies the witness columns when it finds one.  When the
     first selection yields none, the rank of the full observed pattern at the
     same GF(p) point decides: short of the target, the verdict is
-    "not-finite" at once; at the target, the other selections are searched,
-    and "finite" comes without witness columns if none yields one."""
+    "not-finite" at once; at the target, the other selections are searched
+    unless the counts rule out a witness for all of them, and "finite" comes
+    without witness columns if none yields one."""
     check_fits(pattern.shape, spec)
     _check_observed_count(pattern, spec, plus=False)
     return _certify_finite(pattern, spec, seed)
@@ -438,6 +458,8 @@ def _certify_finite(pattern: SamplingPattern, spec: RankSpec, seed: int) -> Fini
                     return decided("not-finite", reason="generic rank stays below the number of unknowns")
                 return decided("not-finite", violating_subset=thm4_dependent(constraint, spec)[1])
             first = decided
+            if _counts_rule_out_witness(pattern, spec, n):
+                break
     assert first is not None
     return first("finite", reason="decided by generic-rank evaluation; no combinatorial witness found")
 

@@ -476,7 +476,12 @@ class ModEchelon:
     pivots times the kept rows.  An independent row then clears its pivot
     column from the earlier rows; the cleared column is saved, and ``pop``
     adds it back.  Memory stays at two width x width arrays however deep
-    the pushes go.
+    the pushes go, plus rank x width residues for each :meth:`mark` kept.
+
+    A push at rank k writes only ``_pivots[k]``, ``_cleared[k]`` and the
+    kept rows, so a mark is the push count, ``block_rank`` and a copy of the
+    kept rows, and :meth:`rewind` to it undoes every later push in one step,
+    leaving the state that as many pops leave.
 
     A row's pivot is its last nonzero column, so every kept row is zero
     after its pivot, and for any column b the kept rows pivoted at b or
@@ -533,6 +538,17 @@ class ModEchelon:
             self.rank = k
             if self._pivots[k] >= self.block:
                 self.block_rank -= 1
+
+    def mark(self) -> tuple[int, int, np.ndarray]:
+        """The state that :meth:`rewind` returns to."""
+        return len(self._pushed), self.block_rank, self._rows[: self.rank].copy()
+
+    def rewind(self, mark: tuple[int, int, np.ndarray]) -> None:
+        """Undo at once every push since ``mark`` was taken."""
+        pushes, self.block_rank, kept = mark
+        del self._pushed[pushes:]
+        self.rank = len(kept)
+        self._rows[: self.rank] = kept
 
     def clear(self) -> None:
         """Undo every push at once."""

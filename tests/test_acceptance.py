@@ -195,25 +195,39 @@ def test_certifier_oracle_equivalence_sweep():
 # Per sweep config, over all 40 draws: "finite" verdicts (with a witness,
 # without one).  The witness-less ones are decided by the full pattern's rank.
 SWEEP_WITNESS_COVERAGE = [(36, 3), (25, 11), (23, 16), (0, 0), (0, 0), (40, 0), (40, 0), (38, 0)]
+# Per sweep config, the witness-less "finite" verdicts above for which the
+# counts rule out a witness on every selection, so no retry is searched.
+SWEEP_COUNT_RULED_OUT = [0, 5, 15, 0, 0, 0, 0, 0]
 # SHA-256 over the sweep's 320 certificates (sorted-key JSON of to_dict())
 # and refusals (class and text), one line each in sweep order.
 SWEEP_CERTIFICATE_DIGEST = "efe768eb163d11f31c520d84fa0a309a30cccd157d197c080c66f72f07462ed9"
 
 
-def test_sweep_witness_coverage_and_replay():
+def test_sweep_witness_coverage_and_replay(monkeypatch):
     """Every witness of the sweep's "finite" verdicts replays, and the count
     of witnessed and witness-less "finite" verdicts per config is pinned, so
-    a change that loses a witness fails here.  One digest of every
-    certificate and refusal pins them byte for byte."""
+    a change that loses a witness fails here.  So is the count of
+    witness-less ones whose witness the counts rule out: each of them finds
+    one selection, and the others all six, one per seed.  One digest of
+    every certificate and refusal pins them byte for byte."""
+    calls = []
+    real_find = certifier.find_T_selection
+
+    def counting_find(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real_find(*args, **kwargs)
+
+    monkeypatch.setattr(certifier, "find_T_selection", counting_find)
     with Budget(60.0):
-        coverage = []
+        coverage, skipped = [], []
         digest = hashlib.sha256()
         for dims, j, ranks, p in SWEEP_CONFIGS:
             shape = Shape(dims=dims)
             spec = RankSpec(j=j, ranks=ranks)
-            witnessed = witnessless = 0
+            witnessed = witnessless = ruled_out = 0
             for trial in range(40):
                 pattern = sample_pattern(shape, p, seed=5, trial=trial)
+                before = len(calls)
                 try:
                     cert = certify_finite(pattern, spec, seed=3)
                 except AssumptionError as exc:
@@ -224,12 +238,85 @@ def test_sweep_witness_coverage_and_replay():
                     continue
                 if cert.witness_columns is None:
                     witnessless += 1
+                    skip = certifier._counts_rule_out_witness(pattern, spec, cert.num_free_core)
+                    assert calls[before:] == ([3] if skip else [3, 4, 5, 6, 7, 8]), (dims, j, ranks, trial)
+                    ruled_out += skip
                     continue
                 assert verify_finite_witness(pattern, spec, cert), (dims, j, ranks, trial)
                 witnessed += 1
             coverage.append((witnessed, witnessless))
+            skipped.append(ruled_out)
         assert coverage == SWEEP_WITNESS_COVERAGE
+        assert skipped == SWEEP_COUNT_RULED_OUT
         assert digest.hexdigest() == SWEEP_CERTIFICATE_DIGEST
+
+
+# Seeded random patterns beyond the sweep for the count bound's soundness:
+# k = 1, 2 and 3 trailing modes, shapes whose fewest rows of positive
+# capacity is 1, 3 or 4, and two with no free core entry (n = 0).
+BOUND_SHAPES = [
+    ((3, 3, 3), 2, (2,)),
+    ((3, 4, 3), 2, (3,)),
+    ((4, 4, 4), 1, (3, 3)),
+    ((3, 3, 3), 1, (1, 2)),
+    ((3, 3, 3), 1, (2, 2)),
+    ((3, 3, 3), 1, (1, 1)),
+    ((2, 3, 3), 1, (1, 1)),
+    ((3, 3, 3, 3), 1, (1, 1, 1)),
+    ((3, 2, 2, 2), 1, (1, 1, 1)),
+    ((4, 2, 2, 2), 1, (1, 1, 2)),
+]
+
+
+def test_count_bound_rules_out_only_witness_free_patterns(monkeypatch):
+    """Over the sweep's 320 draws at certificate seeds 0 and 3 and 400
+    seeded random patterns (p from 0.3 to 0.9): wherever the counts rule out
+    a witness, no selection of the retries, under A or A+, yields one (a
+    guard may stop a search); no certificate with a witness is ruled out;
+    and each ruled-out certificate equals the one found with no count bound."""
+    draws = [
+        (dims, j, ranks, sample_pattern(Shape(dims=dims), p, seed=5, trial=trial), seed)
+        for dims, j, ranks, p in SWEEP_CONFIGS
+        for seed in (0, 3)
+        for trial in range(40)
+    ] + [
+        (dims, j, ranks, sample_pattern(Shape(dims=dims), 0.3 + 0.1 * (trial % 7), seed=7, trial=trial), trial % 4)
+        for dims, j, ranks in BOUND_SHAPES
+        for trial in range(40)
+    ]
+    rule_out = certifier._counts_rule_out_witness
+    leasts, seen = set(), collections.Counter()
+    for dims, j, ranks, pattern, seed in draws:
+        spec = RankSpec(j=j, ranks=ranks)
+        try:
+            cert = certify_finite(pattern, spec, seed=seed)
+        except AssumptionError:
+            continue
+        caps = certifier._caps(pattern.shape.head_size(j), spec)
+        leasts.add(next((w for w, cap in enumerate(caps) if cap > 0), None))
+        seen["n = 0"] += cert.num_free_core == 0
+        if not rule_out(pattern, spec, cert.num_free_core):
+            continue
+        seen["ruled out", cert.verdict] += 1
+        assert cert.witness_columns is None, (dims, j, ranks, seed)
+        for mode in ("A", "A+"):
+            try:
+                for selection, echelon in certifier._selections(pattern, spec, mode, seed):
+                    constraint = build_constraint(pattern, spec, selection)
+                    try:
+                        witness = next(certifier._finite_search(pattern, spec, constraint, selection, echelon), None)
+                    except certifier.CertifierGuardError:
+                        continue
+                    assert witness is None, (dims, j, ranks, seed, mode)
+                    seen["searched", mode] += 1
+            except AssumptionError:
+                continue  # no A+ selection
+        with monkeypatch.context() as m:
+            m.setattr(certifier, "_counts_rule_out_witness", lambda *args: False)
+            assert certify_finite(pattern, spec, seed=seed) == cert
+    assert leasts == {1, 3, 4, None}
+    assert seen["n = 0"] > 0 and seen["ruled out", "finite"] > 0 and seen["ruled out", "not-finite"] > 0
+    assert seen["searched", "A"] > 0 and seen["searched", "A+"] > 0
 
 
 def test_continued_rank_equals_the_full_rank(monkeypatch):

@@ -357,18 +357,22 @@ class TestRankPrunedSearch:
         # At seed 0 the selection's rows are dependent and no search runs.
         selection = find_T_selection(pattern, spec, seed=1, echelon=echelon)
         constraint = build_constraint(pattern, spec, selection)
-        held = (echelon.rank, echelon.dependent)
-        assert held == (len(selection.entries), 0)
+
+        def state():
+            return echelon.rank, echelon.dependent, echelon._rows[: echelon.rank].tolist()
+
+        held = state()
+        assert held[:2] == (len(selection.entries), 0)
         monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 4)
         with pytest.raises(CertifierGuardError):
             next(_finite_search(pattern, spec, constraint, selection, echelon))
-        assert (echelon.rank, echelon.dependent) == held
+        assert state() == held
         monkeypatch.setattr(certifier, "WITNESS_NODE_BUDGET", 10**9)
         search = _finite_search(pattern, spec, constraint, selection, echelon)
         assert len(next(search)) == core_dim(shape, spec)
         assert echelon.rank == len(selection.entries) + core_dim(shape, spec)
         search.close()
-        assert (echelon.rank, echelon.dependent) == held
+        assert state() == held
 
     def test_replay_rejects_count_feasible_rank_dependent_witness(self):
         pattern = sample_pattern(Shape(dims=(3, 3, 3, 3)), 0.85, seed=5, trial=0)

@@ -474,6 +474,46 @@ class TestModEchelon:
         assert (echelon.rank, echelon.block_rank, echelon.dependent) == (0, 0, 0)
         assert [echelon.push(row) for row in rows] == pushed and echelon.block_rank == block_ranks[-1]
 
+    @pytest.mark.parametrize("count,block,width,base", [(40, 5, 12, 0), (60, 60, 150, 190)])
+    def test_rewind_equals_as_many_pops(self, count, block, width, base):
+        """From bases reached by a random push/pop walk over ``count`` rows, a
+        mark, k pushes and a rewind leave the state k pops leave, and the
+        walk goes on alike from both.  At width 150 the walk starts on 190
+        other rows of rank 131, so the kept rows pass one int64 chunk."""
+        rng = np.random.default_rng(count)
+        rewound, popped = ModEchelon(width, block), ModEchelon(width, block)
+        for row in dependent_rich_rows(rng, base, width, 12):
+            rewound.push(row)
+            popped.push(row)
+        pool = dependent_rich_rows(rng, count, width)
+
+        def state(echelon):
+            k = echelon.rank
+            return k, echelon.block_rank, echelon.dependent, echelon._rows[:k].tolist(), echelon._pivots[:k].tolist()
+
+        seen = set()
+        for _ in range(60):
+            for _ in range(rng.integers(8)):
+                if popped._pushed and rng.random() < 0.45:
+                    rewound.pop()
+                    popped.pop()
+                else:
+                    row = pool[rng.integers(count)]
+                    assert rewound.push(row) == popped.push(row)
+                assert state(rewound) == state(popped)
+            mark, dependent = rewound.mark(), rewound.dependent
+            k = int(rng.integers(1, 12))
+            for row in pool[rng.integers(count, size=k)]:
+                assert rewound.push(row) == popped.push(row)
+            seen.add((rewound.dependent > dependent, len(mark[2]) > 128))
+            rewound.rewind(mark)
+            for _ in range(k):
+                popped.pop()
+            assert state(rewound) == state(popped)
+        assert {dependent for dependent, _ in seen} == {True, False}
+        if base:
+            assert {(True, True), (False, True)} <= seen
+
     def test_reaches_rank_on_short_and_empty_input(self):
         rows = np.random.default_rng(3).integers(RANK_PRIME, size=(4, 6))
         assert reaches_rank_mod_p(rows, 4)
